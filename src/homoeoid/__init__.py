@@ -39,7 +39,6 @@ averages over shell families.  Modules:
 __version__ = "0.1.0"
 
 from homoeoid import (
-    cli,
     fibres,
     geometry,
     identities,
@@ -71,3 +70,13 @@ __all__ = [
     "mc_mean",
     "rng_stream",
 ]
+
+
+def __getattr__(name: str):
+    # ``cli`` loads on first access, so ``python -m homoeoid.cli`` does not
+    # find it already imported by the package (runpy warns when it does).
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module("homoeoid.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

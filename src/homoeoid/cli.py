@@ -101,11 +101,22 @@ class _Overrides:
         self._left = dict(config.overrides)
 
     def pull(self, key: str, default):
+        """The override for ``key``, typed like ``default``, else ``default``."""
         if key not in self._left:
             return default
         raw = self._left.pop(key)
-        kind = type(default) if default is not None else float
-        return kind(raw) if kind in (int, float) else float(raw)
+        if isinstance(default, int):
+            if not float(raw).is_integer():
+                raise ValueError(f"override {key} must be an integer, got {raw!r}")
+            return int(raw)
+        return float(raw)
+
+    def count(self, key: str, default: int) -> int:
+        """An integer override that must be at least 1."""
+        value = self.pull(key, default)
+        if value < 1:
+            raise ValueError(f"override {key} must be at least 1, got {value}")
+        return value
 
     def done(self) -> None:
         if self._left:
@@ -127,7 +138,7 @@ def _drift(values: Sequence[float]) -> float:
 
 def _exp_identities(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    rational_trials = ov.pull("rational_trials", 50)
+    rational_trials = ov.count("rational_trials", 50)
     ov.done()
     trials = config.samples or 1000
     rows = []
@@ -166,8 +177,8 @@ def _exp_identities(config: RunConfig) -> RunResult:
 
 def _exp_nondeg(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    generic = ov.pull("generic_per_n", 20)
-    bound_trials = ov.pull("bound_trials", 300)
+    generic = ov.count("generic_per_n", 20)
+    bound_trials = ov.count("bound_trials", 300)
     ov.done()
     n_list = tuple(range(2, max(config.n, 3) + 1))
     report = contact_jacobian_check(n_list=n_list, seed=config.seed, generic_per_n=generic)
@@ -206,7 +217,7 @@ def _exp_nondeg(config: RunConfig) -> RunResult:
 def _exp_volume_bound(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
     axis = ov.pull("axis", 0)
-    pairs = ov.pull("pairs", 10)
+    pairs = ov.count("pairs", 10)
     ov.done()
     deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9))
     ts = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0)
@@ -284,7 +295,7 @@ def _exp_bands(config: RunConfig) -> RunResult:
 
 def _exp_clusters(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    configs = ov.pull("configs", 20)
+    configs = ov.count("configs", 20)
     delta = ov.pull("delta", 2.0**-9)
     ov.done()
     if config.n != 3:
@@ -361,7 +372,7 @@ def _fibre_config(seed: int, trial: int, n: int):
 
 def _exp_fibre(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    trials = ov.pull("trials", 12)
+    trials = ov.count("trials", 12)
     rho0 = ov.pull("rho", 0.2)
     ov.done()
     if config.n != 3:
@@ -390,7 +401,7 @@ def _exp_fibre(config: RunConfig) -> RunResult:
 def _exp_multiplicity(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
     axis = ov.pull("axis", 0)
-    trials = ov.pull("trials", 3)
+    trials = ov.count("trials", 3)
     ov.done()
     deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
     m = config.samples or 4096
@@ -406,9 +417,9 @@ def _exp_multiplicity(config: RunConfig) -> RunResult:
 
 def _exp_l2_growth(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    family_size = ov.pull("family_size", 2)
-    x_samples = ov.pull("x_samples", 16)
-    components = ov.pull("components", 6)
+    family_size = ov.count("family_size", 2)
+    x_samples = ov.count("x_samples", 16)
+    components = ov.count("components", 6)
     ov.done()
     deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
     m = config.samples or 512
@@ -442,7 +453,7 @@ def _knapp_target(p: float):
 
 def _exp_knapp_exponent(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    m_x = ov.pull("m_x", 64)
+    m_x = ov.count("m_x", 64)
     rho = ov.pull("rho", 0.1)
     ov.done()
     deltas = _deltas(config, tuple(2.0**-k for k in range(4, 11)))
@@ -492,7 +503,7 @@ _MIN_SHELLS = 16
 
 def _exp_divergence(config: RunConfig) -> RunResult:
     ov = _Overrides(config)
-    length = ov.pull("L", 4096)
+    length = ov.count("L", 4096)
     C = ov.pull("C", 4.0)
     ov.done()
     if length < _MIN_SHELLS:
@@ -538,9 +549,16 @@ def _exp_divergence(config: RunConfig) -> RunResult:
     return RunResult(config.experiment, columns, rows, metrics, passed)
 
 
-def _offset_power_fit(dyadic: tuple) -> float:
-    """Growth exponent of ``a * L**b + c`` fitted to the dyadic sums."""
+def _offset_power_fit(dyadic: tuple) -> Optional[float]:
+    """Growth exponent of ``a * L**b + c`` fitted to the dyadic sums.
 
+    ``None`` when there are no more sums than the three parameters (the fit
+    would interpolate them, and its exponent would mean nothing) or when the
+    fit does not converge.
+    """
+
+    if len(dyadic) <= 3:
+        return None
     from scipy.optimize import curve_fit
 
     ls = np.array([row[0] for row in dyadic], dtype=float)
@@ -554,7 +572,7 @@ def _offset_power_fit(dyadic: tuple) -> float:
             maxfev=20_000,
         )
     except RuntimeError:
-        return math.nan
+        return None
     return float(params[1])
 
 
@@ -586,7 +604,7 @@ def _exp_explore_unrefined(config: RunConfig) -> RunResult:
 
     ov = _Overrides(config)
     axis = ov.pull("axis", 0)
-    pairs = ov.pull("pairs", 12)
+    pairs = ov.count("pairs", 12)
     ov.done()
     deltas = _deltas(config, (2.0**-5, 2.0**-6))
     m = config.samples or (1 << 16)

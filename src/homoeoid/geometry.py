@@ -48,6 +48,7 @@ __all__ = [
     "defining_value",
     "defining_gradient",
     "affine_map",
+    "shell_membership",
     "annulus_contains",
     "refinement_indicator",
     "covering_margin",
@@ -329,19 +330,69 @@ def refinement_indicator(omega: Array, axis: int, cut: float) -> Array:
     return np.abs(w[..., axis]) ** 3 >= 2.0 * cut
 
 
+def shell_membership(
+    centres: Array,
+    radii: Array,
+    delta: float,
+    points: Array,
+    axis: Optional[int] = None,
+    cut: Optional[float] = None,
+) -> tuple[Array, Optional[Array]]:
+    """Membership of a point batch in ``k`` shells of one width ``delta``.
+
+    ``centres`` and ``radii`` hold one row per shell, ``(k, n)``; ``points``
+    is ``(..., n)``.  Returns ``(shell, sector)``, both ``(..., k)`` boolean:
+    ``shell`` is ``|F| < delta`` and ``sector`` the axis refinement
+    ``|omega[axis]|**3 >= 2*cut`` of the pullback (``None`` without ``axis``),
+    so a refined shell is ``shell & sector``.
+
+    The kernel runs coordinate by coordinate on shell-major ``(k, m)``
+    arrays: ``z_j = (y_j - x_j) / r_j`` is formed once per coordinate, its
+    squares are added in coordinate order (the order ``np.sum`` uses over a
+    trailing axis shorter than 8), and the refinement reuses ``z_axis``.  For
+    ``n < 8`` the masks therefore equal, bit for bit, those of
+    :func:`defining_value` and :func:`refinement_indicator` applied to
+    :func:`affine_map`'s inverse.
+    """
+    x = np.asarray(centres, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    y = np.asarray(points, dtype=float)
+    n = y.shape[-1]
+    flat = y.reshape(-1, n)
+    total = None
+    sector = None
+    for j in range(n):
+        z = flat[:, j] - x[:, j, None]
+        z /= r[:, j, None]
+        if j == axis:
+            sector = np.abs(z) ** 3 >= 2.0 * cut
+        z *= z
+        if total is None:
+            total = z
+        else:
+            total += z
+    total -= 1.0
+    np.abs(total, out=total)
+    shape = y.shape[:-1] + (x.shape[0],)
+    shell = (total < delta).T.reshape(shape)
+    return shell, (None if sector is None else sector.T.reshape(shape))
+
+
 def annulus_contains(spec, points: Array) -> Array:
     """Membership test for a (possibly refined) shell; batched, boolean.
 
     Physical points are tested against ``|F| < delta``; for refined specs the
-    pullback must additionally satisfy the axis refinement.
+    pullback must additionally satisfy the axis refinement.  This is the
+    one-shell case of the coordinate-major kernel :func:`shell_membership`,
+    which forms each pulled-back coordinate once for both tests.
     """
     base, axis, cut = _spec_parts(spec)
     ell = base.ellipsoid
-    inside = np.abs(defining_value(ell.centre, ell.radii, points)) < base.delta
-    if axis is not None:
-        omega = affine_map(ell.centre, ell.radii, points, inverse=True)
-        inside = inside & refinement_indicator(omega, axis, cut)
-    return inside
+    shell, sector = shell_membership(
+        ell.centre[None], ell.radii[None], base.delta, points, axis, cut
+    )
+    inside = shell if sector is None else shell & sector
+    return inside[..., 0][()]  # [()] turns a single point's 0-d result into a scalar
 
 
 def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:

@@ -6,12 +6,15 @@ slot ``k``), parameters ``t_i`` in ``[-1, 1]`` pairwise separated by at least
 ``delta`` and radii drawn from the restricted box.  The square of the
 L2 norm of the counting function ``sum_i chi_{E_i}`` expands into pairwise
 intersection volumes; :func:`overlap_l2` estimates the off-diagonal part by
-Monte Carlo with per-pair sample budgets that shrink dyadically in the
+Monte Carlo, while the diagonal is evaluated in closed form.  Each member
+draws one batch per dyadic distance class, with budgets that shrink in the
 parameter distance (distant pairs overlap little and need fewer samples),
-while the diagonal is evaluated in closed form.  :func:`multiplicity_scan`
-normalises the norm by ``log(1/delta) * delta^(1/2) * N^(1/2)`` and tracks
-the worst constant across seeded trials, which is the quantity that must stay
-bounded as ``delta`` shrinks.
+and scores it against every member of the class in one broadcast of
+:func:`geometry.shell_membership`; the refined and plain hit counts come
+from that same batch.  :func:`multiplicity_scan` takes both variants of a
+family from one such pass, normalises the norm by ``log(1/delta) *
+delta^(1/2) * N^(1/2)`` and tracks the worst constant across seeded trials,
+which is the quantity that must stay bounded as ``delta`` shrinks.
 
 :func:`direct_overlap_l2` evaluates the same norm by sampling a bounding box
 in physical space and averaging the squared counting function; it is kept as
@@ -198,6 +201,67 @@ def _member_volumes(family: EllipsoidFamily, refined: bool) -> Array:
     return np.array([shell_volume(r, family.delta) for r in family.radii])
 
 
+def _pair_terms(family: EllipsoidFamily, m: int, seed: int) -> tuple[dict, int]:
+    """Off-diagonal batch terms of the squared norm, for both variants at once.
+
+    Each member ``i`` groups the others into dyadic distance classes
+    ``2^a * delta <= |t_j - t_i| < 2^(a+1) * delta`` and draws one
+    reference-shell batch of ``max(64, m >> a)`` points per class, keyed by
+    ``("overlap", i, a)``.  One :func:`geometry.shell_membership` call scores
+    the batch against every member of the class, and the refined and plain
+    hit counts come from that same call.  Returns ``{refined: [(mean term,
+    variance term), ...]}`` in batch order and the number of points drawn.
+    """
+
+    if m < 64:
+        raise ValueError("m must be >= 64")
+    delta = family.delta
+    sampler = reference_shell_sampler(delta, family.n)
+    centres = family.centres
+    terms: dict = {True: [], False: []}
+    drawn = 0
+    for i in range(len(family)):
+        others = np.flatnonzero(np.arange(len(family)) != i)
+        gaps = np.abs(family.offsets[others] - family.offsets[i])
+        classes = np.floor(np.log2(np.maximum(gaps / delta, 1.0))).astype(int)
+        base_volume = shell_volume(family.radii[i], delta)
+        for a in np.unique(classes):
+            batch = max(64, m >> int(a))
+            rng = rng_stream(seed, derive_stream("overlap", i, int(a)))
+            omega = sampler(rng, batch)
+            y = geo.affine_map(centres[i], family.radii[i], omega)
+            keep = geo.refinement_indicator(omega, family.axis, family.cut)
+            members = others[classes == a]
+            shell, sector = geo.shell_membership(
+                centres[members], family.radii[members], delta, y, family.axis, family.cut
+            )
+            counts = {True: keep * np.sum(shell & sector, axis=-1), False: np.sum(shell, axis=-1)}
+            for refined, count in counts.items():
+                hits = count.astype(float)
+                terms[refined].append(
+                    (
+                        base_volume * float(np.mean(hits)),
+                        (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2,
+                    )
+                )
+            drawn += batch
+    return terms, drawn
+
+
+def _norm_estimate(
+    family: EllipsoidFamily, refined: bool, terms: list, drawn: int, seed: int
+) -> MCEstimate:
+    """Closed-form diagonal plus the batch terms, folded in batch order."""
+
+    total = float(np.sum(_member_volumes(family, refined)))
+    variance = 0.0
+    for mean_term, variance_term in terms:
+        total += mean_term
+        variance += variance_term
+    norm = math.sqrt(total)
+    return MCEstimate(norm, math.sqrt(variance) / (2.0 * norm), drawn, seed)
+
+
 def overlap_l2(
     family: EllipsoidFamily,
     m: int = 4096,
@@ -212,53 +276,21 @@ def overlap_l2(
     each member ``i`` groups the others into dyadic distance classes
     ``2^a * delta <= |t_j - t_i| < 2^(a+1) * delta`` and scores one shared
     reference-shell batch of ``max(64, m >> a)`` points against every member
-    of the class, so nearby (large-overlap) pairs receive the most samples.
-    Batch totals over a class keep the within-batch correlation between
-    members, and independent streams across ``(member, class)`` batches make
-    the quadrature combination of their errors exact.
+    of the class in one broadcast, so nearby (large-overlap) pairs receive
+    the most samples.  Batch totals over a class keep the within-batch
+    correlation between members, and independent streams across ``(member,
+    class)`` batches make the quadrature combination of their errors exact.
 
-    The stream derivation does not depend on ``refined``, so the refined and
-    plain estimates for the same ``seed`` share batches and the plain norm
-    dominates the refined one exactly, not just in expectation.  A
-    single-member family returns the exact root volume with zero error.
+    The stream derivation does not depend on ``refined``: each batch yields
+    the refined and plain hit counts together, and this function returns
+    the variant asked for.  The refined and plain estimates for the same
+    ``seed`` therefore share batches, and the plain norm dominates the
+    refined one exactly, not just in expectation.  A single-member family
+    returns the exact root volume with zero error.
     """
 
-    if m < 64:
-        raise ValueError("m must be >= 64")
-    count = len(family)
-    delta = family.delta
-    diag = _member_volumes(family, refined)
-    total = float(np.sum(diag))
-    variance = 0.0
-    drawn = 0
-    sampler = reference_shell_sampler(delta, family.n)
-    centres = family.centres
-    specs = [family.spec(j, refined) for j in range(count)]
-    for i in range(count):
-        gaps = np.abs(family.offsets - family.offsets[i])
-        gaps[i] = np.nan
-        others = np.flatnonzero(~np.isnan(gaps))
-        if others.size == 0:
-            continue
-        classes = np.floor(np.log2(np.maximum(gaps[others] / delta, 1.0))).astype(int)
-        base_volume = shell_volume(family.radii[i], delta)
-        for a in np.unique(classes):
-            batch = max(64, m >> int(a))
-            rng = rng_stream(seed, derive_stream("overlap", i, int(a)))
-            omega = sampler(rng, batch)
-            y = geo.affine_map(centres[i], family.radii[i], omega)
-            if refined:
-                keep = geo.refinement_indicator(omega, family.axis, family.cut)
-            else:
-                keep = np.ones(batch, dtype=bool)
-            hits = np.zeros(batch)
-            for j in others[classes == a]:
-                hits += keep & geo.annulus_contains(specs[j], y)
-            total += base_volume * float(np.mean(hits))
-            variance += (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2
-            drawn += batch
-    norm = math.sqrt(total)
-    return MCEstimate(norm, math.sqrt(variance) / (2.0 * norm), drawn, seed)
+    terms, drawn = _pair_terms(family, m, seed)
+    return _norm_estimate(family, refined, terms[refined], drawn, seed)
 
 
 def direct_overlap_l2(
@@ -371,8 +403,9 @@ def multiplicity_scan(
         for trial in range(trials):
             trial_seed = derive_stream("multiplicity-trial", seed, i_delta, trial)
             family = generate_family(axis, delta, count, trial_seed, n=n)
+            terms, drawn = _pair_terms(family, m, trial_seed)
             for refined in (True, False):
-                est = overlap_l2(family, m, seed=trial_seed, refined=refined)
+                est = _norm_estimate(family, refined, terms[refined], drawn, trial_seed)
                 ratio = est.value / bound
                 rows.append(
                     {

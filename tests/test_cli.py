@@ -92,6 +92,28 @@ class TestRunCommand:
         assert rc == 2
         assert "L must be at least 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, override",
+        [("divergence", "L=16.9"), ("clusters", "configs=2.7"), ("multiplicity", "trials=1.5")],
+    )
+    def test_fractional_integer_override_exits_two(self, tmp_path, capsys, experiment, override):
+        rc = run_cli("run", "--experiment", experiment, "--override", override, "--out", tmp_path)
+        key, _, value = override.partition("=")
+        assert rc == 2
+        assert f"override {key} must be an integer, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}-seed0").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, override",
+        [("volume-bound", "pairs=0"), ("explore-unrefined", "pairs=0"), ("fibre", "trials=-2")],
+    )
+    def test_non_positive_count_override_exits_two(self, tmp_path, capsys, experiment, override):
+        rc = run_cli("run", "--experiment", experiment, "--override", override, "--out", tmp_path)
+        key, _, value = override.partition("=")
+        assert rc == 2
+        assert f"override {key} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}-seed0").exists()
+
     def test_dimension_below_two_exits_two(self, tmp_path, capsys):
         rc = run_cli("run", "--experiment", "identities", "--n", 1, "--out", tmp_path)
         capsys.readouterr()
@@ -252,3 +274,48 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "identities: pass" in proc.stdout
+
+    def test_package_import_loads_cli_lazily(self):
+        code = (
+            "import sys, homoeoid; "
+            "assert 'homoeoid.cli' not in sys.modules; "
+            "assert callable(homoeoid.cli.main)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # runpy warns when the package has already imported the module it runs
+        proc = subprocess.run(
+            [sys.executable, "-m", "homoeoid.cli", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_short_divergence_fits_no_offset_and_warns_nothing(self, tmp_path):
+        # L=16 gives three dyadic sums for the three-parameter offset fit
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "homoeoid.cli",
+                "run",
+                "--experiment",
+                "divergence",
+                "--samples",
+                "64",
+                "--override",
+                "L=16",
+                "--out",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        text = (tmp_path / "divergence-seed0" / "summary.json").read_text(encoding="utf-8")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["metrics"]["slope_offset_fit"] is None

@@ -102,6 +102,83 @@ class TestAnnulusMembership:
             geo.AnnulusSpec(ell, 0.6)
 
 
+def reference_membership(centre, radii, delta, points, axis=None, cut=None):
+    """The composition the many-shell kernel replaces, one shell at a time."""
+    inside = np.abs(geo.defining_value(centre, radii, points)) < delta
+    if axis is not None:
+        omega = geo.affine_map(centre, radii, points, inverse=True)
+        inside = inside & geo.refinement_indicator(omega, axis, cut)
+    return inside
+
+
+class TestShellMembershipKernel:
+    """``shell_membership`` and ``annulus_contains`` against the reference
+    composition, bit for bit, including points exactly on both boundaries."""
+
+    @staticmethod
+    def case(n, seed):
+        rng = np.random.default_rng(seed)
+        k = 3
+        centres = rng.uniform(-0.5, 0.5, (k, n))
+        radii = rng.uniform(0.5, 2.0, (k, n))
+        axis = int(rng.integers(n))
+        # leading batch dimensions (4, 5), scattered around shell 0 across both edges
+        u = rng.normal(size=(4, 5, n))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        scale = np.sqrt(rng.uniform(0.6, 1.4, (4, 5, 1)))
+        points = centres[0] + radii[0] * scale * u
+        # delta is the defect of point (0, 0), which then lies exactly on
+        # |F| = delta of shell 0; the cut is set from point (0, 1), which then
+        # lies exactly on the refinement cut of shell 1.  Both come from the
+        # batched array operations the reference itself evaluates.
+        delta = float(np.abs(geo.defining_value(centres[0], radii[0], points))[0, 0])
+        omega = geo.affine_map(centres[1], radii[1], points, inverse=True)
+        cut = float((np.abs(omega[..., axis]) ** 3)[0, 1] / 2.0)
+        assert 0.0 < delta <= geo.MAX_SHELL_WIDTH and cut > 0.0
+        return centres, radii, delta, points, axis, cut
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kernel_matches_reference(self, n, seed):
+        centres, radii, delta, points, axis, cut = self.case(n, seed)
+        shell, sector = geo.shell_membership(centres, radii, delta, points, axis, cut)
+        plain, none = geo.shell_membership(centres, radii, delta, points)
+        assert none is None
+        assert shell.shape == sector.shape == plain.shape == (4, 5, 3)
+        assert shell.dtype == sector.dtype == bool
+        for i in range(3):
+            c, r = centres[i], radii[i]
+            np.testing.assert_array_equal(shell[..., i], reference_membership(c, r, delta, points))
+            np.testing.assert_array_equal(plain[..., i], shell[..., i])
+            np.testing.assert_array_equal(
+                (shell & sector)[..., i],
+                reference_membership(c, r, delta, points, axis, cut),
+            )
+        # the boundary points: |F| = delta is outside, the cut itself is inside
+        assert not shell[0, 0, 0]
+        assert sector[0, 1, 1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_annulus_contains_matches_reference(self, n):
+        centres, radii, delta, points, axis, cut = self.case(n, 10 + n)
+        for i in range(3):
+            spec = geo.AnnulusSpec(geo.Ellipsoid(centres[i], radii[i]), delta)
+            refined = geo.RefinedAnnulusSpec(spec, axis, cut)
+            c, r = centres[i], radii[i]
+            np.testing.assert_array_equal(
+                geo.annulus_contains(spec, points), reference_membership(c, r, delta, points)
+            )
+            np.testing.assert_array_equal(
+                geo.annulus_contains(refined, points),
+                reference_membership(c, r, delta, points, axis, cut),
+            )
+            # a single point still gives a scalar
+            single = geo.annulus_contains(refined, points[0, 1])
+            assert single.shape == () and single == reference_membership(
+                c, r, delta, points[0, 1], axis, cut
+            )
+
+
 class TestCovering:
     @given(shell_points(4, 2**-0.5, 2.0))
     def test_margin_on_admissible_shells(self, w):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homoeoid import geometry as geo
+from homoeoid import multiplicity
+from homoeoid.mc import derive_stream, rng_stream
 from homoeoid.multiplicity import (
     EllipsoidFamily,
     direct_overlap_l2,
@@ -17,7 +19,7 @@ from homoeoid.multiplicity import (
     overlap_l2,
     refined_shell_volume,
 )
-from homoeoid.volumes import intersection_volume, shell_volume
+from homoeoid.volumes import intersection_volume, reference_shell_sampler, shell_volume
 
 
 def lattice_family(delta: float, axis: int = 0, seed: int = 0) -> EllipsoidFamily:
@@ -219,6 +221,54 @@ class TestOverlapL2:
         with pytest.raises(ValueError):
             overlap_l2(fam, 32)
 
+    @pytest.mark.parametrize("refined", [True, False])
+    def test_matches_per_pair_loop_bit_for_bit(self, refined):
+        fam = generate_family(0, 2**-5, 12, seed=4)
+        est = overlap_l2(fam, 1024, seed=6, refined=refined)
+        assert (est.value, est.std_error, est.n_samples) == per_pair_overlap_l2(
+            fam, 1024, 6, refined
+        )
+
+
+def per_pair_overlap_l2(family, m, seed, refined):
+    """``overlap_l2`` as one membership test per pair, through the defining
+    function and the pulled-back refinement: the loop the batched scoring
+    replaced, kept as its bit-for-bit reference."""
+    delta = family.delta
+    if refined:
+        diag = [refined_shell_volume(r, delta, family.axis, family.cut) for r in family.radii]
+    else:
+        diag = [shell_volume(r, delta) for r in family.radii]
+    total = float(np.sum(diag))
+    variance = 0.0
+    drawn = 0
+    sampler = reference_shell_sampler(delta, family.n)
+    centres = family.centres
+    for i in range(len(family)):
+        others = [j for j in range(len(family)) if j != i]
+        gaps = np.abs(family.offsets[others] - family.offsets[i])
+        classes = np.floor(np.log2(np.maximum(gaps / delta, 1.0))).astype(int)
+        base_volume = shell_volume(family.radii[i], delta)
+        for a in np.unique(classes):
+            batch = max(64, m >> int(a))
+            omega = sampler(rng_stream(seed, derive_stream("overlap", i, int(a))), batch)
+            y = geo.affine_map(centres[i], family.radii[i], omega)
+            keep = geo.refinement_indicator(omega, family.axis, family.cut)
+            hits = np.zeros(batch)
+            for j, cls in zip(others, classes):
+                if cls != a:
+                    continue
+                inside = np.abs(geo.defining_value(centres[j], family.radii[j], y)) < delta
+                if refined:
+                    w = geo.affine_map(centres[j], family.radii[j], y, inverse=True)
+                    inside &= keep & geo.refinement_indicator(w, family.axis, family.cut)
+                hits += inside
+            total += base_volume * float(np.mean(hits))
+            variance += (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2
+            drawn += batch
+    norm = math.sqrt(total)
+    return norm, math.sqrt(variance) / (2.0 * norm), drawn
+
 
 class TestDirectOverlapL2:
     def test_deterministic(self):
@@ -239,6 +289,15 @@ class TestDirectOverlapL2:
         est = direct_overlap_l2(fam, 1 << 20, seed=3, refined=False)
         want = math.sqrt(shell_volume(fam.radii[0], fam.delta))
         assert abs(est.value - want) < 4.0 * est.std_error
+
+    def test_does_not_use_the_pairwise_scoring(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must stay independent of the pairwise route")
+
+        monkeypatch.setattr(multiplicity, "_pair_terms", forbidden)
+        fam = generate_family(0, 2**-4, 3, seed=6)
+        for refined in (True, False):
+            assert direct_overlap_l2(fam, 1 << 16, seed=1, refined=refined).value > 0.0
 
 
 class TestNeighbourCounts:
@@ -290,6 +349,16 @@ class TestMultiplicityScan:
         est = overlap_l2(fam, 1024, seed=row["trial_seed"], refined=row["refined"])
         assert est.value == row["norm"]
         assert row["norm"] / row["bound"] == row["C"]
+
+    def test_every_row_is_reproducible_from_its_seed(self):
+        scan = multiplicity_scan(0, self.DELTAS, trials=2, m=512, seed=4)
+        for row in scan.rows:
+            fam = generate_family(0, row["delta"], row["N"], row["trial_seed"])
+            est = overlap_l2(fam, 512, seed=row["trial_seed"], refined=row["refined"])
+            other = overlap_l2(fam, 512, seed=row["trial_seed"], refined=not row["refined"])
+            assert (est.value, est.std_error) == (row["norm"], row["std_error"])
+            assert est.n_samples == other.n_samples
+            assert est.value / row["bound"] == row["C"]
 
     def test_custom_count_rule(self):
         scan = multiplicity_scan(0, self.DELTAS, count_rule=lambda d: 4, trials=1, m=512, seed=0)
