@@ -8,23 +8,29 @@ all Monte-Carlo reductions are order-fixed — so re-running a configuration
 (under any ``HOMOEOID_THREADS`` setting) reproduces the bytes exactly;
 timestamps and the worker count live only in the summary.  Exit codes: 0 all
 thresholds met, 1 a threshold was violated, 2 the configuration was invalid
-or artifacts could not be written.
+(including a non-finite ``p``, delta or float override) or artifacts could
+not be written.  Every artifact is written to a temporary file beside it and
+renamed into place, so a failed write leaves the previous file intact.
 
 ``report`` merges the summaries under an output directory into a single
-``report.json`` (ordered by experiment then seed, corrupt entries skipped
-with a warning count) and one ``report-<experiment>.csv`` per experiment
-with a leading seed column, so external plotting needs no per-run parsing.
+``report.json`` (ordered by experiment then seed, corrupt or incomplete runs
+skipped with a warning count) and one ``report-<experiment>.csv`` per
+experiment with a leading seed column, so external plotting needs no per-run
+parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
 import json
 import math
+import os
 import sys
+import uuid
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -74,8 +80,12 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
+        if not math.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
         if self.deltas is not None:
             ds = tuple(float(d) for d in self.deltas)
+            if not all(math.isfinite(d) for d in ds):
+                raise ValueError(f"delta grid must be finite, got {list(ds)}")
             if any(b >= a for a, b in zip(ds, ds[1:])):
                 raise ValueError("delta grid must be strictly decreasing")
             object.__setattr__(self, "deltas", ds)
@@ -109,7 +119,10 @@ class _Overrides:
             if not float(raw).is_integer():
                 raise ValueError(f"override {key} must be an integer, got {raw!r}")
             return int(raw)
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"override {key} must be finite, got {value!r}")
+        return value
 
     def count(self, key: str, default: int) -> int:
         """An integer override that must be at least 1."""
@@ -674,8 +687,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path, newline: Optional[str] = None):
+    """Text handle on a temporary file beside ``path``, renamed onto it on
+    success and removed on failure, so ``path`` is never left half-written."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -712,7 +739,7 @@ def write_artifacts(config: RunConfig, result: RunResult) -> Path:
         "workers": worker_count(),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(run_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with _atomic_open(run_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return run_dir
@@ -741,6 +768,10 @@ def emit_report(directory: Path) -> tuple[dict, int]:
             print(f"warning: skipping {summary_path}: {exc}", file=sys.stderr)
             warnings += 1
             continue
+        if not (sub / "results.csv").is_file():
+            print(f"warning: skipping {sub}: no results.csv", file=sys.stderr)
+            warnings += 1
+            continue
         entries.append((key, sub, summary))
     if not entries:
         raise ValueError(f"no run artifacts found under {directory}")
@@ -750,7 +781,7 @@ def emit_report(directory: Path) -> tuple[dict, int]:
         "warnings": warnings,
         "runs": [summary for _, _, summary in entries],
     }
-    with open(directory / "report.json", "w", encoding="utf-8") as fh:
+    with _atomic_open(directory / "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     by_experiment: dict = {}
@@ -758,7 +789,7 @@ def emit_report(directory: Path) -> tuple[dict, int]:
         by_experiment.setdefault(experiment, []).append((seed, sub))
     for experiment, runs in by_experiment.items():
         merged_path = directory / f"report-{experiment}.csv"
-        with open(merged_path, "w", encoding="utf-8", newline="") as out:
+        with _atomic_open(merged_path, newline="") as out:
             writer = csv.writer(out, lineterminator="\n")
             header_written = False
             for seed, sub in runs:

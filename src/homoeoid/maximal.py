@@ -12,8 +12,11 @@ statement about shared sample batches, not a statistical one.
 
 Randomness discipline: every annulus average derives its stream from the
 values ``(delta, centre, radii)``, never from loop indices, so an average is
-a pure function of its inputs — evaluation order, worker count and the
-plain/refined flavour (which shares the base batch) cannot change results.
+a pure function of its inputs — evaluation order and worker count cannot
+change results.  The plain flavour and the ``n`` refined ones share that
+stream, so one ``(delta, x, r)`` batch serves every flavour through a single
+``mc_mean`` call: the field is evaluated once per sample and each refined
+column is the plain column times its axis indicator.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import geometry as geo
 from .mc import MCEstimate, ScalingFit, derive_stream, fit_power_law, mc_mean, rng_stream
@@ -55,15 +57,12 @@ class Field:
 
     ``evaluator`` must accept a ``(..., n)`` array of points and return the
     matching batch of values; :meth:`__call__` applies the bounding-box mask
-    on top.  ``kind`` records whether the field is closure-backed (exact) or
-    grid-backed (multilinear interpolation) — resolution-sensitive
-    experiments should always use closures.
+    on top.
     """
 
     evaluator: Callable[[Array], Array]
     lo: Array
     hi: Array
-    kind: str = "closure"
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, dtype=float)
@@ -87,23 +86,7 @@ class Field:
 
     @classmethod
     def from_callable(cls, fn: Callable[[Array], Array], lo, hi) -> "Field":
-        return cls(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), "closure")
-
-    @classmethod
-    def from_grid(cls, values: Array, lo, hi) -> "Field":
-        """Multilinear interpolation of ``values`` sampled on the regular grid
-        spanning the box; zero outside."""
-        values = np.asarray(values, dtype=float)
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        axes = [np.linspace(lo[i], hi[i], values.shape[i]) for i in range(values.ndim)]
-        interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=False, fill_value=0.0)
-
-        def evaluator(pts: Array) -> Array:
-            flat = pts.reshape(-1, pts.shape[-1])
-            return interp(flat).reshape(pts.shape[:-1])
-
-        return cls(evaluator, lo, hi, "grid")
+        return cls(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -163,43 +146,58 @@ class RadiiNet:
 # ---------------------------------------------------------------------------
 
 
-def _average_stream(base: geo.AnnulusSpec) -> int:
-    return derive_stream("annulus-avg", base.delta, base.ellipsoid.centre, base.ellipsoid.radii)
+def _shell_flavours(f: Field, x, r, delta: float, m: int, *, seed: int, cut: float) -> list:
+    """Plain and per-axis refined averages of ``|f|`` from one shell batch.
+
+    One ``mc_mean`` call on the stream of ``(delta, x, r)`` returns ``n + 1``
+    estimates: the plain average, then the refined one along each axis ``k``
+    (samples with ``|omega_k|**3 < 2*cut`` count as zero).
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    n = x.shape[0]
+    sampler = reference_shell_sampler(delta, n)
+
+    def sample_fn(rng: np.random.Generator, k: int) -> Array:
+        omega = sampler(rng, k)
+        # flavour-major rows, so that mc_mean's column sums run over
+        # contiguous memory and match the sum of a single flavour bit for bit
+        values = np.empty((n + 1, k))
+        values[0] = np.abs(f(geo.affine_map(x, r, omega)))
+        for axis in range(n):
+            values[axis + 1] = values[0] * geo.refinement_indicator(omega, axis, cut)
+        return values.T
+
+    return mc_mean(sample_fn, m, seed=seed, stream=derive_stream("annulus-avg", delta, x, r))
 
 
-def annulus_average(f: Field, spec, m: int, *, seed: int, signed: bool = False) -> MCEstimate:
+def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
     """Average of ``|f|`` over the shell, refined pieces zero-extended.
 
     Plain specs give the mean of ``|f|`` over uniform shell samples.  Refined
     specs keep the *same* sample batch (the stream is derived from the base
-    shell only) and multiply by the refinement indicator, so the normaliser
-    stays the plain shell volume and a refined average never exceeds the
-    plain one on the same inputs.  ``signed=True`` drops the absolute value;
-    it exists only for symmetry diagnostics, not for the operator itself.
+    shell only) and multiply by the refinement indicator at the spec's cut,
+    so the normaliser stays the plain shell volume and a refined average
+    never exceeds the plain one on the same inputs.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
     base, axis, cut = geo._spec_parts(spec)
     ell = base.ellipsoid
-    sampler = reference_shell_sampler(base.delta, base.n)
-
-    def sample_fn(rng: np.random.Generator, k: int) -> Array:
-        omega = sampler(rng, k)
-        values = f(geo.affine_map(ell.centre, ell.radii, omega))
-        if not signed:
-            values = np.abs(values)
-        if axis is not None:
-            values = values * geo.refinement_indicator(omega, axis, cut)
-        return values
-
-    return mc_mean(sample_fn, m, seed=seed, stream=_average_stream(base))
+    cut = geo.default_refinement_cut(base.n) if cut is None else cut
+    flavours = _shell_flavours(f, ell.centre, ell.radii, base.delta, m, seed=seed, cut=cut)
+    return flavours[0 if axis is None else axis + 1]
 
 
-def _spec_at(x: Array, r: Array, delta: float, axis: int | None):
-    base = geo.AnnulusSpec(geo.Ellipsoid(x, r), delta)
-    if axis is None:
-        return base
-    return geo.RefinedAnnulusSpec(base, axis)
+def _net_maxima(f: Field, x, delta: float, net: RadiiNet, *, m: int, seed: int) -> list:
+    """Largest average over the net for every flavour: plain, then each axis."""
+    # validates x, delta and the (positive) net radii once for the whole net
+    spec = geo.AnnulusSpec(geo.Ellipsoid(x, net.lo), delta)
+    x, cut = spec.ellipsoid.centre, geo.default_refinement_cut(spec.n)
+    best = [-np.inf] * (spec.n + 1)
+    for r in net.points:
+        for j, est in enumerate(_shell_flavours(f, x, r, spec.delta, m, seed=seed, cut=cut)):
+            if est.value > best[j]:
+                best[j] = est.value
+    return best
 
 
 def discretised_maximal(
@@ -219,15 +217,9 @@ def discretised_maximal(
     own value-derived stream, so the sup is independent of enumeration order
     and dominates each individual :func:`annulus_average` exactly.
     """
-    x = np.asarray(x, dtype=float)
-    if len(net) == 0:
-        raise ValueError("net must be non-empty")
-    best = -np.inf
-    for r in net.points:
-        est = annulus_average(f, _spec_at(x, r, delta, axis), m, seed=seed)
-        if est.value > best:
-            best = est.value
-    return best
+    if axis is not None and not 0 <= axis < len(net.lo):
+        raise ValueError(f"axis {axis} out of range for dimension {len(net.lo)}")
+    return _net_maxima(f, x, delta, net, m=m, seed=seed)[0 if axis is None else axis + 1]
 
 
 def domination_check(
@@ -243,17 +235,14 @@ def domination_check(
 
     Under the shared-batch discipline this is non-positive deterministically:
     every shell sample satisfies the covering inequality along some axis, so
-    the refined indicators sum to at least one sample-by-sample.
+    the refined indicators sum to at least one sample-by-sample.  Each
+    ``(x, r)`` batch is drawn once and scores every flavour.
     """
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    n = xs.shape[1]
     worst = -np.inf
     for x in xs:
-        plain = discretised_maximal(f, x, delta, net, m=m, seed=seed)
-        refined = sum(
-            discretised_maximal(f, x, delta, net, m=m, seed=seed, axis=k) for k in range(n)
-        )
-        worst = max(worst, plain - refined)
+        plain, *refined = _net_maxima(f, x, delta, net, m=m, seed=seed)
+        worst = max(worst, plain - sum(refined))
     return worst
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end and its artifacts."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -114,6 +115,27 @@ class TestRunCommand:
         assert f"override {key} must be at least 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}-seed0").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--experiment", "fibre", "--override", "rho=nan", "--override", "trials=1"),
+                "override rho must be finite, got nan",
+            ),
+            (("--experiment", "glpnorm", "--p", "nan"), "p must be finite, got nan"),
+            (
+                ("--experiment", "volume-bound", "--delta-grid", "0.03125,inf"),
+                "delta grid must be finite",
+            ),
+        ],
+        ids=["float-override", "p", "delta"],
+    )
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, argv, message):
+        rc = run_cli("run", *argv, "--out", tmp_path)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_dimension_below_two_exits_two(self, tmp_path, capsys):
         rc = run_cli("run", "--experiment", "identities", "--n", 1, "--out", tmp_path)
         capsys.readouterr()
@@ -210,6 +232,19 @@ class TestReportCommand:
         assert report["warnings"] == 1
         assert len(report["runs"]) == 1
 
+    def test_skips_run_without_results_with_warning(self, tmp_path, capsys):
+        fake_run(tmp_path, "demo", 0, rows=("0,0.5",))
+        incomplete = fake_run(tmp_path, "demo", 1)
+        (incomplete / "results.csv").unlink()
+        assert run_cli("report", tmp_path) == 0
+        assert "no results.csv" in capsys.readouterr().err
+        with open(tmp_path / "report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["warnings"] == 1
+        assert [r["seed"] for r in report["runs"]] == [0]
+        merged = (tmp_path / "report-demo.csv").read_text(encoding="utf-8").splitlines()
+        assert merged == ["seed,x,y", "0,0,0.5"]
+
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         assert run_cli("report", tmp_path) == 2
         capsys.readouterr()
@@ -225,6 +260,44 @@ class TestReportCommand:
         merged = (tmp_path / "report-identities.csv").read_text(encoding="utf-8").splitlines()
         assert merged[0].startswith("seed,")
         assert {line.split(",")[0] for line in merged[1:]} == {"0", "1"}
+
+
+class TestAtomicArtifacts:
+    CONFIG = cli.RunConfig("identities")
+
+    @staticmethod
+    def result(rows):
+        return cli.RunResult("identities", ("a", "b"), tuple(rows), {"worst": 0.5}, True)
+
+    def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path):
+        config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
+        run_dir = cli.write_artifacts(config, self.result([{"a": 1, "b": 2.5}]))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        # enough rows to reach the file before the row without a "b" cell
+        rows = [{"a": i, "b": i / 7.0} for i in range(20_000)] + [{"a": -1}]
+        with pytest.raises(KeyError):
+            cli.write_artifacts(config, self.result(rows))
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_failed_report_keeps_previous_merged_csv(self, tmp_path):
+        run_dir = fake_run(tmp_path, "demo", 0)
+        assert run_cli("report", tmp_path) == 0
+        merged = tmp_path / "report-demo.csv"
+        before = merged.read_bytes()
+        good = "x,y\n" + "1,2.5\n" * 20_000
+        (run_dir / "results.csv").write_bytes(good.encode("utf-8") + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            cli.emit_report(tmp_path)
+        assert merged.read_bytes() == before
+        assert not list(tmp_path.glob(".*.tmp"))
+
+    def test_artifact_bytes_are_unchanged(self, tmp_path):
+        config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
+        rows = [{"a": 1, "b": 0.1}, {"a": True, "b": 2.0}]
+        run_dir = cli.write_artifacts(config, self.result(rows))
+        assert (run_dir / "results.csv").read_bytes() == b"a,b\n1,0.1\ntrue,2.0\n"
+        text = (run_dir / "summary.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and json.loads(text)["metrics"] == {"worst": 0.5}
 
 
 class TestHelpers:

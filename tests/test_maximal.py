@@ -7,6 +7,8 @@ import pytest
 
 from homoeoid import geometry as geo
 from homoeoid import maximal
+from homoeoid.mc import DEFAULT_CHUNK, derive_stream, mc_mean
+from homoeoid.volumes import reference_shell_sampler
 
 
 def constant_field(n, value=1.0, half_width=50.0):
@@ -28,18 +30,7 @@ class TestField:
         f = maximal.Field.from_callable(lambda p: np.ones(p.shape[:-1]), [-1.0, -1.0], [1.0, 1.0])
         vals = f(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, -1.5]]))
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
-        assert f.kind == "closure"
         assert f.n == 2
-
-    def test_grid_field_reproduces_linear_functions(self):
-        # multilinear interpolation is exact on y -> 2 y_0 + y_1
-        axes = np.linspace(0.0, 1.0, 5)
-        gx, gy = np.meshgrid(axes, axes, indexing="ij")
-        f = maximal.Field.from_grid(2 * gx + gy, [0.0, 0.0], [1.0, 1.0])
-        pts = np.array([[0.3, 0.7], [0.125, 0.5], [0.9, 0.05]])
-        np.testing.assert_allclose(f(pts), 2 * pts[:, 0] + pts[:, 1], atol=1e-14)
-        assert f.kind == "grid"
-        assert f(np.array([1.5, 0.5])) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,12 +69,10 @@ class TestAnnulusAverage:
         assert est.value == pytest.approx(2.5, rel=1e-15)
         assert est.std_error < 1e-12
 
-    def test_signed_mode_kills_odd_symmetry(self):
+    def test_odd_field_averages_its_absolute_value(self):
         f = maximal.Field.from_callable(lambda p: p[..., 0], np.full(3, -9.0), np.full(3, 9.0))
-        signed = maximal.annulus_average(f, self.SPEC, 20_000, seed=1, signed=True)
-        assert abs(signed.value) < 3 * signed.std_error
-        unsigned = maximal.annulus_average(f, self.SPEC, 20_000, seed=1)
-        assert unsigned.value > 0.4  # E|w_0| = 1/2 on the unit sphere in R^3
+        est = maximal.annulus_average(f, self.SPEC, 20_000, seed=1)
+        assert est.value > 0.4  # E|w_0| = 1/2 on the unit sphere in R^3
 
     def test_refined_never_exceeds_plain_on_shared_batch(self):
         f = slab_field(3)
@@ -165,6 +154,12 @@ class TestDiscretisedMaximal:
         b = maximal.discretised_maximal(g, x, self.DELTA, self.NET, m=300, seed=8)
         assert b == 2.0 * a
 
+    def test_out_of_range_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="axis"):
+            maximal.discretised_maximal(
+                slab_field(3), np.zeros(3), self.DELTA, self.NET, m=8, seed=0, axis=-1
+            )
+
 
 class TestDomination:
     def test_constant_field_strictly_dominated(self):
@@ -182,6 +177,109 @@ class TestDomination:
         xs = rng.uniform(-0.4, 0.4, (25, 3))
         violation = maximal.domination_check(slab_field(3), xs, 2**-6, net, m=128, seed=2)
         assert violation <= 0.0
+
+
+# The per-flavour loops the shared-batch kernel replaced: one stream derivation,
+# batch and field evaluation per (x, r, flavour).  Kept as the reference that
+# the kernel must match bit for bit.
+
+
+def reference_average(f, spec, m, seed):
+    base, axis, cut = geo._spec_parts(spec)
+    ell = base.ellipsoid
+    sampler = reference_shell_sampler(base.delta, base.n)
+
+    def sample_fn(rng, k):
+        omega = sampler(rng, k)
+        values = np.abs(f(geo.affine_map(ell.centre, ell.radii, omega)))
+        if axis is not None:
+            values = values * geo.refinement_indicator(omega, axis, cut)
+        return values
+
+    stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
+    return mc_mean(sample_fn, m, seed=seed, stream=stream)
+
+
+def reference_maximal(f, x, delta, net, m, seed, axis=None):
+    best = -np.inf
+    for r in net.points:
+        base = geo.AnnulusSpec(geo.Ellipsoid(x, r), delta)
+        spec = base if axis is None else geo.RefinedAnnulusSpec(base, axis)
+        value = reference_average(f, spec, m, seed).value
+        if value > best:
+            best = value
+    return best
+
+
+KERNEL_DELTA = 2**-5
+KERNEL_SAMPLES = [1, 256, 300, 2**16 + 1]  # 2**16 + 1 spans two mc_mean chunks
+
+
+@pytest.fixture(params=["1", "2"], ids=["threads1", "threads2"])
+def threads(request, monkeypatch):
+    monkeypatch.setenv("HOMOEOID_THREADS", request.param)
+
+
+def smooth_field(n):
+    # non-dyadic values, so that any change in summation order shows in the bits
+    return maximal.Field.from_callable(
+        lambda p: np.cos(3.0 * p[..., 0] - p[..., n - 1]) + 0.25, np.full(n, -3.0), np.full(n, 3.0)
+    )
+
+
+def small_net(n):
+    lo, hi = geo.restricted_radii_box(n)
+    return maximal.RadiiNet(lo, hi, hi[0] - lo[0])
+
+
+@pytest.mark.usefixtures("threads")
+class TestSharedBatchKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", KERNEL_SAMPLES)
+    def test_annulus_average_matches_per_flavour_reference(self, n, m):
+        f = smooth_field(n)
+        ellipsoid = geo.Ellipsoid(np.linspace(-0.2, 0.3, n), small_net(n).hi)
+        base = geo.AnnulusSpec(ellipsoid, KERNEL_DELTA)
+        specs = [base] + [geo.RefinedAnnulusSpec(base, k) for k in range(n)]
+        specs.append(geo.RefinedAnnulusSpec(base, n - 1, cut=0.3))
+        for spec in specs:
+            assert maximal.annulus_average(f, spec, m, seed=3) == reference_average(f, spec, m, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", KERNEL_SAMPLES)
+    def test_operator_matches_per_flavour_reference(self, n, m):
+        f, net = smooth_field(n), small_net(n)
+        # one point at the two-chunk size keeps the per-flavour reference affordable
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (1 if m > DEFAULT_CHUNK else 2, n))
+        expected = []
+        for i, x in enumerate(xs):
+            plain, *refined = [
+                reference_maximal(f, x, KERNEL_DELTA, net, m, 4, axis=axis)
+                for axis in [None, *range(n)]
+            ]
+            expected.append(plain - sum(refined))
+            if i == 0:
+                for axis, value in ((None, plain), (n - 1, refined[-1])):
+                    got = maximal.discretised_maximal(
+                        f, x, KERNEL_DELTA, net, m=m, seed=4, axis=axis
+                    )
+                    assert got == value
+        assert maximal.domination_check(f, xs, KERNEL_DELTA, net, m=m, seed=4) == max(expected)
+
+
+class TestOneBatchPerShell:
+    def test_domination_draws_each_shell_batch_once(self, monkeypatch):
+        streams = []
+
+        def counting_mc_mean(sample_fn, n_samples, *, seed, stream):
+            streams.append(stream)
+            return mc_mean(sample_fn, n_samples, seed=seed, stream=stream)
+
+        monkeypatch.setattr(maximal, "mc_mean", counting_mc_mean)
+        net = small_net(3)
+        xs = np.random.default_rng(0).uniform(-0.4, 0.4, (3, 3))
+        maximal.domination_check(slab_field(3), xs, KERNEL_DELTA, net, m=64, seed=0)
+        assert len(streams) == len(set(streams)) == len(xs) * len(net)
 
 
 class TestLpNorm:
