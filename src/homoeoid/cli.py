@@ -781,26 +781,23 @@ def emit_report(directory: Path) -> tuple[dict, int]:
         "warnings": warnings,
         "runs": [summary for _, _, summary in entries],
     }
+    # every run is read before any artifact is replaced, so a run that fails
+    # to read leaves the previous report and merged CSVs as they were
+    merged: dict = {}
+    for (experiment, seed), sub, _ in entries:
+        with open(sub / "results.csv", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{sub / 'results.csv'} is empty")
+            rows = merged.setdefault(experiment, [["seed"] + header])
+            rows.extend([str(seed)] + row for row in reader)
     with _atomic_open(directory / "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    by_experiment: dict = {}
-    for (experiment, seed), sub, _ in entries:
-        by_experiment.setdefault(experiment, []).append((seed, sub))
-    for experiment, runs in by_experiment.items():
-        merged_path = directory / f"report-{experiment}.csv"
-        with _atomic_open(merged_path, newline="") as out:
-            writer = csv.writer(out, lineterminator="\n")
-            header_written = False
-            for seed, sub in runs:
-                with open(sub / "results.csv", encoding="utf-8", newline="") as fh:
-                    reader = csv.reader(fh)
-                    header = next(reader)
-                    if not header_written:
-                        writer.writerow(["seed"] + header)
-                        header_written = True
-                    for row in reader:
-                        writer.writerow([str(seed)] + row)
+    for experiment, rows in merged.items():
+        with _atomic_open(directory / f"report-{experiment}.csv", newline="") as out:
+            csv.writer(out, lineterminator="\n").writerows(rows)
     return report, warnings
 
 

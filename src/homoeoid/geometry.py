@@ -22,6 +22,13 @@ Conventions used throughout the package:
 
 Axis indices are 0-based everywhere.  All point-valued arguments accept
 arbitrary leading batch dimensions; coordinates live on the last axis.
+
+The hot kernels (:func:`shell_membership`, :func:`covering_margin` and the
+Gram route of :func:`jacobian_gram_norm`) run coordinate by coordinate on
+one column of the batch at a time, adding the per-coordinate terms in
+coordinate order.  That is the order ``np.sum`` uses over a trailing axis
+shorter than 8, so for ``n < 8`` they match the trailing-axis formulas bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import numpy as np
 Array = np.ndarray
 
 __all__ = [
-    "Radii",
     "Ellipsoid",
     "AnnulusSpec",
     "RefinedAnnulusSpec",
@@ -118,36 +124,6 @@ def _validate_vector(v: Array, name: str) -> Array:
 
 
 @dataclasses.dataclass(frozen=True)
-class Radii:
-    """Semi-axis lengths, optionally constrained to the restricted box.
-
-    With ``restricted=True`` the values must lie in ``[1, 1 + cut**2]`` for
-    the default refinement cut of the ambient dimension (up to 1e-12 slack).
-    """
-
-    values: Array
-    restricted: bool = False
-
-    def __post_init__(self) -> None:
-        v = _validate_vector(self.values, "radii")
-        if np.any(v <= 0):
-            raise ValueError("radii must be positive")
-        if self.restricted:
-            lo, hi = restricted_radii_box(v.shape[0])
-            if np.any(v < lo - 1e-12) or np.any(v > hi + 1e-12):
-                raise ValueError("restricted radii must lie in the restricted box")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def _radii_values(r) -> Array:
-    return r.values if isinstance(r, Radii) else np.asarray(r, dtype=float)
-
-
-@dataclasses.dataclass(frozen=True)
 class Ellipsoid:
     """Axis-parallel ellipsoid: centre and semi-axes."""
 
@@ -156,7 +132,7 @@ class Ellipsoid:
 
     def __post_init__(self) -> None:
         c = _validate_vector(self.centre, "centre")
-        r = _validate_vector(_radii_values(self.radii), "radii")
+        r = _validate_vector(self.radii, "radii")
         if c.shape != r.shape:
             raise ValueError("centre and radii must have matching dimensions")
         if np.any(r <= 0):
@@ -263,7 +239,7 @@ class TangencyConfig:
     radii: Array
 
     def __post_init__(self) -> None:
-        r = _validate_vector(_radii_values(self.radii), "radii")
+        r = _validate_vector(self.radii, "radii")
         if r.shape[0] != self.frame.n:
             raise ValueError("radii dimension mismatch")
         if np.any(r < 0.5 - 1e-12) or np.any(r > 2.0 + 1e-12):
@@ -291,7 +267,7 @@ class TangencyConfig:
 def defining_value(centre: Array, radii: Array, points: Array) -> Array:
     """``sum_j ((y_j - x_j)/r_j)**2 - 1`` for points ``y`` (batched)."""
     x = np.asarray(centre, dtype=float)
-    r = _radii_values(radii)
+    r = np.asarray(radii, dtype=float)
     y = np.asarray(points, dtype=float)
     z = (y - x) / r
     return np.sum(z * z, axis=-1) - 1.0
@@ -300,7 +276,7 @@ def defining_value(centre: Array, radii: Array, points: Array) -> Array:
 def defining_gradient(centre: Array, radii: Array, points: Array) -> Array:
     """Gradient ``2*(y - x)/r**2`` of :func:`defining_value` in ``y``."""
     x = np.asarray(centre, dtype=float)
-    r = _radii_values(radii)
+    r = np.asarray(radii, dtype=float)
     y = np.asarray(points, dtype=float)
     return 2.0 * (y - x) / (r * r)
 
@@ -308,7 +284,7 @@ def defining_gradient(centre: Array, radii: Array, points: Array) -> Array:
 def affine_map(centre: Array, radii: Array, points: Array, inverse: bool = False) -> Array:
     """Reference-to-physical map ``w -> x + r*w`` (or its inverse)."""
     x = np.asarray(centre, dtype=float)
-    r = _radii_values(radii)
+    r = np.asarray(radii, dtype=float)
     w = np.asarray(points, dtype=float)
     if inverse:
         return (w - x) / r
@@ -401,10 +377,19 @@ def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:
     For the default cut this is ``>= 2*cut`` whenever ``|omega| >= 2**-0.5``,
     which every admissible reference shell satisfies; nonnegativity is what
     makes the axis refinements a covering of the plain shell.
+
+    The maximum is a running one over the coordinates of the flattened batch.
     """
     w = np.asarray(omega, dtype=float)
-    c = default_refinement_cut(w.shape[-1]) if cut is None else float(cut)
-    return np.max(np.abs(w), axis=-1) ** 3 - 2.0 * c
+    n = w.shape[-1]
+    c = default_refinement_cut(n) if cut is None else float(cut)
+    flat = w.reshape(-1, n)
+    top = np.abs(flat[:, 0])
+    for j in range(1, n):
+        np.maximum(top, np.abs(flat[:, j]), out=top)
+    top **= 3
+    top -= 2.0 * c
+    return top.reshape(w.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +475,26 @@ def jacobian_gram_norm(cfg: TangencyConfig, omega: Array, method: str = "gram") 
 def _gram_norm_sq(cfg: TangencyConfig, w: Array, method: str):
     """Squared tangency functional plus its natural magnitude scale."""
     if method == "gram":
-        a = 2.0 * w
-        b = defining_gradient(cfg.centre, cfg.radii, w)
-        aa = np.sum(a * a, axis=-1)
-        bb = np.sum(b * b, axis=-1)
-        ab = np.sum(a * b, axis=-1)
-        return aa * bb - ab * ab, aa * bb
+        # coordinate by coordinate: a_j = 2*w_j and b_j = 2*(w_j - x_j)/r_j**2,
+        # the defining_gradient arithmetic, with the three sums accumulated
+        # in coordinate order
+        x = cfg.centre
+        rr = cfg.radii * cfg.radii
+        for j in range(cfg.n):
+            a = 2.0 * w[..., j]
+            b = w[..., j] - x[j]
+            b *= 2.0
+            b /= rr[j]
+            if j == 0:
+                aa, bb, ab = a * a, b * b, a * b
+            else:
+                aa += a * a
+                bb += b * b
+                a *= b
+                ab += a
+        scale = aa * bb
+        ab *= ab
+        return scale - ab, scale
     if method == "minors":
         n = cfg.n
         total = 0.0

@@ -24,8 +24,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, betaincinv
 
 from . import geometry as geo
 from .maximal import Field
@@ -184,6 +182,8 @@ def slab_shell_average(
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         fraction = 1.0
     else:
+        from scipy.special import betainc, betaincinv
+
         cos_cap = 1.0 - 0.5 * chord**2
         sin_sq = 1.0 - cos_cap**2
         a = (n - 1) / 2.0
@@ -342,6 +342,8 @@ def g_lp_norm(
         raise ValueError("p must be at least 1")
     if quad_points < 100:
         raise ValueError("quad_points must be at least 100")
+    from scipy.integrate import quad
+
     alpha = n + 1 - (n - 1) * p
     beta = n * p / (n + 1.0)
     limit = max(50, quad_points // 100)

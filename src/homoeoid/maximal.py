@@ -80,7 +80,10 @@ class Field:
 
     def __call__(self, points: Array) -> Array:
         pts = np.asarray(points, dtype=float)
-        inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
+        inside = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
+        for j in range(1, self.n):
+            inside &= pts[..., j] >= self.lo[j]
+            inside &= pts[..., j] <= self.hi[j]
         values = np.asarray(self.evaluator(pts), dtype=float)
         return np.where(inside, values, 0.0)
 
@@ -416,11 +419,29 @@ def bump_mixture_family(
         dist2 = np.sum((centres[:, None, :] - centres[None, :, :]) ** 2, axis=-1)
         gram = (2.0 * np.pi * np.outer(s2, s2) / pair) ** (n / 2.0) * np.exp(-dist2 / (2.0 * pair))
         coeff = amps / math.sqrt(float(amps @ gram @ amps))
+        two_s2 = 2.0 * s2
 
         def evaluator(pts: Array) -> Array:
-            diff = pts[..., None, :] - centres
-            expo = np.sum(diff * diff, axis=-1) / (2.0 * s2)
-            return np.sum(coeff * np.exp(-expo), axis=-1)
+            # coordinate by coordinate on contiguous columns; component c's
+            # term goes to column c of a C-ordered (m, K) buffer, so the final
+            # trailing-axis sum is numpy's (pairwise from K = 8 on) as before
+            flat = pts.reshape(-1, n)
+            cols = [flat[:, j].copy() for j in range(n)]
+            terms = np.empty((flat.shape[0], components))
+            for c in range(components):
+                dist = cols[0] - centres[c, 0]
+                dist *= dist
+                for j in range(1, n):
+                    z = cols[j] - centres[c, j]
+                    z *= z
+                    dist += z
+                dist /= two_s2[c]
+                np.negative(dist, out=dist)
+                np.exp(dist, out=dist)
+                dist *= coeff[c]
+                terms[:, c] = dist
+            # [()] turns a single point's 0-d result into a scalar
+            return np.sum(terms, axis=-1).reshape(pts.shape[:-1])[()]
 
         lo = np.min(centres - 9.0 * scales[:, None], axis=0)
         hi = np.max(centres + 9.0 * scales[:, None], axis=0)

@@ -29,8 +29,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc
 
 from . import geometry as geo
 from .mc import MCEstimate, derive_stream, mc_mean, rng_stream
@@ -180,6 +178,9 @@ def refined_shell_volume(
     c = geo.default_refinement_cut(n) if cut is None else float(cut)
     if c <= 0:
         raise ValueError("cut must be positive")
+    from scipy.integrate import quad
+    from scipy.special import betainc
+
     height = (2.0 * c) ** (1.0 / 3.0)
     area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 

@@ -8,6 +8,12 @@ every draw is a usable sample.  Refinements and second-shell membership enter
 as indicators on a *shared* batch wherever several quantities must be
 compared: partitions then sum exactly, and refined estimates are exactly
 dominated by unrefined ones, sample by sample.
+
+The direction sampler normalises Gaussian draws coordinate by coordinate: the
+squared norm is accumulated one column at a time in coordinate order (the
+order ``np.sum`` uses over a trailing axis shorter than 8, so for ``n < 8``
+the samples equal those of ``np.linalg.norm`` bit for bit), and the batch is
+then divided and scaled in place.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist, squareform
 
 from homoeoid import geometry as geo
 from homoeoid.mc import MCEstimate, derive_stream, mc_mean, rng_stream
@@ -69,7 +73,12 @@ def shell_volume(radii: Array, delta: float) -> float:
 
 def _uniform_directions(rng: np.random.Generator, m: int, n: int) -> Array:
     v = rng.standard_normal((m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    norm = v[:, 0] * v[:, 0]
+    for j in range(1, n):
+        norm += v[:, j] * v[:, j]
+    np.sqrt(norm, out=norm)
+    v /= norm[:, None]
+    return v
 
 
 def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generator, int], Array]:
@@ -85,9 +94,13 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
     hi = (1.0 + delta) ** (n / 2.0)
 
     def sample(rng: np.random.Generator, m: int) -> Array:
-        u = _uniform_directions(rng, m, n)
-        s = (lo + rng.random(m) * (hi - lo)) ** (1.0 / n)
-        return s[:, None] * u
+        omega = _uniform_directions(rng, m, n)
+        s = rng.random(m)
+        s *= hi - lo
+        s += lo
+        s **= 1.0 / n
+        omega *= s[:, None]
+        return omega
 
     return sample
 
@@ -399,6 +412,9 @@ def low_jacobian_cluster(
         return ClusterReport(rho, t, scale, 0, (), 0, m, empty=True)
     if pts.shape[0] == 1:
         return ClusterReport(rho, t, scale, 1, (0.0,), have, m, empty=False)
+
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist, squareform
 
     dist = pdist(pts)
     labels = fcluster(linkage(dist, method="single"), t=scale, criterion="distance")

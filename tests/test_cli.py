@@ -291,6 +291,22 @@ class TestAtomicArtifacts:
         assert merged.read_bytes() == before
         assert not list(tmp_path.glob(".*.tmp"))
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"x,y\n\xff\n", "can't decode byte 0xff"), (b"", "results.csv is empty")],
+        ids=["undecodable", "empty"],
+    )
+    def test_unreadable_run_replaces_no_artifact(self, tmp_path, capsys, content, message):
+        fake_run(tmp_path, "demo", 0)
+        assert run_cli("report", tmp_path) == 0
+        broken = fake_run(tmp_path, "demo", 1)
+        (broken / "results.csv").write_bytes(content)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert set(before) == {"report.json", "report-demo.csv"}
+        assert run_cli("report", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
     def test_artifact_bytes_are_unchanged(self, tmp_path):
         config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
         rows = [{"a": 1, "b": 0.1}, {"a": True, "b": 2.0}]
@@ -362,6 +378,16 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_cli_import_loads_no_scipy_integrate_or_special(self):
+        # quad, betainc and betaincinv are imported by the functions that use them
+        code = (
+            "import sys, homoeoid.cli; "
+            "loaded = [m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules]; "
+            "assert not loaded, loaded"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_short_divergence_fits_no_offset_and_warns_nothing(self, tmp_path):
         # L=16 gives three dyadic sums for the three-parameter offset fit

@@ -238,6 +238,85 @@ class TestTangencyFunctional:
             assert minors[j] == pytest.approx(expected, abs=1e-13)
 
 
+def reference_gram_sq(cfg, w):
+    """The trailing-axis Gram route the coordinate-major kernel replaces."""
+    a = 2.0 * w
+    b = geo.defining_gradient(cfg.centre, cfg.radii, w)
+    aa = np.sum(a * a, axis=-1)
+    bb = np.sum(b * b, axis=-1)
+    ab = np.sum(a * b, axis=-1)
+    return aa * bb - ab * ab, aa * bb
+
+
+def reference_covering_margin(w, cut):
+    return np.max(np.abs(w), axis=-1) ** 3 - 2.0 * cut
+
+
+class TestCoordinateKernels:
+    """The Gram route and the covering margin against their trailing-axis
+    references, bit for bit, on (4, 5) batches and on single points."""
+
+    @staticmethod
+    def case(n, seed):
+        rng = np.random.default_rng(seed)
+        cut = geo.default_refinement_cut(n)
+        axis = int(rng.integers(n))
+        dtilde = geo.axis_direction(n, axis) + rng.uniform(-cut * cut, cut * cut, n)
+        cfg = geo.TangencyConfig(
+            geo.AxisFrame(n, axis, dtilde), float(rng.uniform(0.1, 1.9)), rng.uniform(0.5, 2.0, n)
+        )
+        w = rng.normal(size=(4, 5, n))
+        # tangent points: w_j = x_j / (1 - lam * r_j**2) makes b = lam * a,
+        # so the Gram subtraction cancels down to rounding noise
+        lam = rng.uniform(-2.0, -0.5, (5, 1))
+        w[0] = cfg.centre / (1.0 - lam * cfg.radii**2)
+        return cfg, w
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_gram_route_matches_reference(self, n, seed):
+        cfg, w = self.case(n, seed)
+        sq, scale = geo._gram_norm_sq(cfg, w, "gram")
+        want_sq, want_scale = reference_gram_sq(cfg, w)
+        np.testing.assert_array_equal(sq, want_sq)
+        np.testing.assert_array_equal(scale, want_scale)
+        norm = geo.jacobian_gram_norm(cfg, w)
+        assert norm.shape == (4, 5)
+        np.testing.assert_array_equal(norm, np.sqrt(np.maximum(want_sq, 0.0)))
+        assert np.all(norm[0] <= 1e-6 * np.sqrt(want_scale[0]))
+        single = geo.jacobian_gram_norm(cfg, w[1, 2])
+        want = np.sqrt(np.maximum(reference_gram_sq(cfg, w[1, 2])[0], 0.0))
+        assert type(single) is type(want) and single == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_exact_tangency_gives_exact_zero(self, n):
+        # a second shell equal to the reference sphere: b == a exactly
+        cfg = geo.TangencyConfig(geo.AxisFrame(n, 0), 0.0, np.ones(n))
+        w = np.random.default_rng(n).normal(size=(4, 5, n))
+        np.testing.assert_array_equal(geo.jacobian_gram_norm(cfg, w), np.zeros((4, 5)))
+        np.testing.assert_array_equal(geo._gram_norm_sq(cfg, w, "gram")[0], reference_gram_sq(cfg, w)[0])
+
+    def test_dual_check_catches_a_perturbed_minor_route(self, monkeypatch):
+        cfg, w = self.case(3, 5)
+        geo.jacobian_gram_norm(cfg, w[1:], method="both")
+        minor = geo.gradient_minor
+        monkeypatch.setattr(geo, "gradient_minor", lambda *args: minor(*args) * (1.0 + 1e-6))
+        with pytest.raises(FloatingPointError):
+            geo.jacobian_gram_norm(cfg, w[1:], method="both")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_covering_margin_matches_reference(self, n):
+        w = np.random.default_rng(n).normal(size=(4, 5, n))
+        w[1, 1] = np.where(np.arange(n) % 2 == 0, 0.75, -0.75)  # a tie across signs
+        for cut in (None, 0.3):
+            c = geo.default_refinement_cut(n) if cut is None else cut
+            want = reference_covering_margin(w, c)
+            np.testing.assert_array_equal(geo.covering_margin(w, cut), want)
+            np.testing.assert_array_equal(geo.covering_margin(w.reshape(20, n), cut), want.reshape(20))
+            single = geo.covering_margin(w[2, 3], cut)
+            assert type(single) is type(want[2, 3]) and single == want[2, 3]
+
+
 class TestTangencySystem:
     @given(configs(3), shell_points(3))
     def test_components(self, cfg, w):
@@ -283,17 +362,6 @@ class TestContactChart:
 
 
 class TestValidation:
-    def test_radii_positive(self):
-        with pytest.raises(ValueError):
-            geo.Radii(np.array([1.0, 0.0]))
-
-    def test_restricted_radii(self):
-        n = 3
-        hi = 1.0 + geo.default_refinement_cut(n) ** 2
-        geo.Radii(np.full(n, hi), restricted=True)  # boundary is fine
-        with pytest.raises(ValueError):
-            geo.Radii(np.full(n, hi + 1e-6), restricted=True)
-
     def test_axis_frame_deviation_guard(self):
         n = 3
         cut = geo.default_refinement_cut(n)

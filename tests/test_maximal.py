@@ -7,7 +7,7 @@ import pytest
 
 from homoeoid import geometry as geo
 from homoeoid import maximal
-from homoeoid.mc import DEFAULT_CHUNK, derive_stream, mc_mean
+from homoeoid.mc import DEFAULT_CHUNK, derive_stream, mc_mean, rng_stream
 from homoeoid.volumes import reference_shell_sampler
 
 
@@ -368,3 +368,57 @@ class TestBumpFamily:
     def test_validation(self):
         with pytest.raises(ValueError):
             maximal.bump_mixture_family(3, components=0)
+
+
+def reference_bump_field(n, components, seed, index):
+    """The bump mixture and box mask with the trailing-axis sums that the
+    coordinate-major kernels replace; returns ``(field, lo, hi)``."""
+    rng = rng_stream(seed, derive_stream("bumps", n, components, index))
+    centres = -1.5 + rng.random((components, n)) * 3.0
+    scales = rng.uniform(0.08, 0.35, components)
+    amps = rng.uniform(0.5, 1.5, components)
+    s2 = scales**2
+    pair = s2[:, None] + s2[None, :]
+    dist2 = np.sum((centres[:, None, :] - centres[None, :, :]) ** 2, axis=-1)
+    gram = (2.0 * np.pi * np.outer(s2, s2) / pair) ** (n / 2.0) * np.exp(-dist2 / (2.0 * pair))
+    coeff = amps / math.sqrt(float(amps @ gram @ amps))
+    lo = np.min(centres - 9.0 * scales[:, None], axis=0)
+    hi = np.max(centres + 9.0 * scales[:, None], axis=0)
+
+    def field(pts):
+        inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        diff = pts[..., None, :] - centres
+        expo = np.sum(diff * diff, axis=-1) / (2.0 * s2)
+        values = np.asarray(np.sum(coeff * np.exp(-expo), axis=-1), dtype=float)
+        return np.where(inside, values, 0.0)
+
+    return field, lo, hi
+
+
+class TestBumpFieldKernel:
+    """``Field.__call__`` on bump mixtures against the trailing-axis
+    reference, bit for bit; 8 or more components take numpy's pairwise sum."""
+
+    @pytest.mark.parametrize("components", [1, 6, 8, 9, 17])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_trailing_axis_reference(self, n, components):
+        f = maximal.bump_mixture_family(n, components=components, seed=3)(1)
+        reference, lo, hi = reference_bump_field(n, components, 3, 1)
+        np.testing.assert_array_equal(f.lo, lo)
+        np.testing.assert_array_equal(f.hi, hi)
+        rng = np.random.default_rng(components)
+        pts = lo + rng.uniform(-0.1, 1.1, (4, 5, n)) * (hi - lo)
+        # the box faces themselves are inside, one ulp beyond them is outside
+        pts[0, :4] = 0.5 * (lo + hi)
+        pts[0, 0, 0] = lo[0]
+        pts[0, 1, n - 1] = hi[n - 1]
+        pts[0, 2, 0] = np.nextafter(lo[0], -np.inf)
+        pts[0, 3, n - 1] = np.nextafter(hi[n - 1], np.inf)
+        values = f(pts)
+        assert values.shape == (4, 5)
+        np.testing.assert_array_equal(values, reference(pts))
+        assert values[0, 0] > 0.0 and values[0, 1] > 0.0
+        assert values[0, 2] == 0.0 and values[0, 3] == 0.0
+        for point in (pts[0, 1], pts[1, 2]):
+            single = f(point)
+            assert single.shape == () and single == reference(point)

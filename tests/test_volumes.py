@@ -7,7 +7,7 @@ import pytest
 
 from homoeoid import geometry as geo
 from homoeoid import volumes as vol
-from homoeoid.mc import rng_stream
+from homoeoid.mc import derive_stream, rng_stream
 
 SEED = 20240817
 
@@ -68,6 +68,38 @@ class TestShellSampling:
         a = vol.sample_annulus(spec, 100, 7, stream=1)
         b = vol.sample_annulus(spec, 100, 7, stream=1)
         np.testing.assert_array_equal(a, b)
+
+
+def reference_sample(rng, m, n, delta):
+    """The trailing-axis sampler the coordinate-major kernel replaces."""
+    lo = (1.0 - delta) ** (n / 2.0)
+    hi = (1.0 + delta) ** (n / 2.0)
+    v = rng.standard_normal((m, n))
+    u = v / np.linalg.norm(v, axis=1, keepdims=True)
+    s = (lo + rng.random(m) * (hi - lo)) ** (1.0 / n)
+    return s[:, None] * u
+
+
+class TestSamplerKernel:
+    @pytest.mark.parametrize("m", [1, 3, (1 << 16) + 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_trailing_axis_reference(self, n, m):
+        delta = 2.0**-5
+        got = vol.reference_shell_sampler(delta, n)(rng_stream(SEED, n), m)
+        want = reference_sample(rng_stream(SEED, n), m, n, delta)
+        assert got.shape == (m, n) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    def test_surface_sampler_matches_reference(self):
+        radii = np.array([2.0, 1.0, 0.5])
+        points, weights = vol.sample_surface(radii, 1000, SEED)
+        v = rng_stream(SEED, derive_stream("surface", 0)).standard_normal((1000, 3))
+        theta = v / np.linalg.norm(v, axis=1, keepdims=True)
+        np.testing.assert_array_equal(points, radii * theta)
+        np.testing.assert_array_equal(
+            weights,
+            vol.sphere_area(3) * float(np.prod(radii)) * np.sqrt(np.sum((theta / radii) ** 2, axis=1)),
+        )
 
 
 class TestSurfaceSampling:
