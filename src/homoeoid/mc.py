@@ -3,11 +3,13 @@
 Reproducibility contract
 ------------------------
 Every random draw in the package comes from a counter-based generator keyed
-by ``(seed, stream)``.  Estimators split work into fixed-size chunks, derive
-one sub-stream per chunk index, and reduce partial sums in chunk order.  The
+by ``(seed, stream)``.  Estimators split work into independent units (chunks
+of one estimate, batches of one sampler, cells of one scan), derive one
+sub-stream per unit index, and reduce the units' results in index order.  The
 resulting numbers are therefore bit-identical whatever the worker count —
-``HOMOEOID_THREADS`` only changes how many chunks are evaluated concurrently,
-never which generator produces which sample.
+``HOMOEOID_THREADS`` only changes how many independent units
+:func:`ordered_map` evaluates concurrently, never which generator produces
+which sample.
 
 Stream ids for geometric contexts (points, radii, shell indices, …) are
 derived from the IEEE-754 bit patterns of the defining floats through a
@@ -19,12 +21,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 Array = np.ndarray
+T = TypeVar("T")
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -33,6 +37,7 @@ __all__ = [
     "derive_stream",
     "fit_power_law",
     "mc_mean",
+    "ordered_map",
     "rng_stream",
     "worker_count",
 ]
@@ -103,6 +108,29 @@ def worker_count() -> int:
     except ValueError:
         return 1
     return max(1, value)
+
+
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def ordered_map(fn: Callable[[int], T], count: int) -> list[T]:
+    """``[fn(0), ..., fn(count - 1)]`` over up to ``worker_count()`` threads.
+
+    Units must be independent; results come back in index order, so a caller
+    that reduces them in that order gets the same bits at any worker count.
+    With one worker (or one unit) this is a plain loop.  A call made from
+    inside a worker thread also runs serially, so nested fan-outs never
+    oversubscribe.  An exception raised by a unit reaches the caller.
+    """
+    workers = min(worker_count(), count)
+    if workers <= 1 or getattr(_worker, "active", False):
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,7 +219,7 @@ def mc_mean(
     Chunking is deterministic: chunk ``c`` always sees the generator
     ``rng_stream(seed, derive_stream("chunk", stream, c))``, and partial sums
     are reduced in chunk order, so the result is independent of the worker
-    count used to evaluate chunks.
+    count :func:`ordered_map` uses to evaluate chunks.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -207,13 +235,7 @@ def mc_mean(
             raise ValueError("sample_fn returned a batch of the wrong length")
         return np.sum(values, axis=0), np.sum(values * values, axis=0), hi - lo
 
-    workers = worker_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, range(len(bounds))))
-    else:
-        partials = [run_chunk(i) for i in range(len(bounds))]
-
+    partials = ordered_map(run_chunk, len(bounds))
     total = partials[0][0] * 0.0
     total_sq = partials[0][1] * 0.0
     for s, s2, _m in partials:  # fixed order: bit-identical for any worker count

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from homoeoid import geometry as geo
-from homoeoid.mc import MCEstimate, derive_stream, mc_mean, rng_stream
+from homoeoid.mc import MCEstimate, derive_stream, mc_mean, ordered_map, rng_stream
 
 Array = np.ndarray
 
@@ -166,13 +166,15 @@ def intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0) -> M
     ell = base_a.ellipsoid
     v_base = shell_volume(ell.radii, base_a.delta)
     sampler = reference_shell_sampler(base_a.delta, base_a.n)
+    # on the unit reference shell the map 0 + 1*omega is the identity
+    unit = not np.any(ell.centre) and bool(np.all(ell.radii == 1.0))
 
     def values(rng: np.random.Generator, k: int) -> Array:
         omega = sampler(rng, k)
         hit = np.ones(k, dtype=bool)
         if axis_a is not None:
             hit &= geo.refinement_indicator(omega, axis_a, cut_a)
-        y = geo.affine_map(ell.centre, ell.radii, omega)
+        y = omega if unit else geo.affine_map(ell.centre, ell.radii, omega)
         hit &= geo.annulus_contains(spec_b, y)
         return v_base * hit
 
@@ -204,39 +206,39 @@ def volume_bound_scan(
     second's centre moves to ``t * dtilde`` with ``dtilde`` the perturbed axis
     direction), and estimates the intersection volume of the two axis-refined
     shells.  Rows report ``ratio = measured / envelope``; a uniform bound
-    corresponds to ratios with bounded drift across ``delta``.
+    corresponds to ratios with bounded drift across ``delta``.  The cells are
+    independent units of :func:`ordered_map`, each on its own keyed streams.
     """
     lo, hi = geo.restricted_radii_box(n, cut)
-    rows = []
-    for delta in deltas:
-        for t in ts:
-            for trial in range(pairs):
-                r_rng = rng_stream(seed, derive_stream("volscan-radii", delta, t, trial))
-                r1 = lo + (hi - lo) * r_rng.random(n)
-                r2 = lo + (hi - lo) * r_rng.random(n)
-                dtilde = geo.perturbed_axis_direction(axis, r1)
-                spec_a = geo.RefinedAnnulusSpec(
-                    geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta), axis, cut
-                )
-                spec_b = geo.RefinedAnnulusSpec(
-                    geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta), axis, cut
-                )
-                est = intersection_volume(
-                    spec_a, spec_b, m, seed, stream=derive_stream("volscan", delta, t, trial)
-                )
-                bound = pair_volume_bound(delta, t)
-                rows.append(
-                    {
-                        "delta": delta,
-                        "t": t,
-                        "trial": trial,
-                        "measured": est.value,
-                        "std_error": est.std_error,
-                        "bound": bound,
-                        "ratio": est.value / bound,
-                    }
-                )
-    return rows
+    cells = [(delta, t, trial) for delta in deltas for t in ts for trial in range(pairs)]
+
+    def cell(idx: int) -> dict:
+        delta, t, trial = cells[idx]
+        r_rng = rng_stream(seed, derive_stream("volscan-radii", delta, t, trial))
+        r1 = lo + (hi - lo) * r_rng.random(n)
+        r2 = lo + (hi - lo) * r_rng.random(n)
+        dtilde = geo.perturbed_axis_direction(axis, r1)
+        spec_a = geo.RefinedAnnulusSpec(
+            geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta), axis, cut
+        )
+        spec_b = geo.RefinedAnnulusSpec(
+            geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta), axis, cut
+        )
+        est = intersection_volume(
+            spec_a, spec_b, m, seed, stream=derive_stream("volscan", delta, t, trial)
+        )
+        bound = pair_volume_bound(delta, t)
+        return {
+            "delta": delta,
+            "t": t,
+            "trial": trial,
+            "measured": est.value,
+            "std_error": est.std_error,
+            "bound": bound,
+            "ratio": est.value / bound,
+        }
+
+    return ordered_map(cell, len(cells))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -382,7 +384,8 @@ def low_jacobian_cluster(
     ``2 * scale_factor * rho / t``; near tangency the low-norm region falls
     apart into a bounded number of such clusters with diameters O(rho/t).
     At most ``max_keep`` accepted points (the first ones drawn — an unbiased
-    subsample of i.i.d. draws) enter the O(count^2) linkage stage.
+    subsample of i.i.d. draws) enter the O(count^2) linkage stage.  The
+    sample batches are independent units of :func:`ordered_map`.
     """
     radii = np.asarray(radii, dtype=float)
     n = radii.shape[0]
@@ -392,22 +395,22 @@ def low_jacobian_cluster(
     cfg = geo.TangencyConfig(frame, t, radii)
     sampler = reference_shell_sampler(delta, n)
 
-    kept: list[Array] = []
-    have = 0
     chunk = 1 << 16
-    for batch_idx in range(max(1, math.ceil(m / chunk))):
+    keep = max(max_keep, 0)
+
+    def batch(batch_idx: int) -> tuple[int, Array]:
         rng = rng_stream(seed, derive_stream("cluster", rho, t, batch_idx))
         omega = sampler(rng, min(chunk, m - batch_idx * chunk))
         ok = geo.refinement_indicator(omega, axis, frame.cut)
         ok &= geo.jacobian_gram_norm(cfg, omega) < rho
         accepted = omega[ok]
-        have += accepted.shape[0]
-        room = max_keep - sum(a.shape[0] for a in kept)
-        if room > 0:
-            kept.append(accepted[:room])
+        return accepted.shape[0], accepted[:keep]
+
+    batches = ordered_map(batch, max(1, math.ceil(m / chunk)))
+    have = sum(count for count, _ in batches)
+    pts = np.concatenate([rows for _, rows in batches], axis=0)[:keep]
 
     scale = 2.0 * scale_factor * rho / t
-    pts = np.concatenate(kept, axis=0) if kept else np.empty((0, n))
     if pts.shape[0] == 0:
         return ClusterReport(rho, t, scale, 0, (), 0, m, empty=True)
     if pts.shape[0] == 1:

@@ -1,5 +1,8 @@
 """Tests for the deterministic Monte-Carlo engine."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +57,54 @@ class TestWorkerCount:
         assert mc.worker_count() == 1
         monkeypatch.setenv("HOMOEOID_THREADS", "0")
         assert mc.worker_count() == 1
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_index_order_with_uneven_units(self, monkeypatch, workers):
+        monkeypatch.setenv("HOMOEOID_THREADS", workers)
+        threads = set()
+
+        def unit(i):
+            threads.add(threading.get_ident())
+            time.sleep(0.002 * (7 - i))  # early units finish last
+            return i * i
+
+        assert mc.ordered_map(unit, 7) == [i * i for i in range(7)]
+        if workers == "1":
+            assert threads == {threading.get_ident()}
+        else:
+            assert len(threads) == 2 and threading.get_ident() not in threads
+
+    def test_nested_call_runs_serially(self, monkeypatch):
+        monkeypatch.setenv("HOMOEOID_THREADS", "2")
+
+        def outer(i):
+            here = threading.get_ident()
+            inner = mc.ordered_map(lambda j: (threading.get_ident(), 10 * i + j), 3)
+            assert all(ident == here for ident, _ in inner)
+            return [value for _, value in inner]
+
+        assert mc.ordered_map(outer, 4) == [[10 * i + j for j in range(3)] for i in range(4)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unit_exception_reaches_caller(self, monkeypatch, workers):
+        monkeypatch.setenv("HOMOEOID_THREADS", workers)
+
+        def unit(i):
+            if i == 2:
+                raise ValueError("unit 2 failed")
+            return i
+
+        with pytest.raises(ValueError, match="unit 2 failed"):
+            mc.ordered_map(unit, 5)
+
+    def test_single_unit_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.setenv("HOMOEOID_THREADS", "2")
+        assert mc.ordered_map(lambda i: (i, threading.get_ident()), 1) == [
+            (0, threading.get_ident())
+        ]
+        assert mc.ordered_map(lambda i: i, 0) == []
 
 
 class TestMcMean:

@@ -180,6 +180,16 @@ class TestVolumeBoundScan:
             assert row["measured"] >= 0.0
             assert np.isfinite(row["ratio"])
 
+    def test_rows_equal_across_worker_counts(self, monkeypatch):
+        def run(workers):
+            monkeypatch.setenv("HOMOEOID_THREADS", workers)
+            # 70_000 samples span two mc_mean chunks per cell
+            return vol.volume_bound_scan(
+                deltas=[2**-5, 2**-6], ts=[0.25, 1.0], pairs=2, m=70_000, seed=SEED
+            )
+
+        assert run("1") == run("2")  # bit-identical, not approximately equal
+
     def test_ratio_moderate_at_desk_scale(self):
         rows = vol.volume_bound_scan(deltas=[2**-6], ts=[2**-2], pairs=5, m=50_000, seed=SEED)
         worst = max(r["ratio"] for r in rows)
@@ -266,6 +276,29 @@ class TestClusterReport:
         )
         assert not report.empty
         assert report.cluster_count == 1
+
+    @pytest.mark.parametrize("max_keep", [10, 40], ids=["first-chunk", "several-chunks"])
+    def test_report_equal_across_worker_counts(self, monkeypatch, max_keep):
+        def run(workers, m):
+            monkeypatch.setenv("HOMOEOID_THREADS", workers)
+            return vol.low_jacobian_cluster(
+                axis=0,
+                t=0.3,
+                radii=np.array([1.4, 1.0, 0.8]),
+                rho=0.05,
+                delta=2**-6,
+                m=m,
+                seed=SEED,
+                max_keep=max_keep,
+            )
+
+        m = 3 * (1 << 16) + 123  # four sample batches, the last one short
+        first_batch = run("1", 1 << 16).accepted  # batch 0 has the same stream
+        if max_keep == 10:
+            assert max_keep < first_batch
+        else:
+            assert first_batch < max_keep < run("1", m).accepted
+        assert run("1", m) == run("2", m)
 
     def test_refinement_removes_axis_tangency(self):
         # equal radii: the tangency points sit at omega parallel to the centre
