@@ -1,15 +1,18 @@
 """Command-line front end: seeded experiments with CSV/JSON artifacts.
 
-Each experiment maps a :class:`RunConfig` to a fixed-schema table plus a
-metrics dictionary and a pass flag, written as ``results.csv`` and
-``summary.json`` under ``<out>/<experiment>-seed<seed>/``.  CSV bodies are a
-pure function of the configuration — floats are serialised with ``repr`` and
-all Monte-Carlo reductions are order-fixed — so re-running a configuration
-(under any ``HOMOEOID_THREADS`` setting) reproduces the bytes exactly;
-timestamps and the worker count live only in the summary.  Exit codes: 0 all
+Each experiment maps a :class:`RunConfig` to a table of rows (the CSV header
+is the first row's keys) plus a metrics dictionary and a pass flag, written
+as ``results.csv`` and ``summary.json`` under ``<out>/<experiment>-seed<seed>/``.
+CSV bodies are a pure function of the configuration — floats are serialised
+with ``repr`` and all Monte-Carlo reductions are order-fixed — so re-running
+a configuration (under any ``HOMOEOID_THREADS`` setting) reproduces the bytes
+exactly; timestamps and the worker count live only in the summary.  The JSON
+artifacts are strict: a non-finite float is written as the string ``"inf"``,
+``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 all
 thresholds met, 1 a threshold was violated, 2 the configuration was invalid
-(including a non-finite ``p``, delta or float override) or artifacts could
-not be written.  Every artifact is written to a temporary file beside it and
+(including a non-finite ``p``, delta or float override, a non-positive
+``rho`` or an opening constant ``C`` below 1) or artifacts could not be
+written.  Every artifact is written to a temporary file beside it and
 renamed into place, so a failed write leaves the previous file intact.
 
 ``report`` merges the summaries under an output directory into a single
@@ -84,6 +87,8 @@ class RunConfig:
             raise ValueError(f"p must be finite, got {self.p}")
         if self.deltas is not None:
             ds = tuple(float(d) for d in self.deltas)
+            if not ds:
+                raise ValueError("empty delta grid")
             if not all(math.isfinite(d) for d in ds):
                 raise ValueError(f"delta grid must be finite, got {list(ds)}")
             if any(b >= a for a, b in zip(ds, ds[1:])):
@@ -97,8 +102,10 @@ class RunConfig:
 
 @dataclasses.dataclass(frozen=True)
 class RunResult:
+    """An experiment's rows (at least one; the CSV header is the first row's
+    keys, in order), metrics and pass flag."""
+
     experiment: str
-    columns: tuple
     rows: tuple
     metrics: dict
     passed: bool
@@ -154,38 +161,32 @@ def _exp_identities(config: RunConfig) -> RunResult:
     rational_trials = ov.count("rational_trials", 50)
     ov.done()
     trials = config.samples or 1000
-    rows = []
-    worst = 0.0
-    for report in identity_suite(config.n, trials, seed=config.seed):
-        worst = max(worst, report.max_relative_residual)
-        rows.append(
-            {
-                "mode": "float",
-                "name": report.name,
-                "trials": report.trials,
-                "max_relative_residual": report.max_relative_residual,
-                "threshold": report.threshold,
-            }
-        )
-    passed = worst < 1e-9
-    worst_rational = None
+    # (mode, reports, threshold written to the CSV: None keeps the report's)
+    suites = [("float", identity_suite(config.n, trials, seed=config.seed), None)]
     if config.n <= 4:
-        worst_rational = 0.0
-        for report in identity_suite(config.n, min(trials, rational_trials), seed=config.seed, rational=True):
-            worst_rational = max(worst_rational, report.max_relative_residual)
+        rational = identity_suite(
+            config.n, min(trials, rational_trials), seed=config.seed, rational=True
+        )
+        suites.append(("rational", rational, 0.0))
+    rows = []
+    worst = {}
+    for mode, reports, threshold in suites:
+        worst[mode] = 0.0
+        for report in reports:
+            worst[mode] = max(worst[mode], report.max_relative_residual)
             rows.append(
                 {
-                    "mode": "rational",
+                    "mode": mode,
                     "name": report.name,
                     "trials": report.trials,
                     "max_relative_residual": report.max_relative_residual,
-                    "threshold": 0.0,
+                    "threshold": report.threshold if threshold is None else threshold,
                 }
             )
-        passed = passed and worst_rational == 0.0
-    metrics = {"max_relative_residual": worst, "rational_residual": worst_rational}
-    columns = ("mode", "name", "trials", "max_relative_residual", "threshold")
-    return RunResult(config.experiment, columns, tuple(rows), metrics, passed)
+    worst_rational = worst.get("rational")
+    passed = worst["float"] < 1e-9 and worst_rational in (None, 0.0)
+    metrics = {"max_relative_residual": worst["float"], "rational_residual": worst_rational}
+    return RunResult(config.experiment, tuple(rows), metrics, passed)
 
 
 def _exp_nondeg(config: RunConfig) -> RunResult:
@@ -223,8 +224,7 @@ def _exp_nondeg(config: RunConfig) -> RunResult:
         and min_abs_det > 0.01
         and scan.min_scaled_determinant > 0.0
     )
-    columns = tuple(rows[0])
-    return RunResult(config.experiment, columns, tuple(rows), metrics, passed)
+    return RunResult(config.experiment, tuple(rows), metrics, passed)
 
 
 def _exp_volume_bound(config: RunConfig) -> RunResult:
@@ -252,8 +252,7 @@ def _exp_volume_bound(config: RunConfig) -> RunResult:
     ]
     worst = {d: max(r["ratio"] for r in rows if r["delta"] == d) for d in deltas}
     metrics = {"worst_ratio_per_delta": worst, "drift": _drift(list(worst.values()))}
-    columns = ("delta", "t", "seed", "measured", "std_error", "bound", "ratio")
-    return RunResult(config.experiment, columns, tuple(rows), metrics, metrics["drift"] <= 4.0)
+    return RunResult(config.experiment, tuple(rows), metrics, metrics["drift"] <= 4.0)
 
 
 def _exp_bands(config: RunConfig) -> RunResult:
@@ -302,8 +301,7 @@ def _exp_bands(config: RunConfig) -> RunResult:
         "drift": _drift(list(per_delta_max.values())),
     }
     passed = worst_z <= 3.0 and metrics["drift"] <= 4.0
-    columns = ("delta", "t", "part", "value", "std_error", "bound", "ratio")
-    return RunResult(config.experiment, columns, tuple(rows), metrics, passed)
+    return RunResult(config.experiment, tuple(rows), metrics, passed)
 
 
 def _exp_clusters(config: RunConfig) -> RunResult:
@@ -356,16 +354,7 @@ def _exp_clusters(config: RunConfig) -> RunResult:
         "halving_ratio": halving,
     }
     passed = max_count <= 16 and halving <= 2.0
-    columns = (
-        "config",
-        "t",
-        "rho",
-        "accepted",
-        "cluster_count",
-        "max_diameter",
-        "scaled_diameter",
-    )
-    return RunResult(config.experiment, columns, tuple(rows), metrics, passed)
+    return RunResult(config.experiment, tuple(rows), metrics, passed)
 
 
 def _fibre_config(seed: int, trial: int, n: int):
@@ -388,6 +377,8 @@ def _exp_fibre(config: RunConfig) -> RunResult:
     trials = ov.count("trials", 12)
     rho0 = ov.pull("rho", 0.2)
     ov.done()
+    if not rho0 > 0:
+        raise ValueError(f"override rho must be positive, got {rho0}")
     if config.n != 3:
         raise ValueError("fibre tracing is implemented for dimension 3")
     calibration = trace_fibre(np.zeros(3), np.array([1.2, 1.0, 1.0]), np.zeros(2), step=0.01, seed=3)
@@ -407,8 +398,7 @@ def _exp_fibre(config: RunConfig) -> RunResult:
         "max_ratio": max(ratios),
     }
     passed = abs(calibration.length - 2.0 * math.pi) <= 1e-6 and metrics["ratio_drift"] <= 4.0
-    columns = ("seed", "rho", "length", "ratio")
-    return RunResult(config.experiment, columns, tuple(rows), metrics, passed)
+    return RunResult(config.experiment, tuple(rows), metrics, passed)
 
 
 def _exp_multiplicity(config: RunConfig) -> RunResult:
@@ -419,13 +409,12 @@ def _exp_multiplicity(config: RunConfig) -> RunResult:
     deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
     m = config.samples or 4096
     scan = multiplicity_scan(axis, deltas, trials=trials, m=m, seed=config.seed, n=config.n)
-    columns = ("delta", "trial_seed", "N", "norm", "std_error", "bound", "C", "refined")
     metrics = {
         "worst_refined": scan.worst,
         "worst_plain": scan.worst_plain,
         "drift": scan.drift,
     }
-    return RunResult(config.experiment, columns, scan.rows, metrics, scan.drift <= 4.0)
+    return RunResult(config.experiment, scan.rows, metrics, scan.drift <= 4.0)
 
 
 def _exp_l2_growth(config: RunConfig) -> RunResult:
@@ -448,8 +437,7 @@ def _exp_l2_growth(config: RunConfig) -> RunResult:
         seed=config.seed,
     )
     metrics = {"slope": scan.fit.slope, "intercept": scan.fit.intercept}
-    columns = ("delta", "field_id", "norm_estimate", "std_error")
-    return RunResult(config.experiment, columns, tuple(scan.rows), metrics, scan.fit.slope <= 0.15)
+    return RunResult(config.experiment, tuple(scan.rows), metrics, scan.fit.slope <= 0.15)
 
 
 _KNAPP_TARGETS = {1.5: (-1.0 / 3.0, 0.1), 2.0: (0.0, 0.05), 3.0: (1.0 / 3.0, 0.1)}
@@ -480,8 +468,7 @@ def _exp_knapp_exponent(config: RunConfig) -> RunResult:
         metrics["expected_slope"] = expected
         metrics["tolerance"] = tol
         passed = abs(scan.fit.slope - expected) <= tol
-    columns = ("delta", "p", "ratio", "std_error")
-    return RunResult(config.experiment, columns, tuple(scan.rows), metrics, passed)
+    return RunResult(config.experiment, tuple(scan.rows), metrics, passed)
 
 
 def _radial_l2_oracle(n: int, C: float) -> float:
@@ -558,8 +545,7 @@ def _exp_divergence(config: RunConfig) -> RunResult:
         and metrics["l2_relative_gap"] <= 0.01
         and divergent
     )
-    columns = ("shell", "term", "std_error", "partial_sum", "partial_sum_error")
-    return RunResult(config.experiment, columns, rows, metrics, passed)
+    return RunResult(config.experiment, rows, metrics, passed)
 
 
 def _offset_power_fit(dyadic: tuple) -> Optional[float]:
@@ -603,7 +589,7 @@ def _exp_glpnorm(config: RunConfig) -> RunResult:
         exact = math.sqrt(8.0 * math.pi * C * math.log(2.0))
         metrics["exact"] = exact
         passed = abs(norm - exact) <= 0.01 * exact
-    return RunResult(config.experiment, ("p", "norm", "finite"), rows, metrics, passed)
+    return RunResult(config.experiment, rows, metrics, passed)
 
 
 def _exp_explore_unrefined(config: RunConfig) -> RunResult:
@@ -649,8 +635,7 @@ def _exp_explore_unrefined(config: RunConfig) -> RunResult:
                 )
     rows.sort(key=lambda r: (-r["ratio"], r["delta"], r["t"], r["seed"]))
     metrics = {"max_ratio": rows[0]["ratio"] if rows else 0.0, "exploratory": True}
-    columns = ("delta", "t", "seed", "measured", "std_error", "bound", "ratio")
-    return RunResult(config.experiment, columns, tuple(rows), metrics, True)
+    return RunResult(config.experiment, tuple(rows), metrics, True)
 
 
 EXPERIMENTS: dict = {
@@ -719,19 +704,22 @@ def _json_safe(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        value = float(value)
+        # strict JSON has no inf or nan: spell them as the CSV cells do
+        return value if math.isfinite(value) else repr(value)
     return value
 
 
 def write_artifacts(config: RunConfig, result: RunResult) -> Path:
     run_dir = Path(config.out) / f"{config.experiment}-seed{config.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(run_dir / "results.csv", result.columns, result.rows)
+    columns = tuple(result.rows[0])
+    _write_csv(run_dir / "results.csv", columns, result.rows)
     summary = {
         "experiment": config.experiment,
         "seed": config.seed,
         "config": _json_safe(dataclasses.asdict(config)),
-        "columns": list(result.columns),
+        "columns": list(columns),
         "rows_written": len(result.rows),
         "metrics": _json_safe(result.metrics),
         "pass": bool(result.passed),
@@ -740,7 +728,7 @@ def write_artifacts(config: RunConfig, result: RunResult) -> Path:
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with _atomic_open(run_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return run_dir
 
@@ -779,7 +767,7 @@ def emit_report(directory: Path) -> tuple[dict, int]:
     report = {
         "version": __version__,
         "warnings": warnings,
-        "runs": [summary for _, _, summary in entries],
+        "runs": [_json_safe(summary) for _, _, summary in entries],
     }
     # every run is read before any artifact is replaced, so a run that fails
     # to read leaves the previous report and merged CSVs as they were
@@ -793,7 +781,7 @@ def emit_report(directory: Path) -> tuple[dict, int]:
             rows = merged.setdefault(experiment, [["seed"] + header])
             rows.extend([str(seed)] + row for row in reader)
     with _atomic_open(directory / "report.json") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for experiment, rows in merged.items():
         with _atomic_open(directory / f"report-{experiment}.csv", newline="") as out:

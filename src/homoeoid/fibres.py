@@ -7,7 +7,9 @@ The fibre through levels ``u = (u1, u2)`` is::
 a bounded algebraic curve (degree at most four).  It is traced with a
 predictor-corrector walk: unit tangent from the cross product of the two
 constraint gradients, Euler predictor of length ``step``, Gauss-Newton
-corrector back onto the curve (least-norm update via the pseudoinverse).
+corrector back onto the curve (least-norm update via the pseudoinverse) to a
+residual of at most ``1e-10`` within 20 iterations.  A walk that has not
+closed after 200,000 steps is an error.
 
 Degenerate tangencies.  Where the two gradients become parallel the cross
 product vanishes *on the curve itself* (this happens identically on, e.g.,
@@ -20,6 +22,7 @@ cross product degenerates.
 Arc length uses the turning-angle correction ``chord * (theta/2)/sin(theta/2)``
 per segment (exact on circular arcs, O(step^4) in general), which is what
 makes the 2*pi calibration achievable at step 0.01 to far better than 1e-6.
+:meth:`FibreTrace.length_in_ball` clips that arc length to a ball.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ from homoeoid.mc import derive_stream, rng_stream
 
 Array = np.ndarray
 
-__all__ = ["FibreTrace", "trace_fibre", "fibre_length_in_ball"]
+__all__ = ["FibreTrace", "trace_fibre"]
+
+_NEWTON_TOL = 1e-10  # corrector residual accepted as on the curve
+_MAX_NEWTON = 20  # corrector iterations per step (4x that from a start guess)
+_MAX_STEPS = 200_000  # predictor steps before a trace that has not closed fails
 
 
 def _constraints(x: Array, radii: Array, levels: Array, w: Array) -> Array:
@@ -47,17 +54,17 @@ def _gradients(x: Array, radii: Array, w: Array) -> tuple[Array, Array]:
     return 2.0 * w, 2.0 * (w - x) / (radii * radii)
 
 
-def _newton(x: Array, radii: Array, levels: Array, w: Array, tol: float, max_iter: int) -> Array:
+def _newton(x: Array, radii: Array, levels: Array, w: Array, max_iter: int = _MAX_NEWTON) -> Array:
     for _ in range(max_iter):
         g = _constraints(x, radii, levels, w)
-        if np.max(np.abs(g)) <= tol:
+        if np.max(np.abs(g)) <= _NEWTON_TOL:
             return w
         a, b = _gradients(x, radii, w)
         jac = np.stack([a, b])
         dw, *_ = np.linalg.lstsq(jac, -g, rcond=None)
         w = w + dw
     g = _constraints(x, radii, levels, w)
-    if np.max(np.abs(g)) <= tol:
+    if np.max(np.abs(g)) <= _NEWTON_TOL:
         return w
     raise RuntimeError(f"corrector failed to converge (residual {np.max(np.abs(g)):.2e})")
 
@@ -132,6 +139,8 @@ class FibreTrace:
         Boundary-crossing segments are clipped linearly along the chord,
         accurate to O(step^2) relative per crossing.
         """
+        if not radius > 0:
+            raise ValueError("radius must be positive")
         centre = np.asarray(centre, dtype=float)
         total = 0.0
         lengths = self.segment_lengths()
@@ -165,8 +174,6 @@ def _find_start(
     radii: Array,
     levels: Array,
     seed: int,
-    tol: float,
-    max_iter: int,
     near: Optional[Array] = None,
 ) -> Array:
     """A point on the fibre, via Newton from seeded initial guesses."""
@@ -185,7 +192,7 @@ def _find_start(
         guesses.append(sphere_radius * v / np.linalg.norm(v))
     for guess in guesses:
         try:
-            w = _newton(x, radii, levels, guess, tol, 4 * max_iter)
+            w = _newton(x, radii, levels, guess, 4 * _MAX_NEWTON)
         except RuntimeError:
             continue
         return w
@@ -201,9 +208,6 @@ def trace_fibre(
     seed: int = 0,
     start: Optional[Array] = None,
     near: Optional[Array] = None,
-    newton_tol: float = 1e-10,
-    max_newton: int = 20,
-    max_steps: int = 200_000,
 ) -> FibreTrace:
     """Trace one connected component of the fibre.
 
@@ -222,9 +226,9 @@ def trace_fibre(
         raise ValueError("step must be positive")
 
     if start is None:
-        w = _find_start(x, radii, levels, seed, newton_tol, max_newton, near)
+        w = _find_start(x, radii, levels, seed, near)
     else:
-        w = _newton(x, radii, levels, np.asarray(start, dtype=float), newton_tol, max_newton)
+        w = _newton(x, radii, levels, np.asarray(start, dtype=float))
 
     w0 = w.copy()
     t = _tangent(x, radii, w, previous=None)
@@ -232,9 +236,9 @@ def trace_fibre(
     tangents = [t.copy()]
     escaped = False
     closed = False
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         w_pred = points[-1] + step * tangents[-1]
-        w = _newton(x, radii, levels, w_pred, newton_tol, max_newton)
+        w = _newton(x, radii, levels, w_pred)
         t = _tangent(x, radii, w, previous=tangents[-1])
         dist_start = float(np.linalg.norm(w - w0))
         if not escaped and dist_start > 2.0 * step:
@@ -249,36 +253,10 @@ def trace_fibre(
         points.append(w)
         tangents.append(t)
     if not closed:
-        raise RuntimeError("fibre trace did not close; increase max_steps or reduce step")
+        raise RuntimeError(f"fibre trace did not close within {_MAX_STEPS} steps of size {step}")
 
     pts = np.array(points)
     tans = np.array(tangents)
     trace = FibreTrace(points=pts, tangents=tans, closed=True, length=0.0, step=step)
     total = float(np.sum(trace.segment_lengths()))
     return dataclasses.replace(trace, length=total)
-
-
-def fibre_length_in_ball(
-    x: Array,
-    radii: Array,
-    levels: Array,
-    centre: Array,
-    radius: float,
-    *,
-    seed: int = 0,
-    step: Optional[float] = None,
-    **trace_kwargs,
-) -> float:
-    """Arc length, inside ``B(centre, radius)``, of the component near it.
-
-    The traced component is the one Newton reaches from ``centre``; distinct
-    components meeting the ball (rare for the configurations of interest)
-    would need their own calls with explicit ``start`` points.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    h = min(0.01, radius / 10.0) if step is None else step
-    trace = trace_fibre(
-        x, radii, levels, step=h, seed=seed, near=np.asarray(centre, dtype=float), **trace_kwargs
-    )
-    return trace.length_in_ball(centre, radius)

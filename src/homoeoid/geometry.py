@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,11 +84,35 @@ def default_refinement_cut(n: int) -> float:
     return (2.0 * n) ** -1.5 / 4.0
 
 
-def restricted_radii_box(n: int, cut: Optional[float] = None) -> tuple[Array, Array]:
-    """Lower/upper corners of the restricted radii box ``[1, 1 + cut**2]**n``."""
+def _shell_width(delta) -> float:
+    """``delta`` as a float, checked against the range ``(0, MAX_SHELL_WIDTH]``."""
+    d = float(delta)
+    if not 0.0 < d <= MAX_SHELL_WIDTH:
+        raise ValueError(f"delta must be in (0, {MAX_SHELL_WIDTH}], got {d}")
+    return d
+
+
+def _resolve_cut(n: int, cut: Optional[float]) -> float:
+    """:func:`default_refinement_cut` when ``cut`` is None, else a positive float."""
     c = default_refinement_cut(n) if cut is None else float(cut)
     if c <= 0:
         raise ValueError("cut must be positive")
+    return c
+
+
+def _width_grid(deltas: Sequence[float]) -> list[float]:
+    """The shell widths as floats: at least three, strictly decreasing."""
+    ds = [float(d) for d in deltas]
+    if len(ds) < 3:
+        raise ValueError(f"need at least 3 shell widths, got {len(ds)}")
+    if any(b >= a for a, b in zip(ds, ds[1:])):
+        raise ValueError("shell widths must be strictly decreasing")
+    return ds
+
+
+def restricted_radii_box(n: int, cut: Optional[float] = None) -> tuple[Array, Array]:
+    """Lower/upper corners of the restricted radii box ``[1, 1 + cut**2]**n``."""
+    c = _resolve_cut(n, cut)
     lo = np.ones(n)
     hi = np.full(n, 1.0 + c * c)
     return lo, hi
@@ -153,10 +177,7 @@ class AnnulusSpec:
     delta: float
 
     def __post_init__(self) -> None:
-        d = float(self.delta)
-        if not 0.0 < d <= MAX_SHELL_WIDTH:
-            raise ValueError(f"delta must be in (0, {MAX_SHELL_WIDTH}], got {d}")
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", _shell_width(self.delta))
 
     @property
     def base(self) -> "AnnulusSpec":
@@ -185,10 +206,7 @@ class RefinedAnnulusSpec:
         n = self.base.n
         if not 0 <= self.axis < n:
             raise ValueError(f"axis {self.axis} out of range for dimension {n}")
-        c = default_refinement_cut(n) if self.cut is None else float(self.cut)
-        if c <= 0:
-            raise ValueError("cut must be positive")
-        object.__setattr__(self, "cut", c)
+        object.__setattr__(self, "cut", _resolve_cut(n, self.cut))
 
     @property
     def delta(self) -> float:
@@ -216,7 +234,7 @@ class AxisFrame:
     def __post_init__(self) -> None:
         if not 0 <= self.axis < self.n:
             raise ValueError(f"axis {self.axis} out of range for dimension {self.n}")
-        c = default_refinement_cut(self.n) if self.cut is None else float(self.cut)
+        c = _resolve_cut(self.n, self.cut)
         d = axis_direction(self.n, self.axis) if self.dtilde is None else _validate_vector(self.dtilde, "dtilde")
         if d.shape[0] != self.n:
             raise ValueError("dtilde dimension mismatch")
@@ -382,7 +400,7 @@ def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:
     """
     w = np.asarray(omega, dtype=float)
     n = w.shape[-1]
-    c = default_refinement_cut(n) if cut is None else float(cut)
+    c = _resolve_cut(n, cut)
     flat = w.reshape(-1, n)
     top = np.abs(flat[:, 0])
     for j in range(1, n):

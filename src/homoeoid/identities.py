@@ -66,17 +66,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.max_relative_residual < self.threshold
 
-    def merged_with(self, other: "IdentityReport") -> "IdentityReport":
-        """Combine two reports for the same identity by worst residual."""
-        if other.name != self.name:
-            raise ValueError(f"cannot merge {self.name!r} with {other.name!r}")
-        first, second = (self, other) if self.max_relative_residual >= other.max_relative_residual else (other, self)
-        return dataclasses.replace(
-            first,
-            trials=self.trials + other.trials,
-            details=first.details or second.details,
-        )
-
 
 def _report_from_residuals(
     name: str,
@@ -211,26 +200,27 @@ def _fd_jacobian(fn: Callable[[Array], Array], x: Array, step: float) -> Array:
     return (4.0 * fine - coarse) / 3.0
 
 
+_FD_STEP = 1e-6  # central-difference step of the contact-chart audit
+
+
 def contact_jacobian_check(
     n_list: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    r_samples: Sequence[Array] | None = None,
     *,
     seed: int = 0,
-    fd_step: float = 1e-6,
     generic_per_n: int = 20,
 ) -> IdentityReport:
     """Audit the contact-chart Jacobian against a finite-difference oracle.
 
     For each dimension: the determinant is measured by central differences
-    (step ``fd_step``, Richardson extrapolated) at the isotropic points
+    (step ``1e-6``, Richardson extrapolated) at the isotropic points
     ``c * 1`` for ``c in {1, 3/2, 2}`` — where it must be constant — and at
-    generic radii, where it must match :func:`contact_point_jacobian`.  The
-    report's residual covers those comparisons at threshold 1e-6 (the honest
-    accuracy of the differencing).  ``details[n]`` additionally records the
-    measured isotropic determinant, the derived closed form, the alternate
-    closed form and its ratio to the measurement, and the worst entrywise
-    gap of the variant-diagonal matrix at generic radii; the alternate forms
-    are recorded, not gated.
+    ``generic_per_n`` seeded radii uniform in ``[1, 2]**n``, where it must
+    match :func:`contact_point_jacobian`.  The report's residual covers those
+    comparisons at threshold 1e-6 (the honest accuracy of the differencing).
+    ``details[n]`` additionally records the measured isotropic determinant,
+    the derived closed form, the alternate closed form and its ratio to the
+    measurement, and the worst entrywise gap of the variant-diagonal matrix
+    at generic radii; the alternate forms are recorded, not gated.
     """
     worst = -1.0
     worst_desc = ""
@@ -243,7 +233,7 @@ def contact_jacobian_check(
         residuals = []
         for c in (1.0, 1.5, 2.0):
             point = np.full(n, c)
-            fd_det = float(np.linalg.det(_fd_jacobian(contact_point, point, fd_step)))
+            fd_det = float(np.linalg.det(_fd_jacobian(contact_point, point, _FD_STEP)))
             exact_det = float(np.linalg.det(contact_point_jacobian(point)))
             iso[c] = fd_det
             residuals.append((float(rel_residual(fd_det, exact_det)), f"n={n} r={c}*ones"))
@@ -252,14 +242,11 @@ def contact_jacobian_check(
         residuals.append((float(rel_residual(max(iso.values()), min(iso.values()))), f"n={n} isotropic spread"))
         count += 1
 
-        if r_samples is None:
-            rng = rng_stream(seed, derive_stream("contact-jac", n))
-            generic = rng.uniform(1.0, 2.0, (generic_per_n, n))
-        else:
-            generic = np.array([np.asarray(r, dtype=float) for r in r_samples if len(r) == n])
+        rng = rng_stream(seed, derive_stream("contact-jac", n))
+        generic = rng.uniform(1.0, 2.0, (generic_per_n, n))
         variant_gap = 0.0
         for r in generic:
-            fd = _fd_jacobian(contact_point, r, fd_step)
+            fd = _fd_jacobian(contact_point, r, _FD_STEP)
             exact = contact_point_jacobian(r)
             residuals.append(
                 (float(np.max(rel_residual(np.linalg.det(fd), np.linalg.det(exact)))), f"n={n} r={np.round(r, 6).tolist()}")
@@ -732,7 +719,6 @@ def nondeg_bounds_scan(
     cbar: float | None = None,
     *,
     seed: int = 0,
-    axis: int = 0,
     max_attempts_factor: int = 50,
 ) -> NondegScan:
     """Sample near-tangency configurations and record Jacobian floor/ceiling.
@@ -741,8 +727,9 @@ def nondeg_bounds_scan(
     codimension ``n - 1`` in the sphere variables), so each sample solves for
     an exact tangency point by Newton iteration from the analytic first-order
     seed and then perturbs it by a random displacement small enough to stay
-    below ``cbar * t``.  Parameters are drawn with the axis radius dominant
-    so the refined region genuinely contains tangency points.
+    below ``cbar * t``.  The refinement axis is axis 0; parameters are drawn
+    with its radius dominant so the refined region genuinely contains
+    tangency points.
     """
     from .geometry import (  # local import to avoid cycles at module import
         AxisFrame,
@@ -753,6 +740,7 @@ def nondeg_bounds_scan(
 
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    axis = 0
     cut = default_refinement_cut(n)
     if cbar is None:
         cbar = 0.1 * cut

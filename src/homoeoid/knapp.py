@@ -7,7 +7,10 @@ like ``delta**((n-1)/2)``; comparing with the slab's own L^p norm produces
 scaling exponents that change sign across p = (n+1)/(n-1).  The second is the
 counterexample profile ``g``: a tangentially singular function, finite in L^p
 up to the critical exponent, whose surface integrals over dyadic tangential
-shells of a tangency configuration form a divergent series.
+shells of a tangency configuration form a divergent series.  The field's
+opening constant ``C`` must be at least 1 wherever it is taken (the field,
+its L^p norm and the shell series), and the series' growth exponent is read
+from its dyadic block sums (:func:`dyadic_block_slope`).
 
 The shell series needs care at depth: shell ``l`` lives at tangential distance
 ``2**(-l/2)`` from the tangency point, far below float range once ``l`` is in
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,11 +41,9 @@ __all__ = [
     "CounterexampleField",
     "ShellSeries",
     "diagonal_frame",
-    "knapp_slab",
     "sample_tangency_set",
     "slab_shell_average",
     "knapp_exponent",
-    "counterexample_field",
     "profile_value",
     "g_lp_norm",
     "shell_partial_sums",
@@ -84,10 +85,7 @@ class KnappSlab:
     n: int = 3
 
     def __post_init__(self) -> None:
-        d = float(self.delta)
-        if not 0.0 < d <= 0.5:
-            raise ValueError(f"delta must be in (0, 1/2], got {d}")
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", geo._shell_width(self.delta))
         object.__setattr__(self, "frame", diagonal_frame(self.n))
 
     frame: Array = dataclasses.field(init=False, repr=False)
@@ -109,11 +107,6 @@ class KnappSlab:
             np.full(self.n, -half_diag),
             np.full(self.n, half_diag),
         )
-
-
-def knapp_slab(delta: float, n: int = 3) -> Field:
-    """Indicator field of :class:`KnappSlab`; see the class for conventions."""
-    return KnappSlab(delta, n).indicator()
 
 
 def sample_tangency_set(
@@ -226,11 +219,7 @@ def knapp_exponent(
     Shell-sample streams are derived from values only, so calls with
     different ``p`` at the same seed share identical average estimates.
     """
-    deltas = [float(d) for d in delta_list]
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 shell widths")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("shell widths must be strictly decreasing")
+    deltas = geo._width_grid(delta_list)
     if p < 1.0:
         raise ValueError("p must be at least 1")
     if m_x < 2 or m_s < 1:
@@ -277,6 +266,11 @@ def profile_value(t, n: int = 3) -> Array:
     return out
 
 
+def _check_opening(C: float) -> None:
+    if not C >= 1.0:
+        raise ValueError(f"opening constant C must be >= 1, got {C}")
+
+
 @dataclasses.dataclass(frozen=True)
 class CounterexampleField:
     """The tangentially singular field ``f = g o U``.
@@ -292,8 +286,7 @@ class CounterexampleField:
     n: int = 3
 
     def __post_init__(self) -> None:
-        if self.C < 1.0:
-            raise ValueError("opening constant C must be >= 1")
+        _check_opening(self.C)
         object.__setattr__(self, "frame", diagonal_frame(self.n))
 
     frame: Array = dataclasses.field(init=False, repr=False)
@@ -310,13 +303,6 @@ class CounterexampleField:
         return Field.from_callable(
             self.__call__, np.full(self.n, -half_width), np.full(self.n, half_width)
         )
-
-
-def counterexample_field(C: float = 4.0, *, n: int = 3, seed: int = 0) -> CounterexampleField:
-    """Construct :class:`CounterexampleField`; ``seed`` is accepted for
-    interface uniformity but unused — the frame is deterministic."""
-    del seed
-    return CounterexampleField(float(C), n)
 
 
 def g_lp_norm(
@@ -342,6 +328,7 @@ def g_lp_norm(
         raise ValueError("p must be at least 1")
     if quad_points < 100:
         raise ValueError("quad_points must be at least 100")
+    _check_opening(C)
     from scipy.integrate import quad
 
     alpha = n + 1 - (n - 1) * p
@@ -385,10 +372,11 @@ class ShellSeries:
     ``terms[l-1]`` is the integral of ``|f|`` over the l-th dyadic tangential
     shell of the configured surface, normalised by the total surface measure
     (estimated once, ``surface_measure``).  ``survivors`` counts samples inside
-    the support of ``f``; shells below the survivor threshold are flagged
-    rather than dropped.  ``normal_extent[l-1]`` is the largest ``|<omega, N>|``
-    seen on shell ``l`` in curvature units (rescaled by ``2**l``) — bounded
-    values certify that the opening constant of the field swallows the shell.
+    the support of ``f``; shells with fewer than ``max(4, m // 16)`` survivors
+    are flagged in ``low_confidence`` rather than dropped.
+    ``normal_extent[l-1]`` is the largest ``|<omega, N>|`` seen on shell ``l``
+    in curvature units (rescaled by ``2**l``) — bounded values certify that
+    the opening constant of the field swallows the shell.
     """
 
     terms: Array
@@ -419,7 +407,6 @@ def shell_partial_sums(
     *,
     seed: int = 0,
     C: float = 4.0,
-    min_survivors: Optional[int] = None,
 ) -> ShellSeries:
     """Partial sums of the shell series for the counterexample field.
 
@@ -449,14 +436,12 @@ def shell_partial_sums(
         raise ValueError("need at least 4 shells")
     if m < 16:
         raise ValueError("need at least 16 samples per shell")
+    _check_opening(C)
     residual = float(abs(geo.defining_value(x, r, np.zeros(n))))
     if residual > 1e-9:
         raise ValueError(
             f"(x, r_x) is not a tangency configuration: |F(0)| = {residual:.3e}"
         )
-    if min_survivors is None:
-        min_survivors = max(4, m // 16)
-
     frame = diagonal_frame(n)
     tangent_rows = frame[: n - 1]
     normal = frame[n - 1]
@@ -506,7 +491,7 @@ def shell_partial_sums(
         terms=terms,
         std_errors=std_errors,
         survivors=survivors,
-        low_confidence=survivors < min_survivors,
+        low_confidence=survivors < max(4, m // 16),
         normal_extent=normal_extent,
         surface_measure=surface_measure,
         m=m,

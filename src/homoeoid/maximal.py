@@ -132,14 +132,14 @@ class RadiiNet:
         return self.points.shape[0]
 
     @classmethod
-    def for_delta(cls, n: int, delta: float, cut: float | None = None) -> "RadiiNet":
+    def for_delta(cls, n: int, delta: float) -> "RadiiNet":
         """Net over the restricted radii box with step ``min(delta, width)/4``.
 
         The annulus indicator moves by ``O(step)`` under a radii step, so a
         ``delta``-scale net resolves the sup up to constants; for widths
         below ``delta`` the box width binds instead.
         """
-        lo, hi = geo.restricted_radii_box(n, cut)
+        lo, hi = geo.restricted_radii_box(n)
         width = float(hi[0] - lo[0])
         return cls(lo, hi, min(float(delta), width) / 4.0)
 
@@ -149,7 +149,7 @@ class RadiiNet:
 # ---------------------------------------------------------------------------
 
 
-def _shell_flavours(f: Field, x, r, delta: float, m: int, *, seed: int, cut: float) -> list:
+def _shell_flavours(f: Field, x, r, delta: float, m: int, *, seed: int, cut: float) -> tuple:
     """Plain and per-axis refined averages of ``|f|`` from one shell batch.
 
     One ``mc_mean`` call on the stream of ``(delta, x, r)`` returns ``n + 1``
@@ -185,7 +185,7 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
     """
     base, axis, cut = geo._spec_parts(spec)
     ell = base.ellipsoid
-    cut = geo.default_refinement_cut(base.n) if cut is None else cut
+    cut = geo._resolve_cut(base.n, cut)
     flavours = _shell_flavours(f, ell.centre, ell.radii, base.delta, m, seed=seed, cut=cut)
     return flavours[0 if axis is None else axis + 1]
 
@@ -273,7 +273,7 @@ def lp_norm(f: Field, p: float, region, m: int, *, seed: int) -> MCEstimate:
         pts = lo + rng.random((k, lo.shape[0])) * (hi - lo)
         return np.abs(f(pts)) ** p
 
-    est = mc_mean(sample_fn, m, seed=seed, stream=derive_stream("lp-norm", p, lo, hi))
+    (est,) = mc_mean(sample_fn, m, seed=seed, stream=derive_stream("lp-norm", p, lo, hi))
     integral = volume * est.value
     se_integral = volume * est.std_error
     if integral <= 0.0:
@@ -333,35 +333,28 @@ def l2_growth_scan(
     x_samples: int = 64,
     m: int = 1024,
     seed: int = 0,
-    net_policy: Callable[[float], RadiiNet] | None = None,
 ) -> GrowthScan:
     """Fit ``log ||max-average f||_2`` against ``log(1/delta)``.
 
     For each width the scan draws points of ``x_region``, evaluates the
-    plain operator over ``net_policy(delta)`` for every member of the
+    plain operator over ``RadiiNet.for_delta(n, delta)`` for every member of the
     (L^2-normalised) field family, and records the Monte Carlo ``L^2(x region)``
     norm; the per-width figure entering the fit is the worst norm across the
     family, an operator-norm proxy.  Small positive slopes are consistent
     with sub-polynomial growth; the acceptance threshold is 0.15.
     """
-    deltas = [float(d) for d in delta_list]
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 shell widths")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("shell widths must be strictly decreasing")
+    deltas = geo._width_grid(delta_list)
     if x_samples < 2:
         raise ValueError("x_samples must be at least 2")
     lo = np.asarray(x_region[0], dtype=float)
     hi = np.asarray(x_region[1], dtype=float)
     n = lo.shape[0]
     volume = float(np.prod(hi - lo))
-    if net_policy is None:
-        net_policy = lambda d: RadiiNet.for_delta(n, d)
 
     rows = []
     worst_per_delta = []
     for delta in deltas:
-        net = net_policy(delta)
+        net = RadiiNet.for_delta(n, delta)
         worst = -np.inf
         for idx in range(family_size):
             f = field_family(idx)
@@ -392,10 +385,12 @@ def bump_mixture_family(
     *,
     components: int = 6,
     seed: int = 0,
-    centre_box: tuple = None,
-    scale_range: tuple = (0.08, 0.35),
 ) -> Callable[[int], Field]:
     """Seeded generator of L^2-normalised Gaussian bump mixtures.
+
+    Each field has ``components`` bumps with centres uniform in
+    ``[-1.5, 1.5]**n``, widths uniform in ``[0.08, 0.35]`` and amplitudes
+    uniform in ``[0.5, 1.5]``.
 
     Normalisation uses the closed-form pairwise inner products
     ``(2 pi s1^2 s2^2 / (s1^2 + s2^2))**(n/2) * exp(-|c1-c2|^2 / (2(s1^2+s2^2)))``
@@ -404,15 +399,13 @@ def bump_mixture_family(
     """
     if components < 1:
         raise ValueError("components must be at least 1")
-    if centre_box is None:
-        centre_box = (np.full(n, -1.5), np.full(n, 1.5))
-    c_lo = np.asarray(centre_box[0], dtype=float)
-    c_hi = np.asarray(centre_box[1], dtype=float)
+    c_lo = np.full(n, -1.5)
+    c_hi = np.full(n, 1.5)
 
     def make(index: int) -> Field:
         rng = rng_stream(seed, derive_stream("bumps", n, components, index))
         centres = c_lo + rng.random((components, n)) * (c_hi - c_lo)
-        scales = rng.uniform(scale_range[0], scale_range[1], components)
+        scales = rng.uniform(0.08, 0.35, components)
         amps = rng.uniform(0.5, 1.5, components)
         s2 = scales**2
         pair = s2[:, None] + s2[None, :]

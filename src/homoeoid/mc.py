@@ -9,7 +9,9 @@ sub-stream per unit index, and reduce the units' results in index order.  The
 resulting numbers are therefore bit-identical whatever the worker count —
 ``HOMOEOID_THREADS`` only changes how many independent units
 :func:`ordered_map` evaluates concurrently, never which generator produces
-which sample.
+which sample.  :func:`mc_mean`, the chunked estimator, cuts every estimate
+into chunks of ``DEFAULT_CHUNK`` draws and returns a tuple with one
+:class:`MCEstimate` per column of the sampled statistic.
 
 Stream ids for geometric contexts (points, radii, shell indices, …) are
 derived from the IEEE-754 bit patterns of the defining floats through a
@@ -146,13 +148,6 @@ class MCEstimate:
     n_samples: int
     seed: int
 
-    def interval(self, sigmas: float = 3.0) -> tuple[float, float]:
-        return self.value - sigmas * self.std_error, self.value + sigmas * self.std_error
-
-    def consistent_with(self, other: float, sigmas: float = 3.0) -> bool:
-        lo, hi = self.interval(sigmas)
-        return lo <= other <= hi
-
 
 @dataclasses.dataclass(frozen=True)
 class ScalingFit:
@@ -197,35 +192,31 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> ScalingFit:
     )
 
 
-def _chunk_bounds(n_samples: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
-
-
 def mc_mean(
     sample_fn: Callable[[np.random.Generator, int], Array],
     n_samples: int,
     *,
     seed: int,
     stream: int = 0,
-    chunk: int = DEFAULT_CHUNK,
-) -> MCEstimate | list[MCEstimate]:
+) -> tuple[MCEstimate, ...]:
     """Chunked mean of ``sample_fn(rng, m)`` over ``n_samples`` draws.
 
-    ``sample_fn`` must return one value per sample: shape ``(m,)`` for a
-    scalar statistic or ``(m, k)`` for ``k`` statistics evaluated on a shared
-    batch (the latter yields a list of per-column estimates whose samples are
-    *identical*, which is what makes partition checks exact).
+    ``sample_fn`` must return one value per sample: shape ``(m,)`` for one
+    statistic or ``(m, k)`` for ``k`` statistics evaluated on a shared batch.
+    The result is a tuple with one estimate per column (a 1-tuple for an
+    ``(m,)`` output); the columns' samples are *identical*, which is what
+    makes partition checks exact.
 
-    Chunking is deterministic: chunk ``c`` always sees the generator
-    ``rng_stream(seed, derive_stream("chunk", stream, c))``, and partial sums
-    are reduced in chunk order, so the result is independent of the worker
-    count :func:`ordered_map` uses to evaluate chunks.
+    Chunking is deterministic: chunk ``c`` of ``DEFAULT_CHUNK`` draws always
+    sees the generator ``rng_stream(seed, derive_stream("chunk", stream,
+    c))``, and partial sums are reduced in chunk order, so the result is
+    independent of the worker count :func:`ordered_map` uses to evaluate
+    chunks.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    bounds = _chunk_bounds(n_samples, chunk)
+    step = DEFAULT_CHUNK
+    bounds = [(lo, min(lo + step, n_samples)) for lo in range(0, n_samples, step)]
 
     def run_chunk(idx: int) -> tuple[Array, Array, int]:
         lo, hi = bounds[idx]
@@ -249,6 +240,6 @@ def mc_mean(
         var = max((s2 - n_samples * mean * mean) / (n_samples - 1), 0.0)
         return MCEstimate(float(mean), math.sqrt(var / n_samples), n_samples, seed)
 
-    if np.ndim(total) == 0:
-        return finish(float(total), float(total_sq))
-    return [finish(float(s), float(s2)) for s, s2 in zip(total, total_sq)]
+    return tuple(
+        finish(float(s), float(s2)) for s, s2 in zip(np.atleast_1d(total), np.atleast_1d(total_sq))
+    )

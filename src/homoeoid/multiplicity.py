@@ -43,7 +43,6 @@ __all__ = [
     "refined_shell_volume",
     "overlap_l2",
     "direct_overlap_l2",
-    "neighbour_counts",
     "multiplicity_scan",
 ]
 
@@ -75,18 +74,14 @@ class EllipsoidFamily:
         n = r.shape[1]
         if not 0 <= self.axis < n:
             raise ValueError(f"axis {self.axis} out of range for dimension {n}")
-        d = float(self.delta)
-        if not 0.0 < d <= geo.MAX_SHELL_WIDTH:
-            raise ValueError(f"delta must be in (0, {geo.MAX_SHELL_WIDTH}], got {d}")
+        d = geo._shell_width(self.delta)
         if t.shape[0] > math.floor(2.0 / d) + 1:
             raise ValueError("too many members for a delta-separated family in [-1, 1]")
         if np.any(np.abs(t) > 1.0 + 1e-12):
             raise ValueError("offsets must lie in [-1, 1]")
         if t.shape[0] > 1 and np.min(np.diff(t)) < d - 1e-12:
             raise ValueError("offsets must be nondecreasing with gaps >= delta")
-        c = geo.default_refinement_cut(n) if self.cut is None else float(self.cut)
-        if c <= 0:
-            raise ValueError("cut must be positive")
+        c = geo._resolve_cut(n, self.cut)
         lo, hi = geo.restricted_radii_box(n, c)
         if np.any(r < lo - 1e-12) or np.any(r > hi + 1e-12):
             raise ValueError("radii must lie in the restricted box")
@@ -123,7 +118,6 @@ def generate_family(
     seed: int = 0,
     *,
     n: int = 3,
-    cut: Optional[float] = None,
 ) -> EllipsoidFamily:
     """Draw a family uniformly over the admissible configurations.
 
@@ -132,14 +126,13 @@ def generate_family(
     so sorted uniforms on that interval sample the configuration set
     uniformly.  When the slack ``2 - (count-1)*delta`` is zero (a maximal
     family) the offsets collapse to the exact lattice ``-1 + i*delta``.
-    Radii are drawn i.i.d. uniformly from the restricted box.
+    Radii are drawn i.i.d. uniformly from the restricted box of the default
+    cut.
     """
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    d = float(delta)
-    if not 0.0 < d <= geo.MAX_SHELL_WIDTH:
-        raise ValueError(f"delta must be in (0, {geo.MAX_SHELL_WIDTH}], got {d}")
+    d = geo._shell_width(delta)
     if count > math.floor(2.0 / d) + 1:
         raise ValueError("count exceeds the delta-separated capacity of [-1, 1]")
     rng = rng_stream(seed, derive_stream("family", axis, d, count))
@@ -149,9 +142,9 @@ def generate_family(
     else:
         z = np.sort(rng.uniform(0.0, slack, count))
     offsets = np.minimum(-1.0 + d * np.arange(count) + z, 1.0)
-    lo, hi = geo.restricted_radii_box(n, cut)
+    lo, hi = geo.restricted_radii_box(n)
     radii = lo + (hi - lo) * rng.random((count, n))
-    return EllipsoidFamily(axis=axis, delta=d, offsets=offsets, radii=radii, cut=cut)
+    return EllipsoidFamily(axis=axis, delta=d, offsets=offsets, radii=radii)
 
 
 def refined_shell_volume(
@@ -172,12 +165,8 @@ def refined_shell_volume(
     n = r.shape[0]
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
-    d = float(delta)
-    if not 0.0 < d <= geo.MAX_SHELL_WIDTH:
-        raise ValueError(f"delta must be in (0, {geo.MAX_SHELL_WIDTH}], got {d}")
-    c = geo.default_refinement_cut(n) if cut is None else float(cut)
-    if c <= 0:
-        raise ValueError("cut must be positive")
+    d = geo._shell_width(delta)
+    c = geo._resolve_cut(n, cut)
     from scipy.integrate import quad
     from scipy.special import betainc
 
@@ -324,27 +313,12 @@ def direct_overlap_l2(
             counts += geo.annulus_contains(spec, y)
         return box_volume * counts**2
 
-    est = mc_mean(values, m, seed=seed, stream=derive_stream("direct-overlap", int(refined)))
-    assert isinstance(est, MCEstimate)
+    (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("direct-overlap", int(refined)))
     if est.value <= 0.0:
         return MCEstimate(0.0, math.sqrt(est.std_error), est.n_samples, seed)
     return MCEstimate(
         math.sqrt(est.value), est.std_error / (2.0 * math.sqrt(est.value)), est.n_samples, seed
     )
-
-
-def neighbour_counts(family: EllipsoidFamily, tau: float) -> Array:
-    """Number of *other* members within parameter distance ``tau`` of each.
-
-    Separation caps these counts at ``2 * floor(tau / delta)``: each side of
-    a member can hold at most one offset per length ``delta``.
-    """
-
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    gaps = np.abs(family.offsets[:, None] - family.offsets[None, :])
-    within = gaps <= tau
-    return np.sum(within, axis=1) - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -387,11 +361,7 @@ def multiplicity_scan(
     ``trial_seed`` that reproduces its family and estimate in isolation.
     """
 
-    ds = [float(d) for d in deltas]
-    if len(ds) < 3:
-        raise ValueError("need at least three shell widths")
-    if any(b >= a for a, b in zip(ds, ds[1:])):
-        raise ValueError("shell widths must be strictly decreasing")
+    ds = geo._width_grid(deltas)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rule = count_rule if count_rule is not None else lambda d: int(math.floor(1.0 / d))

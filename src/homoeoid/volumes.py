@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from homoeoid import geometry as geo
-from homoeoid.mc import MCEstimate, derive_stream, mc_mean, ordered_map, rng_stream
+from homoeoid.mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, ordered_map, rng_stream
 
 Array = np.ndarray
 
@@ -36,7 +36,6 @@ __all__ = [
     "sphere_area",
     "shell_volume",
     "reference_shell_sampler",
-    "sample_annulus",
     "sample_surface",
     "intersection_volume",
     "volume_bound_scan",
@@ -65,8 +64,7 @@ def shell_volume(radii: Array, delta: float) -> float:
     """
     r = np.asarray(radii, dtype=float)
     n = r.shape[-1]
-    if not 0.0 < delta <= geo.MAX_SHELL_WIDTH:
-        raise ValueError(f"delta must be in (0, {geo.MAX_SHELL_WIDTH}]")
+    delta = geo._shell_width(delta)
     span = (1.0 + delta) ** (n / 2.0) - (1.0 - delta) ** (n / 2.0)
     return float(np.prod(r)) * ball_volume(n) * span
 
@@ -88,8 +86,7 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
     radial coordinate uses the exact inverse CDF of ``s^{n-1} ds`` between
     ``sqrt(1-delta)`` and ``sqrt(1+delta)``.
     """
-    if not 0.0 < delta <= geo.MAX_SHELL_WIDTH:
-        raise ValueError(f"delta must be in (0, {geo.MAX_SHELL_WIDTH}]")
+    delta = geo._shell_width(delta)
     lo = (1.0 - delta) ** (n / 2.0)
     hi = (1.0 + delta) ** (n / 2.0)
 
@@ -103,33 +100,6 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
         return omega
 
     return sample
-
-
-def sample_annulus(spec, m: int, seed: int, stream: int = 0) -> Array:
-    """``m`` uniform points of a (possibly refined) shell, physical coords.
-
-    For refined specs this rejection-filters reference draws through the axis
-    refinement; the acceptance fraction is bounded below uniformly (the
-    refinements cover the shell), so the loop terminates quickly.
-    """
-    base, axis, cut = geo._spec_parts(spec)
-    ell = base.ellipsoid
-    sampler = reference_shell_sampler(base.delta, base.n)
-    out = np.empty((m, base.n))
-    have = 0
-    batch_idx = 0
-    while have < m:
-        rng = rng_stream(seed, derive_stream("annulus", stream, batch_idx))
-        batch_idx += 1
-        omega = sampler(rng, max(m - have, 1024))
-        if axis is not None:
-            omega = omega[geo.refinement_indicator(omega, axis, cut)]
-        take = min(m - have, omega.shape[0])
-        out[have : have + take] = omega[:take]
-        have += take
-        if batch_idx > 10_000:
-            raise RuntimeError("refined-shell sampling failed to accept enough points")
-    return geo.affine_map(ell.centre, ell.radii, out)
 
 
 def sample_surface(
@@ -178,8 +148,7 @@ def intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0) -> M
         hit &= geo.annulus_contains(spec_b, y)
         return v_base * hit
 
-    est = mc_mean(values, m, seed=seed, stream=derive_stream("ivol", stream))
-    assert isinstance(est, MCEstimate)
+    (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("ivol", stream))
     return est
 
 
@@ -197,7 +166,6 @@ def volume_bound_scan(
     m: int = 100_000,
     seed: int,
     n: int = 3,
-    cut: Optional[float] = None,
 ) -> list[dict]:
     """Measured refined-pair intersection volumes against the envelope.
 
@@ -209,7 +177,7 @@ def volume_bound_scan(
     corresponds to ratios with bounded drift across ``delta``.  The cells are
     independent units of :func:`ordered_map`, each on its own keyed streams.
     """
-    lo, hi = geo.restricted_radii_box(n, cut)
+    lo, hi = geo.restricted_radii_box(n)
     cells = [(delta, t, trial) for delta in deltas for t in ts for trial in range(pairs)]
 
     def cell(idx: int) -> dict:
@@ -219,10 +187,10 @@ def volume_bound_scan(
         r2 = lo + (hi - lo) * r_rng.random(n)
         dtilde = geo.perturbed_axis_direction(axis, r1)
         spec_a = geo.RefinedAnnulusSpec(
-            geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta), axis, cut
+            geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta), axis
         )
         spec_b = geo.RefinedAnnulusSpec(
-            geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta), axis, cut
+            geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta), axis
         )
         est = intersection_volume(
             spec_a, spec_b, m, seed, stream=derive_stream("volscan", delta, t, trial)
@@ -284,22 +252,21 @@ def banded_intersection_scan(
     delta: float,
     m: int,
     seed: int,
-    cut: Optional[float] = None,
-    dtilde: Optional[Array] = None,
 ) -> BandDecomposition:
     """Split a refined-pair intersection volume by tangency-functional size.
 
-    The first shell is the refined reference shell; the second is the plain
-    shell at centre ``t * dtilde`` with the given radii.  Requires ``t`` well
-    separated from the shell width (``t > 10*delta``), the regime in which the
-    band structure is meaningful.  All class volumes come from one shared
-    classified batch; ``total`` uses an independent stream.
+    The first shell is the refined reference shell (default cut); the second
+    is the plain shell at centre ``t * axis_direction(n, axis)`` with the
+    given radii.  Requires ``t`` well separated from the shell width (``t >
+    10*delta``), the regime in which the band structure is meaningful.  All
+    class volumes come from one shared classified batch; ``total`` uses an
+    independent stream.
     """
     radii = np.asarray(radii, dtype=float)
     n = radii.shape[0]
     if t <= 10.0 * delta:
         raise ValueError(f"band scan needs t > 10*delta, got t={t}, delta={delta}")
-    frame = geo.AxisFrame(n, axis, dtilde, cut)
+    frame = geo.AxisFrame(n, axis)
     cfg = geo.TangencyConfig(frame, t, radii)
     spec_b = geo.AnnulusSpec(geo.Ellipsoid(cfg.centre, radii), delta)
     v_base = shell_volume(np.ones(n), delta)
@@ -332,8 +299,7 @@ def banded_intersection_scan(
         return v_base * inter
 
     parts = mc_mean(classified, m, seed=seed, stream=derive_stream("bands", t, delta))
-    total = mc_mean(plain, m, seed=seed, stream=derive_stream("bands-total", t, delta))
-    assert isinstance(parts, list) and isinstance(total, MCEstimate)
+    (total,) = mc_mean(plain, m, seed=seed, stream=derive_stream("bands-total", t, delta))
     return BandDecomposition(
         delta=delta,
         t=t,
@@ -373,16 +339,14 @@ def low_jacobian_cluster(
     delta: float,
     m: int,
     seed: int,
-    cut: Optional[float] = None,
-    dtilde: Optional[Array] = None,
-    scale_factor: float = 8.0,
     max_keep: int = 4000,
 ) -> ClusterReport:
     """Cluster the refined shell points where the tangency functional < rho.
 
-    Accepted points are grouped by single linkage at distance
-    ``2 * scale_factor * rho / t``; near tangency the low-norm region falls
-    apart into a bounded number of such clusters with diameters O(rho/t).
+    The refinement uses the default cut and the unperturbed axis direction.
+    Accepted points are grouped by single linkage at distance ``16 * rho /
+    t``; near tangency the low-norm region falls apart into a bounded number
+    of such clusters with diameters O(rho/t).
     At most ``max_keep`` accepted points (the first ones drawn — an unbiased
     subsample of i.i.d. draws) enter the O(count^2) linkage stage.  The
     sample batches are independent units of :func:`ordered_map`.
@@ -391,11 +355,11 @@ def low_jacobian_cluster(
     n = radii.shape[0]
     if rho <= 0 or t <= 0:
         raise ValueError("rho and t must be positive")
-    frame = geo.AxisFrame(n, axis, dtilde, cut)
+    frame = geo.AxisFrame(n, axis)
     cfg = geo.TangencyConfig(frame, t, radii)
     sampler = reference_shell_sampler(delta, n)
 
-    chunk = 1 << 16
+    chunk = DEFAULT_CHUNK
     keep = max(max_keep, 0)
 
     def batch(batch_idx: int) -> tuple[int, Array]:
@@ -410,7 +374,7 @@ def low_jacobian_cluster(
     have = sum(count for count, _ in batches)
     pts = np.concatenate([rows for _, rows in batches], axis=0)[:keep]
 
-    scale = 2.0 * scale_factor * rho / t
+    scale = 16.0 * rho / t
     if pts.shape[0] == 0:
         return ClusterReport(rho, t, scale, 0, (), 0, m, empty=True)
     if pts.shape[0] == 1:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,17 @@ def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def strict_load(path: Path) -> dict:
+    """``path`` parsed as strict JSON: a bare NaN or Infinity raises."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+
 def read_summary(run_dir: Path) -> dict:
-    with open(run_dir / "summary.json", encoding="utf-8") as fh:
-        return json.load(fh)
+    return strict_load(run_dir / "summary.json")
 
 
 class TestRunCommand:
@@ -136,6 +145,37 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "experiment, override, message",
+        [
+            ("fibre", "rho=0", "override rho must be positive, got 0.0"),
+            ("fibre", "rho=-0.1", "override rho must be positive, got -0.1"),
+            ("glpnorm", "C=-1", "opening constant C must be >= 1, got -1.0"),
+            ("divergence", "C=0.5", "opening constant C must be >= 1, got 0.5"),
+        ],
+    )
+    def test_out_of_range_float_override_exits_two(
+        self, tmp_path, capsys, experiment, override, message
+    ):
+        argv = ("--experiment", experiment, "--override", override, "--out", tmp_path)
+        if experiment == "fibre":
+            argv += ("--override", "trials=1")
+        assert run_cli("run", *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_divergent_norm_is_strict_json(self, tmp_path, capsys):
+        assert run_cli("run", "--experiment", "glpnorm", "--p", 2.5, "--out", tmp_path) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "glpnorm-seed0"
+        summary = read_summary(run_dir)
+        assert summary["metrics"]["norm"] == "inf"
+        assert summary["metrics"]["finite"] is False
+        assert (run_dir / "results.csv").read_text(encoding="utf-8") == "p,norm,finite\n2.5,inf,false\n"
+        assert run_cli("report", tmp_path) == 0
+        report = strict_load(tmp_path / "report.json")
+        assert report["runs"][0]["metrics"]["norm"] == "inf"
+
     def test_dimension_below_two_exits_two(self, tmp_path, capsys):
         rc = run_cli("run", "--experiment", "identities", "--n", 1, "--out", tmp_path)
         capsys.readouterr()
@@ -200,8 +240,7 @@ class TestReportCommand:
         for seed in (1, 0):
             fake_run(tmp_path, "demo", seed, rows=(f"{seed},0.5",))
         assert run_cli("report", tmp_path) == 0
-        with open(tmp_path / "report.json", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = strict_load(tmp_path / "report.json")
         assert report["warnings"] == 0
         assert [(r["experiment"], r["seed"]) for r in report["runs"]] == [
             ("demo", 0),
@@ -215,8 +254,7 @@ class TestReportCommand:
         fake_run(tmp_path, "zeta", 0)
         fake_run(tmp_path, "alpha", 1)
         run_cli("report", tmp_path)
-        with open(tmp_path / "report.json", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = strict_load(tmp_path / "report.json")
         assert [r["experiment"] for r in report["runs"]] == ["alpha", "zeta"]
         assert (tmp_path / "report-alpha.csv").exists()
         assert (tmp_path / "report-zeta.csv").exists()
@@ -227,8 +265,7 @@ class TestReportCommand:
         (broken / "summary.json").write_text("{not json", encoding="utf-8")
         assert run_cli("report", tmp_path) == 0
         capsys.readouterr()
-        with open(tmp_path / "report.json", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = strict_load(tmp_path / "report.json")
         assert report["warnings"] == 1
         assert len(report["runs"]) == 1
 
@@ -238,8 +275,7 @@ class TestReportCommand:
         (incomplete / "results.csv").unlink()
         assert run_cli("report", tmp_path) == 0
         assert "no results.csv" in capsys.readouterr().err
-        with open(tmp_path / "report.json", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = strict_load(tmp_path / "report.json")
         assert report["warnings"] == 1
         assert [r["seed"] for r in report["runs"]] == [0]
         merged = (tmp_path / "report-demo.csv").read_text(encoding="utf-8").splitlines()
@@ -260,6 +296,16 @@ class TestReportCommand:
         merged = (tmp_path / "report-identities.csv").read_text(encoding="utf-8").splitlines()
         assert merged[0].startswith("seed,")
         assert {line.split(",")[0] for line in merged[1:]} == {"0", "1"}
+        assert [r["seed"] for r in strict_load(tmp_path / "report.json")["runs"]] == [0, 1]
+
+    def test_reads_an_old_run_with_bare_non_finite_numbers(self, tmp_path):
+        run_dir = fake_run(tmp_path, "demo", 0)
+        summary = {"experiment": "demo", "seed": 0, "metrics": {"a": math.inf, "b": math.nan}}
+        (run_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        assert "Infinity" in (run_dir / "summary.json").read_text(encoding="utf-8")
+        assert run_cli("report", tmp_path) == 0
+        report = strict_load(tmp_path / "report.json")
+        assert report["runs"][0]["metrics"] == {"a": "inf", "b": "nan"}
 
 
 class TestAtomicArtifacts:
@@ -267,7 +313,7 @@ class TestAtomicArtifacts:
 
     @staticmethod
     def result(rows):
-        return cli.RunResult("identities", ("a", "b"), tuple(rows), {"worst": 0.5}, True)
+        return cli.RunResult("identities", tuple(rows), {"worst": 0.5}, True)
 
     def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path):
         config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
@@ -313,7 +359,7 @@ class TestAtomicArtifacts:
         run_dir = cli.write_artifacts(config, self.result(rows))
         assert (run_dir / "results.csv").read_bytes() == b"a,b\n1,0.1\ntrue,2.0\n"
         text = (run_dir / "summary.json").read_text(encoding="utf-8")
-        assert text.endswith("}\n") and json.loads(text)["metrics"] == {"worst": 0.5}
+        assert text.endswith("}\n") and json.loads(text, parse_constant=reject_constant)["metrics"] == {"worst": 0.5}
 
 
 class TestHelpers:
@@ -328,6 +374,9 @@ class TestHelpers:
         assert cli._parse_delta_grid("0.25,0.5,0.25") == (0.5, 0.25)
         with pytest.raises(ValueError):
             cli._parse_delta_grid(",")
+        # every experiment returns at least one row, which needs a delta
+        with pytest.raises(ValueError, match="empty delta grid"):
+            cli.RunConfig("explore-unrefined", deltas=())
 
     def test_override_parsing(self):
         assert cli._parse_overrides(["a=1", "b=0.5"]) == (("a", 1.0), ("b", 0.5))
@@ -411,10 +460,5 @@ class TestConsoleEntry:
         )
         assert proc.returncode in (0, 1)
         assert proc.stderr == ""
-        text = (tmp_path / "divergence-seed0" / "summary.json").read_text(encoding="utf-8")
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        summary = json.loads(text, parse_constant=reject)
+        summary = read_summary(tmp_path / "divergence-seed0")
         assert summary["metrics"]["slope_offset_fit"] is None

@@ -38,7 +38,8 @@ class TestCalibrationFibre:
         # exact: points within distance rho of (0,0,1) on the unit circle
         # span the arc 4*asin(rho/2) ~ 2*rho
         rho = 0.2
-        length = fibres.fibre_length_in_ball(CAL_X, CAL_R, CAL_U, np.array([0.0, 0.0, 1.0]), rho)
+        trace = fibres.trace_fibre(CAL_X, CAL_R, CAL_U, step=0.01, seed=3)
+        length = trace.length_in_ball(np.array([0.0, 0.0, 1.0]), rho)
         assert length == pytest.approx(4 * math.asin(rho / 2), rel=5e-3)
         assert length == pytest.approx(2 * rho, rel=0.05)
 
@@ -118,8 +119,10 @@ class TestValidation:
             fibres.trace_fibre(CAL_X, CAL_R, CAL_U, step=0.0)
 
     def test_positive_ball_radius(self):
-        with pytest.raises(ValueError):
-            fibres.fibre_length_in_ball(CAL_X, CAL_R, CAL_U, np.zeros(3), 0.0)
+        trace = fibres.trace_fibre(CAL_X, CAL_R, CAL_U, step=0.01, seed=3)
+        for radius in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                trace.length_in_ball(np.zeros(3), radius)
 
     def test_empty_fibre_reported(self):
         # levels far outside the reachable range: no intersection

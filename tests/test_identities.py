@@ -176,14 +176,6 @@ class TestIdentitySuite:
             block_jac = identities._system_jacobian_block(tb, r[None], d[None], w[None], axis)[0]
             np.testing.assert_allclose(block_jac, geometry.tangency_system_jacobian(cfg, w), atol=1e-14)
 
-    def test_report_merge(self):
-        a, b = (identities.identity_suite(3, trials=20, seed=s)[1] for s in (0, 1))
-        merged = a.merged_with(b)
-        assert merged.trials == a.trials + b.trials
-        assert merged.max_relative_residual == max(a.max_relative_residual, b.max_relative_residual)
-        with pytest.raises(ValueError):
-            a.merged_with(identities.identity_suite(3, trials=5, seed=0)[0])
-
 
 class TestNondegScan:
     def test_floor_and_ceiling(self):

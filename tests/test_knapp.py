@@ -55,7 +55,7 @@ class TestKnappSlab:
         f = slab.indicator()
         pts = np.random.default_rng(0).uniform(-0.3, 0.3, (500, 3))
         np.testing.assert_array_equal(f(pts), slab.contains(pts).astype(float))
-        assert knapp.knapp_slab(0.1)(np.zeros(3)) == 1.0
+        assert knapp.KnappSlab(0.1).indicator()(np.zeros(3)) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -161,13 +161,13 @@ class TestKnappExponent:
 
 class TestCounterexampleField:
     def test_worked_value(self):
-        ce = knapp.counterexample_field()
+        ce = knapp.CounterexampleField(4.0)
         U = ce.frame
         y = U.T @ np.array([0.25, 0.0, 0.0])
         assert float(ce(y)) == pytest.approx(16.0 * 2.0**-0.75, rel=1e-12)
 
     def test_support(self):
-        ce = knapp.counterexample_field()
+        ce = knapp.CounterexampleField(4.0)
         U = ce.frame
         assert float(ce(U.T @ np.array([0.6, 0.0, 0.0]))) == 0.0  # |x'| > 1/2
         inside = U.T @ np.array([0.25, 0.0, 0.99 * 4.0 * 0.25**2])
@@ -182,23 +182,27 @@ class TestCounterexampleField:
         vals = knapp.profile_value(np.array([0.1, 0.5, 0.9]))
         assert vals.shape == (3,) and vals[2] == 0.0
 
-    def test_frame_orthogonal_and_seed_ignored(self):
-        a = knapp.counterexample_field(seed=1)
-        b = knapp.counterexample_field(seed=99)
+    def test_frame_orthogonal(self):
+        a = knapp.CounterexampleField(4.0)
         assert np.max(np.abs(a.frame @ a.frame.T - np.eye(3))) < 1e-12
-        pts = np.random.default_rng(0).uniform(-1, 1, (100, 3))
-        np.testing.assert_array_equal(a(pts), b(pts))
 
     def test_field_matches_callable(self):
-        ce = knapp.counterexample_field()
+        ce = knapp.CounterexampleField(4.0)
         f = ce.field()
         pts = np.random.default_rng(1).uniform(-0.6, 0.6, (200, 3))
         np.testing.assert_array_equal(f(pts), ce(pts))
         assert f(np.full(3, 5.0)) == 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            knapp.counterexample_field(0.5)
+    @pytest.mark.parametrize("C", [0.5, -1.0, math.nan])
+    def test_opening_constant_rule_is_shared(self, C):
+        x, r = tangency_pair(seed=7)
+        for build in (
+            lambda: knapp.CounterexampleField(C),
+            lambda: knapp.g_lp_norm(2.0, C=C),
+            lambda: knapp.shell_partial_sums(x, r, 16, 16, C=C),
+        ):
+            with pytest.raises(ValueError, match="C must be >= 1"):
+                build()
 
 
 class TestGLpNorm:
@@ -272,7 +276,7 @@ class TestShellPartialSums:
     def test_matches_filtered_surface_oracle(self):
         m_surface = 1 << 21
         s = knapp.shell_partial_sums(self.x, self.r, 8, 4096, seed=3)
-        ce = knapp.counterexample_field()
+        ce = knapp.CounterexampleField(4.0)
         normal = ce.frame[2]
         points, weights = sample_surface(self.r, m_surface, 11, centre=self.x)
         height = points @ normal

@@ -197,7 +197,8 @@ def reference_average(f, spec, m, seed):
         return values
 
     stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
-    return mc_mean(sample_fn, m, seed=seed, stream=stream)
+    (est,) = mc_mean(sample_fn, m, seed=seed, stream=stream)
+    return est
 
 
 def reference_maximal(f, x, delta, net, m, seed, axis=None):

@@ -109,7 +109,7 @@ class TestOrderedMap:
 
 class TestMcMean:
     def test_uniform_mean(self):
-        est = mc.mc_mean(lambda rng, m: rng.random(m), 200_000, seed=11)
+        (est,) = mc.mc_mean(lambda rng, m: rng.random(m), 200_000, seed=11)
         assert est.n_samples == 200_000
         assert abs(est.value - 0.5) < 5 * est.std_error
         assert est.std_error == pytest.approx(np.sqrt(1 / 12 / 200_000), rel=0.05)
@@ -128,7 +128,7 @@ class TestMcMean:
 
     def test_chunk_boundaries_do_not_skew(self):
         # n_samples deliberately not a multiple of the chunk size
-        est = mc.mc_mean(lambda rng, m: rng.random(m), 70_001, seed=3)
+        (est,) = mc.mc_mean(lambda rng, m: rng.random(m), 70_001, seed=3)
         assert abs(est.value - 0.5) < 6 * est.std_error
 
     def test_shared_batch_partition_is_exact(self):
@@ -145,7 +145,7 @@ class TestMcMean:
             return np.stack([x, x * x], axis=1)
 
         a, b = mc.mc_mean(pair, 10_000, seed=2, stream=4)
-        a_alone = mc.mc_mean(lambda rng, m: rng.random(m), 10_000, seed=2, stream=4)
+        (a_alone,) = mc.mc_mean(lambda rng, m: rng.random(m), 10_000, seed=2, stream=4)
         # same stream, same samples; summation order over a strided column may
         # differ from the contiguous case by a few ulp
         assert a.value == pytest.approx(a_alone.value, rel=1e-13)
@@ -156,11 +156,16 @@ class TestMcMean:
         with pytest.raises(ValueError):
             mc.mc_mean(lambda rng, m: rng.random(m + 1), 10, seed=1)
 
-    def test_interval_and_consistency(self):
-        est = mc.MCEstimate(1.0, 0.1, 100, 0)
-        assert est.interval(2.0) == (0.8, 1.2)
-        assert est.consistent_with(1.25)
-        assert not est.consistent_with(1.5)
+    @pytest.mark.parametrize("k", [None, 1, 3], ids=["(m,)", "(m, 1)", "(m, 3)"])
+    def test_returns_one_estimate_per_column(self, k):
+        def sample_fn(rng, m):
+            x = rng.random(m)
+            return x if k is None else np.stack([x] * k, axis=1)
+
+        result = mc.mc_mean(sample_fn, 1000, seed=4)
+        assert type(result) is tuple
+        assert len(result) == (1 if k is None else k)
+        assert all(isinstance(est, mc.MCEstimate) for est in result)
 
 
 class TestFitPowerLaw:

