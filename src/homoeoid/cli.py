@@ -235,21 +235,9 @@ def _exp_volume_bound(config: RunConfig) -> RunResult:
     deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9))
     ts = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0)
     m = config.samples or 20_000
-    raw = volume_bound_scan(
+    rows = volume_bound_scan(
         axis=axis, deltas=deltas, ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n
     )
-    rows = [
-        {
-            "delta": r["delta"],
-            "t": r["t"],
-            "seed": r["trial"],
-            "measured": r["measured"],
-            "std_error": r["std_error"],
-            "bound": r["bound"],
-            "ratio": r["ratio"],
-        }
-        for r in raw
-    ]
     worst = {d: max(r["ratio"] for r in rows if r["delta"] == d) for d in deltas}
     metrics = {"worst_ratio_per_delta": worst, "drift": _drift(list(worst.values()))}
     return RunResult(config.experiment, tuple(rows), metrics, metrics["drift"] <= 4.0)
@@ -263,6 +251,8 @@ def _exp_bands(config: RunConfig) -> RunResult:
     ov.done()
     deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7))
     m = config.samples or (1 << 16)
+    if m < 2:
+        raise ValueError(f"bands needs samples >= 2 to measure a standard error, got {m}")
     rows = []
     worst_z = 0.0
     per_delta_max = {}
@@ -294,7 +284,8 @@ def _exp_bands(config: RunConfig) -> RunResult:
                     per_delta_max[delta] = max(per_delta_max.get(delta, 0.0), ratio)
             combined = math.hypot(band.parts_std_error, band.total.std_error)
             gap = abs(band.parts_sum - band.total.value)
-            worst_z = max(worst_z, gap / combined if combined > 0 else 0.0)
+            z = gap / combined if combined > 0 else (math.inf if gap > 0 else 0.0)
+            worst_z = max(worst_z, z)
     metrics = {
         "worst_partition_z": worst_z,
         "max_part_ratio_per_delta": per_delta_max,
@@ -461,13 +452,15 @@ def _exp_knapp_exponent(config: RunConfig) -> RunResult:
     m_s = config.samples or 8192
     scan = knapp_exponent(deltas, config.p, m_x=m_x, m_s=m_s, seed=config.seed, n=config.n, rho=rho)
     target = _knapp_target(config.p)
-    metrics = {"slope": scan.fit.slope, "p": config.p}
-    passed = True
+    # a width whose ratio is 0 leaves no power law to fit: a measured failure
+    slope = math.nan if scan.fit is None else scan.fit.slope
+    metrics = {"slope": slope, "p": config.p}
+    passed = scan.fit is not None
     if target is not None:
         expected, tol = target
         metrics["expected_slope"] = expected
         metrics["tolerance"] = tol
-        passed = abs(scan.fit.slope - expected) <= tol
+        passed = passed and abs(slope - expected) <= tol
     return RunResult(config.experiment, tuple(scan.rows), metrics, passed)
 
 

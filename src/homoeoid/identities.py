@@ -6,9 +6,11 @@ reporting the worst relative residual over seeded random inputs.  Residuals
 use the convention ``|lhs - rhs| / max(1, |lhs|, |rhs|)`` throughout, so the
 figure degrades gracefully to an absolute error when both sides are small.
 
-The float suite is fully vectorised (batched determinants); a rational mode
-re-runs the polynomial identities in exact ``fractions.Fraction`` arithmetic,
-where the residuals must come out identically zero.
+One identity suite runs in two arithmetics.  Its checks are written once
+over batched arrays: on float64 samples they use LU determinants and the
+relative residual; on object arrays of ``fractions.Fraction`` samples the
+same formulas run with exact determinants and solves, and the residuals
+``|lhs - rhs|`` must come out identically zero.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "NondegScan",
     "rel_residual",
     "circulant_closed_form",
-    "circulant_det_check",
     "contact_point_jacobian",
     "isotropic_contact_determinant",
     "contact_jacobian_check",
@@ -95,39 +96,6 @@ def circulant_closed_form(a, n: int):
     and ``0`` with multiplicity ``n - 1``.
     """
     return (a - 1) ** (n - 1) * (a + n - 1)
-
-
-def circulant_det_check(
-    n_list: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    a_samples: Sequence[float] | None = None,
-    *,
-    trials: int = 100,
-    seed: int = 0,
-) -> IdentityReport:
-    """LU determinant of ``(a - 1) I + ones`` against the closed form."""
-    worst = -1.0
-    worst_desc = ""
-    count = 0
-    for n in n_list:
-        if n < 2:
-            raise ValueError("matrix size must be at least 2")
-        if a_samples is None:
-            rng = rng_stream(seed, derive_stream("circulant", n))
-            avals = rng.uniform(-10.0, 10.0, trials)
-        else:
-            avals = np.asarray(a_samples, dtype=float)
-        mats = np.ones((avals.size, n, n))
-        idx = np.arange(n)
-        mats[:, idx, idx] = avals[:, None]
-        lu = np.linalg.det(mats)
-        closed = circulant_closed_form(avals, n)
-        res = rel_residual(lu, closed)
-        count += avals.size
-        j = int(np.argmax(res))
-        if res[j] > worst:
-            worst = float(res[j])
-            worst_desc = repr((n, float(avals[j])))
-    return IdentityReport("circulant_determinant", count, worst, worst_desc)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +241,15 @@ def contact_jacobian_check(
 # ---------------------------------------------------------------------------
 # batched evaluation of the minor family and its derivative structure
 # ---------------------------------------------------------------------------
+#
+# Every builder below takes float64 arrays or object arrays of ``Fraction``
+# and keeps the dtype (integer literals, ``dtype=w.dtype``), so the suite
+# evaluates the same formulas in both arithmetics.
 
 
 def _pair_minor_block(t: Array, r: Array, d: Array, w: Array, i: int, j: int) -> Array:
     """Gradient minor for the pair ``(i, j)``: batch of trials at once."""
-    inv2 = 1.0 / (r * r)
+    inv2 = 1 / (r * r)
     return (inv2[:, j] - inv2[:, i]) * w[:, i] * w[:, j] - t * (
         d[:, j] * w[:, i] * inv2[:, j] - d[:, i] * w[:, j] * inv2[:, i]
     )
@@ -285,28 +257,24 @@ def _pair_minor_block(t: Array, r: Array, d: Array, w: Array, i: int, j: int) ->
 
 def _axis_minor_block(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
     """All minors against ``axis`` as a ``(trials, n)`` block (axis slot 0)."""
-    inv2 = 1.0 / (r * r)
+    inv2 = 1 / (r * r)
     wk = w[:, axis : axis + 1]
     ik = inv2[:, axis : axis + 1]
     dk = d[:, axis : axis + 1]
     g = (ik - inv2) * w * wk - t[:, None] * (dk * w * ik - d * wk * inv2)
-    g[:, axis] = 0.0
+    g[:, axis] = 0
     return g
 
 
 def _system_jacobian_block(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
     """Batched Jacobian of the tangency system (minor rows plus shell row)."""
     trials, n = w.shape
-    inv2 = 1.0 / (r * r)
-    jac = np.zeros((trials, n, n))
-    row = 0
-    for j in range(n):
-        if j == axis:
-            continue
+    inv2 = 1 / (r * r)
+    jac = np.zeros((trials, n, n), dtype=w.dtype)
+    for row, j in enumerate(k for k in range(n) if k != axis):
         coeff = inv2[:, axis] - inv2[:, j]
         jac[:, row, j] = coeff * w[:, axis] - t * d[:, axis] * inv2[:, axis]
         jac[:, row, axis] = coeff * w[:, j] + t * d[:, j] * inv2[:, j]
-        row += 1
     jac[:, n - 1, :] = w
     return jac
 
@@ -320,14 +288,10 @@ def _principal_matrix(t: Array, r: Array, d: Array, w: Array, axis: int) -> Arra
     the suite.
     """
     trials, n = w.shape
-    mat = np.zeros((trials, n, n))
-    row = 0
-    for j in range(n):
-        if j == axis:
-            continue
+    mat = np.zeros((trials, n, n), dtype=w.dtype)
+    for row, j in enumerate(k for k in range(n) if k != axis):
         mat[:, row, j] = -t * d[:, j] * w[:, axis]
         mat[:, row, axis] = t * d[:, axis] * w[:, j]
-        row += 1
     mat[:, n - 1, :] = (r * w) ** 2
     return mat
 
@@ -336,23 +300,19 @@ def _minor_remainder_matrix(t: Array, r: Array, d: Array, w: Array, axis: int) -
     """Remainder: minor row ``j`` carries ``r_j**2 G_j`` and ``r_axis**2 G_j``."""
     trials, n = w.shape
     g = _axis_minor_block(t, r, d, w, axis)
-    mat = np.zeros((trials, n, n))
-    row = 0
-    for j in range(n):
-        if j == axis:
-            continue
+    mat = np.zeros((trials, n, n), dtype=w.dtype)
+    for row, j in enumerate(k for k in range(n) if k != axis):
         mat[:, row, j] = r[:, j] ** 2 * g[:, j]
         mat[:, row, axis] = r[:, axis] ** 2 * g[:, j]
-        row += 1
     return mat
 
 
 def _leave_one_out_products(d: Array) -> Array:
     """``out[:, j] = prod_{i != j} d[:, i]`` without dividing (entries may be 0)."""
     trials, n = d.shape
-    prefix = np.ones((trials, n + 1))
+    prefix = np.ones((trials, n + 1), dtype=d.dtype)
     prefix[:, 1:] = np.cumprod(d, axis=1)
-    suffix = np.ones((trials, n + 1))
+    suffix = np.ones((trials, n + 1), dtype=d.dtype)
     suffix[:, :-1] = np.cumprod(d[:, ::-1], axis=1)[:, ::-1]
     return prefix[:, :n] * suffix[:, 1:]
 
@@ -365,21 +325,118 @@ def principal_determinant_closed_form(t: Array, r: Array, d: Array, w: Array, ax
     n = w.shape[1]
     loo = _leave_one_out_products(d)
     series = np.sum(loo * r**2 * w**3, axis=1)
-    return (-1.0) ** axis * t ** (n - 1) * w[:, axis] ** (n - 2) * series
+    return (-1) ** axis * t ** (n - 1) * w[:, axis] ** (n - 2) * series
 
 
 # ---------------------------------------------------------------------------
-# the float identity suite
+# the two arithmetics: exact kernels and dtype dispatch
 # ---------------------------------------------------------------------------
 
 
-def _sample_suite_inputs(rng: np.random.Generator, n: int, trials: int, axis: int):
+def _frac_det(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination with pivoting."""
+    m = [row[:] for row in matrix]
+    size = len(m)
+    sign = 1
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((row for row in range(col, size) if m[row][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        det *= m[col][col]
+        for row in range(col + 1, size):
+            if m[row][col]:  # entries may be plain ints: keep the division exact
+                factor = Fraction(m[row][col]) / m[col][col]
+                m[row] = [m[row][i] - factor * m[col][i] for i in range(size)]
+    return sign * det
+
+
+def _frac_inv(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
+    size = len(matrix)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((row for row in range(col, size) if aug[row][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular rational matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [v * inv_p for v in aug[col]]
+        for row in range(size):
+            if row != col and aug[row][col]:
+                factor = aug[row][col]
+                aug[row] = [aug[row][i] - factor * aug[col][i] for i in range(2 * size)]
+    return [row[size:] for row in aug]
+
+
+def _det(mats: Array) -> Array:
+    """Batched determinant: LU in float64, exact elimination per trial on Fractions."""
+    if mats.dtype == object:
+        return np.array([_frac_det(m.tolist()) for m in mats], dtype=object)
+    return np.linalg.det(mats)
+
+
+def _solve(a: Array, b: Array) -> Array:
+    """Batched ``a^-1 b``: LU in float64, the exact inverse per trial on Fractions."""
+    if a.dtype == object:
+        return np.stack([np.array(_frac_inv(m.tolist()), dtype=object) @ rhs for m, rhs in zip(a, b)])
+    return np.linalg.solve(a, b)
+
+
+def _residual(lhs: Array, rhs: Array) -> Array:
+    """:func:`rel_residual` in float64; the exact ``|lhs - rhs|`` on Fractions."""
+    if lhs.dtype == object:
+        return np.abs(lhs - rhs)
+    return rel_residual(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the identity suite
+# ---------------------------------------------------------------------------
+
+
+def _float_inputs(n: int, trials: int, seed: int, axis: int, ell: int):
+    """Seeded float64 ``(a, t, r, d, w, blocks)``; Schur ``W`` blocks redrawn while ``cond > 1e6``."""
+    rng = rng_stream(seed, derive_stream("identity-suite", n, axis))
     cut = default_refinement_cut(n)
     w = rng.uniform(-1.0, 1.0, (trials, n))
     t = 2.0 * (1.0 - rng.random(trials))  # in (0, 2]
     r = rng.uniform(0.5, 2.0, (trials, n))
     d = axis_direction(n, axis)[None, :] + rng.uniform(-1.0, 1.0, (trials, n)) * cut**2
-    return t, r, d, w
+    blocks = rng.uniform(-1.0, 1.0, (trials, n, n))
+    for _ in range(64):
+        bad = np.linalg.cond(blocks[:, :ell, :ell]) > 1e6
+        if not np.any(bad):
+            break
+        blocks[bad] = rng.uniform(-1.0, 1.0, (int(np.sum(bad)), n, n))
+    a = rng_stream(seed, derive_stream("circulant", n)).uniform(-10.0, 10.0, trials)
+    return a, t, r, d, w, blocks
+
+
+def _rational_inputs(n: int, trials: int, seed: int, axis: int, ell: int):
+    """The same inputs as small-denominator ``Fraction`` object arrays; ``det(W) != 0``."""
+    rng = rng_stream(seed, derive_stream("identity-suite-exact", n, axis))
+
+    def frac(num, den):
+        num, den = np.broadcast_arrays(num, den)
+        flat = list(map(Fraction, num.ravel().tolist(), den.ravel().tolist()))
+        return np.array(flat, dtype=object).reshape(num.shape)
+
+    w = frac(rng.integers(-12, 13, (trials, n)), rng.integers(1, 9, (trials, n)))
+    t = frac(rng.integers(1, 17, trials), 8)
+    r = frac(rng.integers(4, 17, (trials, n)), 8)
+    d = frac((np.arange(n) != axis) * (1 << 17) + rng.integers(-8, 9, (trials, n)), 1 << 17)
+    blocks = frac(rng.integers(-8, 9, (trials, n, n)), 4)
+    while True:
+        bad = _det(blocks[:, :ell, :ell]) == 0
+        if not np.any(bad):
+            break
+        blocks[bad] = frac(rng.integers(-8, 9, (int(np.sum(bad)), n, n)), 4)
+    a = frac(rng.integers(-80, 81, trials), 8)
+    return a, t, r, d, w, blocks
 
 
 def _describe_trial(n, axis, t, r, d, w):
@@ -389,9 +446,9 @@ def _describe_trial(n, axis, t, r, d, w):
                 n,
                 axis,
                 float(t[idx]),
-                tuple(np.round(r[idx], 12)),
-                tuple(np.round(d[idx], 12)),
-                tuple(np.round(w[idx], 12)),
+                tuple(np.round(r[idx].astype(float), 12)),
+                tuple(np.round(d[idx].astype(float), 12)),
+                tuple(np.round(w[idx].astype(float), 12)),
             )
         )
 
@@ -416,9 +473,10 @@ def identity_suite(
     scaling ``prod(r_j^2 w_j) det(system Jacobian) = det(principal +
     remainder)`` tying the derivative formulas to the matrix split.
 
-    With ``rational=True`` every check runs in exact ``Fraction`` arithmetic
-    on rational samples (supported for ``n <= 4``); the residuals are then
-    exactly zero, not merely small.
+    One suite, two arithmetics: the checks below are written once and run
+    on float64 samples, or with ``rational=True`` on object arrays of
+    ``Fraction`` samples (supported for ``n <= 4``), where determinants and
+    solves are exact and the residuals ``|lhs - rhs|`` must be exactly zero.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -426,28 +484,35 @@ def identity_suite(
         raise ValueError("axis out of range")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if rational:
-        if n > 4:
-            raise ValueError("rational mode supports n <= 4 only")
-        return _rational_suite(n, trials, seed=seed, axis=axis)
-
-    rng = rng_stream(seed, derive_stream("identity-suite", n, axis))
-    t, r, d, w = _sample_suite_inputs(rng, n, trials, axis)
+    if rational and n > 4:
+        raise ValueError("rational mode supports n <= 4 only")
+    ell = max(1, (n - 1) // 2)
+    sample = _rational_inputs if rational else _float_inputs
+    a, t, r, d, w, blocks = sample(n, trials, seed, axis, ell)
     describe = _describe_trial(n, axis, t, r, d, w)
-    reports = [circulant_det_check((n,), trials=trials, seed=seed)]
+
+    # all-ones-off-diagonal determinant: LU oracle vs factorisation
+    mats = np.ones((trials, n, n), dtype=a.dtype)
+    mats[:, np.arange(n), np.arange(n)] = a[:, None]
+    reports = [
+        _report_from_residuals(
+            "circulant_determinant",
+            _residual(_det(mats), circulant_closed_form(a, n)),
+            lambda idx: repr((n, float(a[idx]))),
+        )
+    ]
 
     # (a) syzygy over all off-axis pairs
+    g = _axis_minor_block(t, r, d, w, axis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i != axis and j != axis]
     if pairs:
-        res = np.zeros((trials, len(pairs)))
-        g = _axis_minor_block(t, r, d, w, axis)
-        for col, (i, j) in enumerate(pairs):
-            lhs = w[:, axis] * _pair_minor_block(t, r, d, w, i, j)
-            rhs = w[:, j] * g[:, i] - w[:, i] * g[:, j]
-            res[:, col] = rel_residual(lhs, rhs)
+        res = [
+            _residual(w[:, axis] * _pair_minor_block(t, r, d, w, i, j), w[:, j] * g[:, i] - w[:, i] * g[:, j])
+            for i, j in pairs
+        ]
         reports.append(
             _report_from_residuals(
-                "minor_syzygy", np.max(res, axis=1), describe, details={"pairs": len(pairs)}
+                "minor_syzygy", np.max(res, axis=0), describe, details={"pairs": len(pairs)}
             )
         )
     else:
@@ -457,233 +522,45 @@ def identity_suite(
 
     # (b) derivative identities, both variables, all off-axis minors
     jac = _system_jacobian_block(t, r, d, w, axis)
-    g = _axis_minor_block(t, r, d, w, axis)
-    inv2 = 1.0 / (r * r)
-    res_b = np.zeros(trials)
-    row = 0
-    for j in range(n):
-        if j == axis:
-            continue
+    inv2 = 1 / (r * r)
+    res = []
+    for row, j in enumerate(k for k in range(n) if k != axis):
         lhs1 = w[:, j] * jac[:, row, j]
         rhs1 = g[:, j] - t * d[:, j] * w[:, axis] * inv2[:, j]
         lhs2 = w[:, axis] * jac[:, row, axis]
         rhs2 = g[:, j] + t * d[:, axis] * w[:, j] * inv2[:, axis]
-        res_b = np.maximum(res_b, rel_residual(lhs1, rhs1))
-        res_b = np.maximum(res_b, rel_residual(lhs2, rhs2))
-        row += 1
-    reports.append(_report_from_residuals("minor_derivatives", res_b, describe))
+        res += [_residual(lhs1, rhs1), _residual(lhs2, rhs2)]
+    reports.append(_report_from_residuals("minor_derivatives", np.max(res, axis=0), describe))
 
-    # (c) Schur complement determinant identity on well-conditioned blocks
-    ell = max(1, (n - 1) // 2)
-    m = n - ell
-    blocks = rng.uniform(-1.0, 1.0, (trials, n, n))
-    for _ in range(64):
-        cond = np.linalg.cond(blocks[:, :ell, :ell])
-        bad = cond > 1e6
-        if not np.any(bad):
-            break
-        blocks[bad] = rng.uniform(-1.0, 1.0, (int(np.sum(bad)), n, n))
+    # (c) Schur complement determinant identity on invertible W blocks
     wblk = blocks[:, :ell, :ell]
     xblk = blocks[:, :ell, ell:]
     yblk = blocks[:, ell:, :ell]
     zblk = blocks[:, ell:, ell:]
-    lhs = np.linalg.det(blocks)
-    rhs = np.linalg.det(wblk) * np.linalg.det(zblk - yblk @ np.linalg.solve(wblk, xblk))
+    lhs = _det(blocks)
+    rhs = _det(wblk) * _det(zblk - yblk @ _solve(wblk, xblk))
     reports.append(
         _report_from_residuals(
             "schur_complement",
-            rel_residual(lhs, rhs),
-            lambda idx: repr((n, ell, m, np.round(blocks[idx], 8).tolist())),
-            details={"split": (ell, m)},
+            _residual(lhs, rhs),
+            lambda idx: repr((n, ell, n - ell, np.round(blocks[idx].astype(float), 8).tolist())),
+            details={"split": (ell, n - ell)},
         )
     )
 
     # (d) principal-matrix determinant: LU oracle vs closed form
     amat = _principal_matrix(t, r, d, w, axis)
-    lu = np.linalg.det(amat)
     closed = principal_determinant_closed_form(t, r, d, w, axis)
-    reports.append(_report_from_residuals("axis_determinant", rel_residual(lu, closed), describe))
+    reports.append(_report_from_residuals("axis_determinant", _residual(_det(amat), closed), describe))
 
     # (e) exact column scaling of the system Jacobian
-    lhs_e = np.prod(r * r * w, axis=1) * np.linalg.det(jac)
-    rhs_e = np.linalg.det(amat + _minor_remainder_matrix(t, r, d, w, axis))
-    reports.append(_report_from_residuals("jacobian_factorisation", rel_residual(lhs_e, rhs_e), describe))
+    lhs_e = np.prod(r * r * w, axis=1) * _det(jac)
+    rhs_e = _det(amat + _minor_remainder_matrix(t, r, d, w, axis))
+    reports.append(_report_from_residuals("jacobian_factorisation", _residual(lhs_e, rhs_e), describe))
+    if rational:
+        exact = {"worst_case_input": "exact rational trials", "details": {"mode": "rational"}}
+        reports = [dataclasses.replace(report, **exact) for report in reports]
     return reports
-
-
-# ---------------------------------------------------------------------------
-# exact rational mode
-# ---------------------------------------------------------------------------
-
-
-def _frac_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with pivoting."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    sign = 1
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((row for row in range(col, size) if m[row][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        det *= m[col][col]
-        for row in range(col + 1, size):
-            factor = m[row][col] / m[col][col]
-            if factor:
-                m[row] = [m[row][i] - factor * m[col][i] for i in range(size)]
-    return sign * det
-
-
-def _frac_inv(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination; raises if singular."""
-    size = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((row for row in range(col, size) if aug[row][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular rational matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for row in range(size):
-            if row != col and aug[row][col]:
-                factor = aug[row][col]
-                aug[row] = [aug[row][i] - factor * aug[col][i] for i in range(2 * size)]
-    return [row[size:] for row in aug]
-
-
-def _rational_minor(t, r, d, w, i, j):
-    return (
-        (Fraction(1) / r[j] ** 2 - Fraction(1) / r[i] ** 2) * w[i] * w[j]
-        - t * (d[j] * w[i] / r[j] ** 2 - d[i] * w[j] / r[i] ** 2)
-    )
-
-
-def _rational_trial(rng: np.random.Generator, n: int, axis: int):
-    w = [Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 9))) for _ in range(n)]
-    t = Fraction(int(rng.integers(1, 17)), 8)
-    r = [Fraction(int(rng.integers(4, 17)), 8) for _ in range(n)]
-    d = [
-        Fraction(int(i != axis)) + Fraction(int(rng.integers(-8, 9)), 1 << 17)
-        for i in range(n)
-    ]
-    return t, r, d, w
-
-
-def _rational_suite(n: int, trials: int, *, seed: int, axis: int) -> list[IdentityReport]:
-    rng = rng_stream(seed, derive_stream("identity-suite-exact", n, axis))
-    worst = {
-        "circulant_determinant": Fraction(0),
-        "minor_syzygy": Fraction(0),
-        "minor_derivatives": Fraction(0),
-        "schur_complement": Fraction(0),
-        "axis_determinant": Fraction(0),
-        "jacobian_factorisation": Fraction(0),
-    }
-    ell = max(1, (n - 1) // 2)
-    for _ in range(trials):
-        t, r, d, w = _rational_trial(rng, n, axis)
-        g = [
-            _rational_minor(t, r, d, w, j, axis) if j != axis else Fraction(0)
-            for j in range(n)
-        ]
-
-        a = Fraction(int(rng.integers(-80, 81)), 8)
-        mat = [[a if i == j else Fraction(1) for j in range(n)] for i in range(n)]
-        worst["circulant_determinant"] = max(
-            worst["circulant_determinant"], abs(_frac_det(mat) - (a - 1) ** (n - 1) * (a + n - 1))
-        )
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if i == axis or j == axis:
-                    continue
-                lhs = w[axis] * _rational_minor(t, r, d, w, i, j)
-                rhs = w[j] * g[i] - w[i] * g[j]
-                worst["minor_syzygy"] = max(worst["minor_syzygy"], abs(lhs - rhs))
-
-        for j in range(n):
-            if j == axis:
-                continue
-            coeff = Fraction(1) / r[axis] ** 2 - Fraction(1) / r[j] ** 2
-            dj = coeff * w[axis] - t * d[axis] / r[axis] ** 2
-            dk = coeff * w[j] + t * d[j] / r[j] ** 2
-            worst["minor_derivatives"] = max(
-                worst["minor_derivatives"],
-                abs(w[j] * dj - (g[j] - t * d[j] * w[axis] / r[j] ** 2)),
-                abs(w[axis] * dk - (g[j] + t * d[axis] * w[j] / r[axis] ** 2)),
-            )
-
-        while True:
-            block = [[Fraction(int(rng.integers(-8, 9)), 4) for _ in range(n)] for _ in range(n)]
-            wblk = [row[:ell] for row in block[:ell]]
-            if _frac_det(wblk) != 0:
-                break
-        xblk = [row[ell:] for row in block[:ell]]
-        yblk = [row[:ell] for row in block[ell:]]
-        zblk = [row[ell:] for row in block[ell:]]
-        winv = _frac_inv(wblk)
-        wx = [[sum(winv[i][k] * xblk[k][j] for k in range(ell)) for j in range(n - ell)] for i in range(ell)]
-        schur = [
-            [zblk[i][j] - sum(yblk[i][k] * wx[k][j] for k in range(ell)) for j in range(n - ell)]
-            for i in range(n - ell)
-        ]
-        worst["schur_complement"] = max(
-            worst["schur_complement"], abs(_frac_det(block) - _frac_det(wblk) * _frac_det(schur))
-        )
-
-        amat = [[Fraction(0)] * n for _ in range(n)]
-        row = 0
-        for j in range(n):
-            if j == axis:
-                continue
-            amat[row][j] = -t * d[j] * w[axis]
-            amat[row][axis] = t * d[axis] * w[j]
-            row += 1
-        amat[n - 1] = [r[i] ** 2 * w[i] ** 2 for i in range(n)]
-        series = Fraction(0)
-        for j in range(n):
-            prod = Fraction(1)
-            for i in range(n):
-                if i != j:
-                    prod *= d[i]
-            series += prod * r[j] ** 2 * w[j] ** 3
-        closed = Fraction(-1 if axis % 2 else 1) * t ** (n - 1) * w[axis] ** (n - 2) * series
-        worst["axis_determinant"] = max(worst["axis_determinant"], abs(_frac_det(amat) - closed))
-
-        jac = [[Fraction(0)] * n for _ in range(n)]
-        row = 0
-        for j in range(n):
-            if j == axis:
-                continue
-            coeff = Fraction(1) / r[axis] ** 2 - Fraction(1) / r[j] ** 2
-            jac[row][j] = coeff * w[axis] - t * d[axis] / r[axis] ** 2
-            jac[row][axis] = coeff * w[j] + t * d[j] / r[j] ** 2
-            row += 1
-        jac[n - 1] = list(w)
-        scale = Fraction(1)
-        for i in range(n):
-            scale *= r[i] ** 2 * w[i]
-        bmat = [[Fraction(0)] * n for _ in range(n)]
-        row = 0
-        for j in range(n):
-            if j == axis:
-                continue
-            bmat[row][j] = r[j] ** 2 * g[j]
-            bmat[row][axis] = r[axis] ** 2 * g[j]
-            row += 1
-        total = [[amat[i][j] + bmat[i][j] for j in range(n)] for i in range(n)]
-        worst["jacobian_factorisation"] = max(
-            worst["jacobian_factorisation"], abs(scale * _frac_det(jac) - _frac_det(total))
-        )
-
-    return [
-        IdentityReport(name, trials, float(value), "exact rational trials", details={"mode": "rational"})
-        for name, value in worst.items()
-    ]
 
 
 # ---------------------------------------------------------------------------

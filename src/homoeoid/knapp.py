@@ -130,9 +130,13 @@ def sample_tangency_set(
 
 @dataclasses.dataclass(frozen=True)
 class ExponentScan:
-    """Power-law fit of slab-average ratios plus the per-width table."""
+    """Power-law fit of slab-average ratios plus the per-width table.
 
-    fit: ScalingFit
+    ``fit`` is ``None`` when some width's ratio is 0 (no shell sample hit the
+    slab), since no power law passes through it; the rows are kept.
+    """
+
+    fit: ScalingFit | None
     rows: tuple
 
 
@@ -248,7 +252,7 @@ def knapp_exponent(
             std_error = math.inf
         rows.append({"delta": delta, "p": p, "ratio": ratio, "std_error": std_error})
         ratios.append(ratio)
-    fit = fit_power_law(np.asarray(deltas), np.asarray(ratios))
+    fit = fit_power_law(np.asarray(deltas), np.asarray(ratios)) if min(ratios) > 0.0 else None
     return ExponentScan(fit=fit, rows=tuple(rows))
 
 

@@ -174,8 +174,10 @@ def volume_bound_scan(
     second's centre moves to ``t * dtilde`` with ``dtilde`` the perturbed axis
     direction), and estimates the intersection volume of the two axis-refined
     shells.  Rows report ``ratio = measured / envelope``; a uniform bound
-    corresponds to ratios with bounded drift across ``delta``.  The cells are
-    independent units of :func:`ordered_map`, each on its own keyed streams.
+    corresponds to ratios with bounded drift across ``delta``; a row's
+    ``seed`` is its trial index, on which its radii and sample streams are
+    keyed.  The cells are independent units of :func:`ordered_map`, each on
+    its own keyed streams.
     """
     lo, hi = geo.restricted_radii_box(n)
     cells = [(delta, t, trial) for delta in deltas for t in ts for trial in range(pairs)]
@@ -199,7 +201,7 @@ def volume_bound_scan(
         return {
             "delta": delta,
             "t": t,
-            "trial": trial,
+            "seed": trial,
             "measured": est.value,
             "std_error": est.std_error,
             "bound": bound,

@@ -27,6 +27,7 @@ def test_package_exports_resolve():
     "owner, name",
     [
         (identities.IdentityReport, "merged_with"),
+        (identities, "circulant_det_check"),
         (knapp, "knapp_slab"),
         (knapp, "counterexample_field"),
         (fibres, "fibre_length_in_ball"),

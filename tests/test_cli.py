@@ -102,6 +102,24 @@ class TestRunCommand:
         assert rc == 2
         assert "L must be at least 16" in capsys.readouterr().err
 
+    def test_single_sample_bands_exits_two(self, tmp_path, capsys):
+        # one sample has no standard error, so the partition z cannot be measured
+        rc = run_cli("run", "--experiment", "bands", "--samples", 1, "--out", tmp_path)
+        assert rc == 2
+        assert "bands needs samples >= 2" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unfittable_knapp_scan_exits_one_with_rows(self, tmp_path, capsys):
+        argv = ("--experiment", "knapp-exponent", "--override", "m_x=2", "--samples", 2)
+        argv += ("--delta-grid", "0.0625,0.03125,0.015625", "--out", tmp_path)
+        assert run_cli("run", *argv) == 1
+        capsys.readouterr()
+        run_dir = tmp_path / "knapp-exponent-seed0"
+        assert read_summary(run_dir)["metrics"]["slope"] == "nan"
+        lines = (run_dir / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "delta,p,ratio,std_error"
+        assert len(lines) - 1 == 3
+
     @pytest.mark.parametrize(
         "experiment, override",
         [("divergence", "L=16.9"), ("clusters", "configs=2.7"), ("multiplicity", "trials=1.5")],

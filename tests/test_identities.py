@@ -1,6 +1,7 @@
 """Tests for the closed-form identity checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,18 +44,27 @@ class TestCirculantDeterminant:
         assert identities.circulant_closed_form(2.0, 3) == 4.0
 
     def test_large_dimension_seeded(self):
-        report = identities.circulant_det_check((8,), trials=100, seed=0)
+        report = identities.identity_suite(8, trials=100, seed=0)[0]
+        assert report.name == "circulant_determinant"
         assert report.trials == 100
         assert report.max_relative_residual < 1e-9
 
     def test_explicit_samples(self):
-        report = identities.circulant_det_check((3,), a_samples=[2.0, -1.0, 0.5])
-        assert report.trials == 3
-        assert report.max_relative_residual < 1e-12
+        for a in (2.0, -1.0, 0.5):
+            mat = np.full((3, 3), 1.0) + (a - 1.0) * np.eye(3)
+            assert identities.rel_residual(np.linalg.det(mat), identities.circulant_closed_form(a, 3)) < 1e-12
 
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
-            identities.circulant_det_check((1,))
+            identities.identity_suite(1)
+
+    def test_exact_determinant_with_integer_pivots(self):
+        # a = 0 swaps an all-ones row (plain ints) into the pivot slot
+        mats = np.ones((1, 3, 3), dtype=object)
+        mats[0, np.arange(3), np.arange(3)] = Fraction(0)
+        det = identities._det(mats)[0]
+        assert isinstance(det, Fraction)
+        assert det == identities.circulant_closed_form(Fraction(0), 3) == 2
 
 
 class TestContactJacobian:
@@ -159,6 +169,16 @@ class TestIdentitySuite:
         mat = identities._principal_matrix(t, r, d, w, 0)
         assert np.linalg.det(mat)[0] == pytest.approx(1.0, abs=1e-14)
         assert identities.principal_determinant_closed_form(t, r, d, w, 0)[0] == pytest.approx(1.0)
+
+    def test_principal_closed_form_is_exact_on_fractions(self):
+        t = np.array([Fraction(3, 2)], dtype=object)
+        r = np.array([[Fraction(1, 2), Fraction(5, 4), Fraction(7, 8)]], dtype=object)
+        d = np.array([[Fraction(1, 1 << 17), Fraction(131071, 1 << 17), Fraction(1)]], dtype=object)
+        w = np.array([[Fraction(-3, 4), Fraction(2, 5), Fraction(7, 3)]], dtype=object)
+        for axis in range(3):
+            closed = identities.principal_determinant_closed_form(t, r, d, w, axis)[0]
+            assert isinstance(closed, Fraction)
+            assert closed == identities._frac_det(identities._principal_matrix(t, r, d, w, axis)[0].tolist())
 
     def test_block_helpers_match_geometry(self):
         rng = rng_stream(0, derive_stream("test-suite-tie"))

@@ -148,6 +148,12 @@ class TestKnappExponent:
         b = knapp.knapp_exponent(self.DELTAS[:3], 2.0, 8, 512, seed=4)
         assert a.fit == b.fit
 
+    def test_zero_ratio_keeps_rows_without_fit(self):
+        scan = knapp.knapp_exponent([0.0625, 0.03125, 0.015625], 2.0, 2, 2, seed=0)
+        assert scan.fit is None
+        assert [row["delta"] for row in scan.rows] == [0.0625, 0.03125, 0.015625]
+        assert any(row["ratio"] == 0.0 and row["std_error"] == math.inf for row in scan.rows)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             knapp.knapp_exponent([0.1, 0.05], 2.0)
