@@ -1,19 +1,20 @@
 """Command-line front end: seeded experiments with CSV/JSON artifacts.
 
 Each experiment maps a :class:`RunConfig` to a table of rows (the CSV header
-is the first row's keys) plus a metrics dictionary and a pass flag, written
-as ``results.csv`` and ``summary.json`` under ``<out>/<experiment>-seed<seed>/``.
+is the first row's keys), metrics and the :class:`Gate` list its pass flag
+rests on, written as ``results.csv`` and ``summary.json`` (which records each
+gate's measured value) under ``<out>/<experiment>-seed<seed>/``.  Overrides
+are an experiment's keyword-only parameters, typed like their defaults.
 CSV bodies are a pure function of the configuration — floats are serialised
 with ``repr`` and all Monte-Carlo reductions are order-fixed — so re-running
 a configuration (under any ``HOMOEOID_THREADS`` setting) reproduces the bytes
 exactly; timestamps and the worker count live only in the summary.  The JSON
 artifacts are strict: a non-finite float is written as the string ``"inf"``,
-``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 all
-thresholds met, 1 a threshold was violated, 2 the configuration was invalid
-(including a non-finite ``p``, delta or float override, a non-positive
-``rho`` or an opening constant ``C`` below 1) or artifacts could not be
-written.  Every artifact is written to a temporary file beside it and
-renamed into place, so a failed write leaves the previous file intact.
+``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 every gate
+holds, 1 a gate failed, 2 the configuration was invalid (an unknown or
+mistyped override, a non-finite ``p`` or delta, a non-positive ``rho`` or an
+opening constant ``C`` below 1) or artifacts could not be written.  Every
+artifact is written to a temporary file and renamed into place.
 
 ``report`` merges the summaries under an output directory into a single
 ``report.json`` (ordered by experiment then seed, corrupt or incomplete runs
@@ -31,16 +32,16 @@ import dataclasses
 import datetime
 import json
 import math
+import operator
 import os
 import sys
 import uuid
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from . import geometry as geo
 from .fibres import trace_fibre
 from .identities import contact_jacobian_check, identity_suite, nondeg_bounds_scan
 from .knapp import (
@@ -55,14 +56,12 @@ from .mc import derive_stream, fit_power_law, rng_stream, worker_count
 from .multiplicity import multiplicity_scan
 from .volumes import (
     banded_intersection_scan,
-    intersection_volume,
     low_jacobian_cluster,
-    pair_volume_bound,
     seeded_cluster_configs,
     volume_bound_scan,
 )
 
-__all__ = ["RunConfig", "RunResult", "run_experiment", "emit_report", "main"]
+__all__ = ["Gate", "RunConfig", "RunResult", "run_experiment", "emit_report", "main"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +81,7 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+            raise ValueError(f"dimension must be >= 2, got {self.n}")
         if not math.isfinite(self.p):
             raise ValueError(f"p must be finite, got {self.p}")
         if self.deltas is not None:
@@ -95,52 +94,65 @@ class RunConfig:
                 raise ValueError("delta grid must be strictly decreasing")
             object.__setattr__(self, "deltas", ds)
         if self.samples is not None and self.samples <= 0:
-            raise ValueError("samples must be positive")
+            raise ValueError(f"samples must be positive, got {self.samples}")
         object.__setattr__(self, "overrides", tuple(self.overrides))
         dict(self.overrides)
+
+
+_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """A threshold the pass flag rests on: ``metrics[metric] op bound``.
+
+    ``op`` is one of ``<``, ``<=``, ``>``, ``>=``, ``==``; a NaN measurement
+    fails every comparison.
+    """
+
+    metric: str
+    op: str
+    bound: float | bool
+
+    def holds(self, metrics: dict) -> bool:
+        return bool(_OPS[self.op](metrics[self.metric], self.bound))
 
 
 @dataclasses.dataclass(frozen=True)
 class RunResult:
     """An experiment's rows (at least one; the CSV header is the first row's
-    keys, in order), metrics and pass flag."""
+    keys, in order), metrics and gates; it passes when every gate holds."""
 
     experiment: str
     rows: tuple
     metrics: dict
-    passed: bool
+    gates: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(g.holds(self.metrics) for g in self.gates)
 
 
-class _Overrides:
-    """Typed access to ``key=value`` overrides; unknown keys are an error."""
-
-    def __init__(self, config: RunConfig):
-        self._left = dict(config.overrides)
-
-    def pull(self, key: str, default):
-        """The override for ``key``, typed like ``default``, else ``default``."""
-        if key not in self._left:
-            return default
-        raw = self._left.pop(key)
-        if isinstance(default, int):
-            if not float(raw).is_integer():
-                raise ValueError(f"override {key} must be an integer, got {raw!r}")
-            return int(raw)
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ValueError(f"override {key} must be finite, got {value!r}")
-        return value
-
-    def count(self, key: str, default: int) -> int:
-        """An integer override that must be at least 1."""
-        value = self.pull(key, default)
-        if value < 1:
+def _typed_override(key: str, raw, default):
+    """``raw`` typed like ``default``: an integer must be a whole number, and
+    at least 1 unless it names an axis; a float must be finite."""
+    if isinstance(default, int):
+        if not float(raw).is_integer():
+            raise ValueError(f"override {key} must be an integer, got {raw!r}")
+        value = int(raw)
+        if value < 1 and key != "axis":
             raise ValueError(f"override {key} must be at least 1, got {value}")
         return value
-
-    def done(self) -> None:
-        if self._left:
-            raise ValueError(f"unknown overrides: {sorted(self._left)}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"override {key} must be finite, got {value!r}")
+    return value
 
 
 def _deltas(config: RunConfig, default: Sequence[float]) -> tuple:
@@ -156,10 +168,7 @@ def _drift(values: Sequence[float]) -> float:
 # experiments
 
 
-def _exp_identities(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    rational_trials = ov.count("rational_trials", 50)
-    ov.done()
+def _exp_identities(config: RunConfig, *, rational_trials=50) -> RunResult:
     trials = config.samples or 1000
     # (mode, reports, threshold written to the CSV: None keeps the report's)
     suites = [("float", identity_suite(config.n, trials, seed=config.seed), None)]
@@ -183,19 +192,16 @@ def _exp_identities(config: RunConfig) -> RunResult:
                     "threshold": report.threshold if threshold is None else threshold,
                 }
             )
-    worst_rational = worst.get("rational")
-    passed = worst["float"] < 1e-9 and worst_rational in (None, 0.0)
-    metrics = {"max_relative_residual": worst["float"], "rational_residual": worst_rational}
-    return RunResult(config.experiment, tuple(rows), metrics, passed)
+    metrics = {"max_relative_residual": worst["float"], "rational_residual": worst.get("rational")}
+    gates = [Gate("max_relative_residual", "<", 1e-9)]
+    if "rational" in worst:
+        gates.append(Gate("rational_residual", "==", 0.0))
+    return RunResult(config.experiment, tuple(rows), metrics, tuple(gates))
 
 
-def _exp_nondeg(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    generic = ov.count("generic_per_n", 20)
-    bound_trials = ov.count("bound_trials", 300)
-    ov.done()
+def _exp_nondeg(config: RunConfig, *, generic_per_n=20, bound_trials=300) -> RunResult:
     n_list = tuple(range(2, max(config.n, 3) + 1))
-    report = contact_jacobian_check(n_list=n_list, seed=config.seed, generic_per_n=generic)
+    report = contact_jacobian_check(n_list=n_list, seed=config.seed, generic_per_n=generic_per_n)
     rows = []
     min_abs_det = math.inf
     for n in n_list:
@@ -219,19 +225,15 @@ def _exp_nondeg(config: RunConfig) -> RunResult:
         "min_scaled_determinant": scan.min_scaled_determinant,
         "max_scaled_inverse_norm": scan.max_scaled_inverse_norm,
     }
-    passed = (
-        report.max_relative_residual <= report.threshold
-        and min_abs_det > 0.01
-        and scan.min_scaled_determinant > 0.0
+    gates = (
+        Gate("max_relative_residual", "<=", report.threshold),
+        Gate("min_abs_det_at_three_halves", ">", 0.01),
+        Gate("min_scaled_determinant", ">", 0.0),
     )
-    return RunResult(config.experiment, tuple(rows), metrics, passed)
+    return RunResult(config.experiment, tuple(rows), metrics, gates)
 
 
-def _exp_volume_bound(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    axis = ov.pull("axis", 0)
-    pairs = ov.count("pairs", 10)
-    ov.done()
+def _exp_volume_bound(config: RunConfig, *, axis=0, pairs=10) -> RunResult:
     deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9))
     ts = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0)
     m = config.samples or 20_000
@@ -240,15 +242,10 @@ def _exp_volume_bound(config: RunConfig) -> RunResult:
     )
     worst = {d: max(r["ratio"] for r in rows if r["delta"] == d) for d in deltas}
     metrics = {"worst_ratio_per_delta": worst, "drift": _drift(list(worst.values()))}
-    return RunResult(config.experiment, tuple(rows), metrics, metrics["drift"] <= 4.0)
+    return RunResult(config.experiment, tuple(rows), metrics, (Gate("drift", "<=", 4.0),))
 
 
-def _exp_bands(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    axis = ov.pull("axis", 0)
-    t_lo = ov.pull("t_lo", 0.5)
-    t_hi = ov.pull("t_hi", 1.0)
-    ov.done()
+def _exp_bands(config: RunConfig, *, axis=0, t_lo=0.5, t_hi=1.0) -> RunResult:
     deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7))
     m = config.samples or (1 << 16)
     if m < 2:
@@ -291,15 +288,11 @@ def _exp_bands(config: RunConfig) -> RunResult:
         "max_part_ratio_per_delta": per_delta_max,
         "drift": _drift(list(per_delta_max.values())),
     }
-    passed = worst_z <= 3.0 and metrics["drift"] <= 4.0
-    return RunResult(config.experiment, tuple(rows), metrics, passed)
+    gates = (Gate("worst_partition_z", "<=", 3.0), Gate("drift", "<=", 4.0))
+    return RunResult(config.experiment, tuple(rows), metrics, gates)
 
 
-def _exp_clusters(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    configs = ov.count("configs", 20)
-    delta = ov.pull("delta", 2.0**-9)
-    ov.done()
+def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
     if config.n != 3:
         raise ValueError("the clusters experiment is specific to n=3")
     m = config.samples or (1 << 20)
@@ -334,18 +327,17 @@ def _exp_clusters(config: RunConfig) -> RunResult:
                 }
             )
         constants[factor] = worst
-    if min(constants.values()) > 0:
-        halving = max(constants.values()) / min(constants.values())
-    else:
-        halving = 1.0 if max(constants.values()) == 0 else math.inf
+    lo, hi = min(constants.values()), max(constants.values())
+    # no accepted point at either radius measures no diameter: nan fails the gate
+    halving = hi / lo if lo > 0 else (math.inf if hi > 0 else math.nan)
     metrics = {
         "max_cluster_count": max_count,
         "diameter_constant": constants[1.0],
         "halved_constant": constants[0.5],
         "halving_ratio": halving,
     }
-    passed = max_count <= 16 and halving <= 2.0
-    return RunResult(config.experiment, tuple(rows), metrics, passed)
+    gates = (Gate("max_cluster_count", "<=", 16), Gate("halving_ratio", "<=", 2.0))
+    return RunResult(config.experiment, tuple(rows), metrics, gates)
 
 
 def _fibre_config(seed: int, trial: int, n: int):
@@ -363,13 +355,9 @@ def _fibre_config(seed: int, trial: int, n: int):
     raise ValueError("could not find a non-empty fibre configuration")
 
 
-def _exp_fibre(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    trials = ov.count("trials", 12)
-    rho0 = ov.pull("rho", 0.2)
-    ov.done()
-    if not rho0 > 0:
-        raise ValueError(f"override rho must be positive, got {rho0}")
+def _exp_fibre(config: RunConfig, *, trials=12, rho=0.2) -> RunResult:
+    if not rho > 0:
+        raise ValueError(f"override rho must be positive, got {rho}")
     if config.n != 3:
         raise ValueError("fibre tracing is implemented for dimension 3")
     calibration = trace_fibre(np.zeros(3), np.array([1.2, 1.0, 1.0]), np.zeros(2), step=0.01, seed=3)
@@ -378,25 +366,22 @@ def _exp_fibre(config: RunConfig) -> RunResult:
     for trial in range(trials):
         trace = _fibre_config(config.seed, trial, config.n)
         centre = trace.points[trace.points.shape[0] // 3]
-        for rho in (rho0, rho0 / 2.0):
-            length = trace.length_in_ball(centre, rho)
-            ratio = length / rho
+        for radius in (rho, rho / 2.0):
+            length = trace.length_in_ball(centre, radius)
+            ratio = length / radius
             ratios.append(ratio)
-            rows.append({"seed": trial, "rho": rho, "length": length, "ratio": ratio})
+            rows.append({"seed": trial, "rho": radius, "length": length, "ratio": ratio})
     metrics = {
         "calibration_length": calibration.length,
+        "calibration_gap": abs(calibration.length - 2.0 * math.pi),
         "ratio_drift": _drift(ratios),
         "max_ratio": max(ratios),
     }
-    passed = abs(calibration.length - 2.0 * math.pi) <= 1e-6 and metrics["ratio_drift"] <= 4.0
-    return RunResult(config.experiment, tuple(rows), metrics, passed)
+    gates = (Gate("calibration_gap", "<=", 1e-6), Gate("ratio_drift", "<=", 4.0))
+    return RunResult(config.experiment, tuple(rows), metrics, gates)
 
 
-def _exp_multiplicity(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    axis = ov.pull("axis", 0)
-    trials = ov.count("trials", 3)
-    ov.done()
+def _exp_multiplicity(config: RunConfig, *, axis=0, trials=3) -> RunResult:
     deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
     m = config.samples or 4096
     scan = multiplicity_scan(axis, deltas, trials=trials, m=m, seed=config.seed, n=config.n)
@@ -405,15 +390,12 @@ def _exp_multiplicity(config: RunConfig) -> RunResult:
         "worst_plain": scan.worst_plain,
         "drift": scan.drift,
     }
-    return RunResult(config.experiment, scan.rows, metrics, scan.drift <= 4.0)
+    return RunResult(config.experiment, scan.rows, metrics, (Gate("drift", "<=", 4.0),))
 
 
-def _exp_l2_growth(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    family_size = ov.count("family_size", 2)
-    x_samples = ov.count("x_samples", 16)
-    components = ov.count("components", 6)
-    ov.done()
+def _exp_l2_growth(
+    config: RunConfig, *, family_size=2, x_samples=16, components=6
+) -> RunResult:
     deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
     m = config.samples or 512
     family = bump_mixture_family(config.n, components=components, seed=config.seed)
@@ -428,7 +410,7 @@ def _exp_l2_growth(config: RunConfig) -> RunResult:
         seed=config.seed,
     )
     metrics = {"slope": scan.fit.slope, "intercept": scan.fit.intercept}
-    return RunResult(config.experiment, tuple(scan.rows), metrics, scan.fit.slope <= 0.15)
+    return RunResult(config.experiment, tuple(scan.rows), metrics, (Gate("slope", "<=", 0.15),))
 
 
 _KNAPP_TARGETS = {1.5: (-1.0 / 3.0, 0.1), 2.0: (0.0, 0.05), 3.0: (1.0 / 3.0, 0.1)}
@@ -443,25 +425,22 @@ def _knapp_target(p: float):
     return None
 
 
-def _exp_knapp_exponent(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    m_x = ov.count("m_x", 64)
-    rho = ov.pull("rho", 0.1)
-    ov.done()
+def _exp_knapp_exponent(config: RunConfig, *, m_x=64, rho=0.1) -> RunResult:
     deltas = _deltas(config, tuple(2.0**-k for k in range(4, 11)))
     m_s = config.samples or 8192
     scan = knapp_exponent(deltas, config.p, m_x=m_x, m_s=m_s, seed=config.seed, n=config.n, rho=rho)
     target = _knapp_target(config.p)
     # a width whose ratio is 0 leaves no power law to fit: a measured failure
     slope = math.nan if scan.fit is None else scan.fit.slope
-    metrics = {"slope": slope, "p": config.p}
-    passed = scan.fit is not None
+    metrics = {"slope": slope, "p": config.p, "fitted": scan.fit is not None}
+    gates = [Gate("fitted", "==", True)]
     if target is not None:
         expected, tol = target
         metrics["expected_slope"] = expected
         metrics["tolerance"] = tol
-        passed = passed and abs(slope - expected) <= tol
-    return RunResult(config.experiment, tuple(scan.rows), metrics, passed)
+        metrics["slope_gap"] = abs(slope - expected)
+        gates.append(Gate("slope_gap", "<=", tol))
+    return RunResult(config.experiment, tuple(scan.rows), metrics, tuple(gates))
 
 
 def _radial_l2_oracle(n: int, C: float) -> float:
@@ -494,16 +473,12 @@ def _dyadic_partial_sums(series) -> tuple:
 _MIN_SHELLS = 16
 
 
-def _exp_divergence(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    length = ov.count("L", 4096)
-    C = ov.pull("C", 4.0)
-    ov.done()
-    if length < _MIN_SHELLS:
-        raise ValueError(f"L must be at least {_MIN_SHELLS} shells, got {length}")
+def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
+    if L < _MIN_SHELLS:
+        raise ValueError(f"L must be at least {_MIN_SHELLS} shells, got {L}")
     m = config.samples or 256
     xs, rs = sample_tangency_set(1, seed=config.seed, n=config.n)
-    series = shell_partial_sums(xs[0], rs[0], length, m, seed=config.seed, C=C)
+    series = shell_partial_sums(xs[0], rs[0], L, m, seed=config.seed, C=C)
     dyadic = _dyadic_partial_sums(series)
     top = dyadic[-3:]
     fit = fit_power_law([row[0] for row in top], [row[1] for row in top])
@@ -533,12 +508,13 @@ def _exp_divergence(config: RunConfig) -> RunResult:
         "l2_relative_gap": abs(l2 - oracle) / oracle,
         "divergent_at_2_5": divergent,
     }
-    passed = (
-        0.20 <= block_fit.slope <= 0.30
-        and metrics["l2_relative_gap"] <= 0.01
-        and divergent
+    gates = (
+        Gate("slope_dyadic_blocks", ">=", 0.20),
+        Gate("slope_dyadic_blocks", "<=", 0.30),
+        Gate("l2_relative_gap", "<=", 0.01),
+        Gate("divergent_at_2_5", "==", True),
     )
-    return RunResult(config.experiment, rows, metrics, passed)
+    return RunResult(config.experiment, rows, metrics, gates)
 
 
 def _offset_power_fit(dyadic: tuple) -> Optional[float]:
@@ -568,67 +544,41 @@ def _offset_power_fit(dyadic: tuple) -> Optional[float]:
     return float(params[1])
 
 
-def _exp_glpnorm(config: RunConfig) -> RunResult:
-    ov = _Overrides(config)
-    C = ov.pull("C", 4.0)
-    ov.done()
+def _exp_glpnorm(config: RunConfig, *, C=4.0) -> RunResult:
     quad_points = config.samples or 20_000
     norm = g_lp_norm(config.p, quad_points, n=config.n, C=C)
     finite = math.isfinite(norm)
     rows = ({"p": config.p, "norm": norm, "finite": finite},)
     metrics = {"p": config.p, "norm": norm, "finite": finite}
-    passed = True
+    gates = ()
     if abs(config.p - 2.0) < 1e-12 and config.n == 3:
         exact = math.sqrt(8.0 * math.pi * C * math.log(2.0))
         metrics["exact"] = exact
-        passed = abs(norm - exact) <= 0.01 * exact
-    return RunResult(config.experiment, rows, metrics, passed)
+        metrics["gap"] = abs(norm - exact)
+        gates = (Gate("gap", "<=", 0.01 * exact),)
+    return RunResult(config.experiment, rows, metrics, gates)
 
 
-def _exp_explore_unrefined(config: RunConfig) -> RunResult:
+def _exp_explore_unrefined(config: RunConfig, *, axis=0, pairs=12) -> RunResult:
     """Search for plain-shell pairs that overflow the refined envelope.
 
     Exploratory by design: removing the axis refinement allows internal
     near-tangencies whose intersections exceed ``log(1/delta) *
     delta^2 / (delta + t)``; this scan documents how large the ratio gets but
-    never gates CI, so the pass flag is always true.
+    declares no gate, so it always passes.
     """
 
-    ov = _Overrides(config)
-    axis = ov.pull("axis", 0)
-    pairs = ov.count("pairs", 12)
-    ov.done()
-    deltas = _deltas(config, (2.0**-5, 2.0**-6))
     m = config.samples or (1 << 16)
-    lo, hi = geo.restricted_radii_box(config.n)
     rows = []
-    for delta in deltas:
-        for t in (delta / 2.0, delta, 4.0 * delta, 2.0**-4, 2.0**-2):
-            for trial in range(pairs):
-                rng = rng_stream(config.seed, derive_stream("explore-radii", delta, t, trial))
-                r1 = lo + (hi - lo) * rng.random(config.n)
-                r2 = lo + (hi - lo) * rng.random(config.n)
-                dtilde = geo.perturbed_axis_direction(axis, r1)
-                spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(config.n), np.ones(config.n)), delta)
-                spec_b = geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta)
-                est = intersection_volume(
-                    spec_a, spec_b, m, config.seed, stream=derive_stream("explore", delta, t, trial)
-                )
-                bound = pair_volume_bound(delta, t)
-                rows.append(
-                    {
-                        "delta": delta,
-                        "t": t,
-                        "seed": trial,
-                        "measured": est.value,
-                        "std_error": est.std_error,
-                        "bound": bound,
-                        "ratio": est.value / bound,
-                    }
-                )
+    for delta in _deltas(config, (2.0**-5, 2.0**-6)):
+        ts = (delta / 2.0, delta, 4.0 * delta, 2.0**-4, 2.0**-2)
+        rows += volume_bound_scan(
+            axis=axis, deltas=(delta,), ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n,
+            refined=False,
+        )
     rows.sort(key=lambda r: (-r["ratio"], r["delta"], r["t"], r["seed"]))
-    metrics = {"max_ratio": rows[0]["ratio"] if rows else 0.0, "exploratory": True}
-    return RunResult(config.experiment, tuple(rows), metrics, True)
+    metrics = {"max_ratio": rows[0]["ratio"], "exploratory": True}
+    return RunResult(config.experiment, tuple(rows), metrics, ())
 
 
 EXPERIMENTS: dict = {
@@ -648,7 +598,18 @@ EXPERIMENTS: dict = {
 
 
 def run_experiment(config: RunConfig) -> RunResult:
-    return EXPERIMENTS[config.experiment](config)
+    """Run ``config``'s experiment with its overrides passed as the keyword
+    arguments they name, each typed like the keyword's default."""
+    experiment = EXPERIMENTS[config.experiment]
+    given = dict(config.overrides)
+    kwargs = {
+        key: _typed_override(key, given.pop(key), default)
+        for key, default in (experiment.__kwdefaults__ or {}).items()
+        if key in given
+    }
+    if given:
+        raise ValueError(f"unknown overrides: {sorted(given)}")
+    return experiment(config, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -715,6 +676,14 @@ def write_artifacts(config: RunConfig, result: RunResult) -> Path:
         "columns": list(columns),
         "rows_written": len(result.rows),
         "metrics": _json_safe(result.metrics),
+        "gates": [
+            {
+                **dataclasses.asdict(g),
+                "measured": _json_safe(result.metrics[g.metric]),
+                "pass": g.holds(result.metrics),
+            }
+            for g in result.gates
+        ],
         "pass": bool(result.passed),
         "version": __version__,
         "workers": worker_count(),

@@ -166,6 +166,7 @@ def volume_bound_scan(
     m: int = 100_000,
     seed: int,
     n: int = 3,
+    refined: bool = True,
 ) -> list[dict]:
     """Measured refined-pair intersection volumes against the envelope.
 
@@ -177,25 +178,27 @@ def volume_bound_scan(
     corresponds to ratios with bounded drift across ``delta``; a row's
     ``seed`` is its trial index, on which its radii and sample streams are
     keyed.  The cells are independent units of :func:`ordered_map`, each on
-    its own keyed streams.
+    its own keyed streams.  ``refined=False`` measures the plain shells of
+    the same pairs instead, on the streams ``"explore-radii"`` and
+    ``"explore"`` in place of ``"volscan-radii"`` and ``"volscan"``.
     """
+    key = "volscan" if refined else "explore"
     lo, hi = geo.restricted_radii_box(n)
     cells = [(delta, t, trial) for delta in deltas for t in ts for trial in range(pairs)]
 
     def cell(idx: int) -> dict:
         delta, t, trial = cells[idx]
-        r_rng = rng_stream(seed, derive_stream("volscan-radii", delta, t, trial))
+        r_rng = rng_stream(seed, derive_stream(f"{key}-radii", delta, t, trial))
         r1 = lo + (hi - lo) * r_rng.random(n)
         r2 = lo + (hi - lo) * r_rng.random(n)
         dtilde = geo.perturbed_axis_direction(axis, r1)
-        spec_a = geo.RefinedAnnulusSpec(
-            geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta), axis
-        )
-        spec_b = geo.RefinedAnnulusSpec(
-            geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta), axis
-        )
+        spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta)
+        spec_b = geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta)
+        if refined:
+            spec_a = geo.RefinedAnnulusSpec(spec_a, axis)
+            spec_b = geo.RefinedAnnulusSpec(spec_b, axis)
         est = intersection_volume(
-            spec_a, spec_b, m, seed, stream=derive_stream("volscan", delta, t, trial)
+            spec_a, spec_b, m, seed, stream=derive_stream(key, delta, t, trial)
         )
         bound = pair_volume_bound(delta, t)
         return {
@@ -239,11 +242,6 @@ class BandDecomposition:
     def parts_std_error(self) -> float:
         parts = [self.tang, *self.bands, self.trans]
         return math.sqrt(sum(p.std_error**2 for p in parts))
-
-    def band_ratios(self) -> list[float]:
-        """Band and trans volumes relative to the ``delta^2 / t`` envelope."""
-        envelope = self.delta * self.delta / self.t
-        return [b.value / envelope for b in (*self.bands, self.trans)]
 
 
 def banded_intersection_scan(

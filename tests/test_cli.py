@@ -70,12 +70,15 @@ class TestRunCommand:
         capsys.readouterr()
         assert rc == 2
 
-    def test_unknown_override_exits_two(self, tmp_path, capsys):
+    # ``config`` is the experiments' positional parameter, not an override
+    @pytest.mark.parametrize("key", ["bogus", "config"])
+    def test_unknown_override_exits_two(self, tmp_path, capsys, key):
         rc = run_cli(
-            "run", "--experiment", "identities", "--override", "bogus=1", "--out", tmp_path
+            "run", "--experiment", "identities", "--override", f"{key}=1", "--out", tmp_path
         )
-        capsys.readouterr()
         assert rc == 2
+        assert f"unknown overrides: [{key!r}]" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_override_exits_two(self, tmp_path, capsys):
         rc = run_cli("run", "--experiment", "identities", "--override", "oops", "--out", tmp_path)
@@ -194,10 +197,33 @@ class TestRunCommand:
         report = strict_load(tmp_path / "report.json")
         assert report["runs"][0]["metrics"]["norm"] == "inf"
 
-    def test_dimension_below_two_exits_two(self, tmp_path, capsys):
-        rc = run_cli("run", "--experiment", "identities", "--n", 1, "--out", tmp_path)
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", 1), "dimension must be >= 2, got 1"),
+            (("--samples", 0), "samples must be positive, got 0"),
+        ],
+        ids=["dimension", "samples"],
+    )
+    def test_out_of_range_config_exits_two(self, tmp_path, capsys, argv, message):
+        rc = run_cli("run", "--experiment", "identities", *argv, "--out", tmp_path)
         assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_clusters_measuring_nothing_fails(self, tmp_path, capsys):
+        # four samples per configuration accept no point at either radius
+        argv = ("--experiment", "clusters", "--samples", 4, "--override", "configs=2")
+        assert run_cli("run", *argv, "--out", tmp_path) == 1
+        assert "clusters: FAIL" in capsys.readouterr().out
+        summary = read_summary(tmp_path / "clusters-seed0")
+        assert summary["metrics"]["diameter_constant"] == 0.0
+        assert summary["metrics"]["halved_constant"] == 0.0
+        assert summary["metrics"]["halving_ratio"] == "nan"
+        halving = [g for g in summary["gates"] if g["metric"] == "halving_ratio"]
+        assert halving == [
+            {"metric": "halving_ratio", "op": "<=", "bound": 2.0, "measured": "nan", "pass": False}
+        ]
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
@@ -331,7 +357,7 @@ class TestAtomicArtifacts:
 
     @staticmethod
     def result(rows):
-        return cli.RunResult("identities", tuple(rows), {"worst": 0.5}, True)
+        return cli.RunResult("identities", tuple(rows), {"worst": 0.5}, ())
 
     def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path):
         config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
@@ -380,6 +406,28 @@ class TestAtomicArtifacts:
         assert text.endswith("}\n") and json.loads(text, parse_constant=reject_constant)["metrics"] == {"worst": 0.5}
 
 
+class TestGates:
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=="])
+    def test_nan_fails_every_comparison(self, op):
+        gate = cli.Gate("x", op, 1.0)
+        assert not gate.holds({"x": math.nan})
+        assert not cli.RunResult("demo", ({"a": 1},), {"x": math.nan}, (gate,)).passed
+
+    def test_no_gate_passes(self):
+        assert cli.RunResult("demo", ({"a": 1},), {}, ()).passed
+
+    def test_summary_records_each_gate(self, tmp_path):
+        config = cli.RunConfig("identities", out=str(tmp_path))
+        gates = (cli.Gate("x", "<=", 4.0), cli.Gate("y", "==", True))
+        result = cli.RunResult("identities", ({"a": 1},), {"x": math.inf, "y": True}, gates)
+        summary = read_summary(cli.write_artifacts(config, result))
+        assert summary["gates"] == [
+            {"metric": "x", "op": "<=", "bound": 4.0, "measured": "inf", "pass": False},
+            {"metric": "y", "op": "==", "bound": True, "measured": True, "pass": True},
+        ]
+        assert summary["pass"] is False
+
+
 class TestHelpers:
     def test_cell_formats(self):
         assert cli._cell(True) == "true"
@@ -402,6 +450,25 @@ class TestHelpers:
             cli._parse_overrides(["a"])
         with pytest.raises(ValueError):
             cli._parse_overrides(["a=x"])
+
+    @pytest.mark.parametrize(
+        "key, raw, default, expected",
+        [
+            ("axis", 0.0, 0, 0),
+            ("pairs", 3.0, 10, 3),
+            ("rho", 0.5, 0.2, 0.5),
+            ("pairs", 0.0, 10, "override pairs must be at least 1, got 0"),
+            ("pairs", 2.5, 10, "override pairs must be an integer, got 2.5"),
+            ("rho", math.inf, 0.2, "override rho must be finite, got inf"),
+        ],
+    )
+    def test_override_typed_like_its_default(self, key, raw, default, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                cli._typed_override(key, raw, default)
+        else:
+            value = cli._typed_override(key, raw, default)
+            assert value == expected and type(value) is type(default)
 
     def test_knapp_targets(self):
         assert cli._knapp_target(1.5) == (-1.0 / 3.0, 0.1)

@@ -187,6 +187,41 @@ class TestVolumeBoundScan:
 
         assert run("1") == run("2")  # bit-identical, not approximately equal
 
+    def test_plain_scan_matches_explore_loop(self):
+        # reference: the plain pairs built one by one on the "explore" streams
+        n, axis, seed, pairs, m = 3, 0, 7, 2, 2000
+        lo, hi = geo.restricted_radii_box(n)
+        for delta in (2.0**-5, 2.0**-6):
+            ts = (delta / 2.0, delta, 4.0 * delta, 2.0**-4, 2.0**-2)
+            expected = []
+            for t in ts:
+                for trial in range(pairs):
+                    rng = rng_stream(seed, derive_stream("explore-radii", delta, t, trial))
+                    r1 = lo + (hi - lo) * rng.random(n)
+                    r2 = lo + (hi - lo) * rng.random(n)
+                    dtilde = geo.perturbed_axis_direction(axis, r1)
+                    spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta)
+                    spec_b = geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta)
+                    est = vol.intersection_volume(
+                        spec_a, spec_b, m, seed, stream=derive_stream("explore", delta, t, trial)
+                    )
+                    bound = vol.pair_volume_bound(delta, t)
+                    expected.append(
+                        {
+                            "delta": delta,
+                            "t": t,
+                            "seed": trial,
+                            "measured": est.value,
+                            "std_error": est.std_error,
+                            "bound": bound,
+                            "ratio": est.value / bound,
+                        }
+                    )
+            rows = vol.volume_bound_scan(
+                axis=axis, deltas=(delta,), ts=ts, pairs=pairs, m=m, seed=seed, n=n, refined=False
+            )
+            assert rows == expected
+
     def test_ratio_moderate_at_desk_scale(self):
         rows = vol.volume_bound_scan(deltas=[2**-6], ts=[2**-2], pairs=5, m=50_000, seed=SEED)
         worst = max(r["ratio"] for r in rows)
