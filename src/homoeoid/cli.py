@@ -507,6 +507,9 @@ def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
         "l2_oracle": oracle,
         "l2_relative_gap": abs(l2 - oracle) / oracle,
         "divergent_at_2_5": divergent,
+        "low_confidence_shells": int(np.count_nonzero(series.low_confidence)),
+        "min_survivors": int(np.min(series.survivors)),
+        "max_normal_extent": float(np.max(series.normal_extent)),
     }
     gates = (
         Gate("slope_dyadic_blocks", ">=", 0.20),
@@ -772,10 +775,8 @@ def _parse_overrides(pairs: Sequence[str]) -> tuple:
 def _parse_delta_grid(raw: Optional[str]) -> Optional[tuple]:
     if raw is None:
         return None
-    values = [float(tok) for tok in raw.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("empty delta grid")
-    return tuple(sorted(set(values), reverse=True))
+    values = {float(tok) for tok in raw.split(",") if tok.strip()}
+    return tuple(sorted(values, reverse=True))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 from .maximal import Field
-from .mc import ScalingFit, derive_stream, fit_power_law, rng_stream
+from .mc import DEFAULT_CHUNK, ScalingFit, derive_stream, fit_power_law, ordered_map, rng_stream
 from .volumes import ball_volume, sample_surface, sphere_area
 
 Array = np.ndarray
@@ -430,6 +430,11 @@ def shell_partial_sums(
     dropped terms vanish identically there and would otherwise be amplified
     by ``2**l`` into garbage.  Per-shell streams are independent of ``L``, so
     extending a series re-produces its prefix exactly.
+
+    Shells are scored in blocks of ``max(1, DEFAULT_CHUNK // m)`` on
+    ``(shells, m)`` arrays.  Each block is one :func:`~homoeoid.mc.ordered_map`
+    unit, and the blocks' per-shell results are concatenated in shell order,
+    so every output bit is the same at any worker count and block size.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r_x, dtype=float)
@@ -457,39 +462,54 @@ def shell_partial_sums(
 
     inner = 2.0 ** (-(n - 1) / 2.0)  # annulus inner radius to the n-1 power
     prefactor = ball_volume(n - 1) * (1.0 - inner) / surface_measure
-    quad_coeff = float(np.sum(normal**2 / r**2))
-    b0 = -2.0 * float(np.sum(normal * x / r**2))
+    r_sq = r**2
+    quad_coeff = float(np.sum(normal**2 / r_sq))
+    b0 = -2.0 * float(np.sum(normal * x / r_sq))
 
-    terms = np.zeros(L)
-    std_errors = np.zeros(L)
-    survivors = np.zeros(L, dtype=int)
-    normal_extent = np.zeros(L)
-    for ell in range(1, L + 1):
-        rng = rng_stream(seed, derive_stream("shell-series", ell, x, r))
-        gauss = rng.standard_normal((m, n - 1))
-        gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-        radius = (inner + rng.random(m) * (1.0 - inner)) ** (1.0 / (n - 1))
-        w = gauss * radius[:, None]
+    block = max(1, DEFAULT_CHUNK // m)
+
+    def run_block(idx: int) -> tuple[Array, Array, Array, Array]:
+        ells = range(idx * block + 1, min((idx + 1) * block, L) + 1)
+        gauss = np.empty((len(ells), m, n - 1))
+        uniform = np.empty((len(ells), m))
+        for i, ell in enumerate(ells):
+            rng = rng_stream(seed, derive_stream("shell-series", ell, x, r))
+            gauss[i] = rng.standard_normal((m, n - 1))
+            uniform[i] = rng.random(m)
+        # the depths 2**(-l/2) and 2**-l through Python's float pow, not numpy's
+        # array power (which may round differently), so a shell's bits do not
+        # depend on its block
+        scale = np.array([2.0 ** (-ell / 2.0) for ell in ells])[:, None]
+        scale_sq = np.array([2.0**-ell for ell in ells])[:, None]
+
+        gauss /= np.linalg.norm(gauss, axis=-1, keepdims=True)
+        radius = (inner + uniform * (1.0 - inner)) ** (1.0 / (n - 1))
+        w = gauss * radius[..., None]
 
         v_dir = w @ tangent_rows  # unscaled tangential vectors, |v_dir| = |w|
-        curvature = np.sum(v_dir**2 / r**2, axis=1)
-        b = b0 + 2.0 ** (-ell / 2.0) * 2.0 * np.sum(v_dir * normal / r**2, axis=1)
-        disc = np.sqrt(b**2 - 4.0 * (2.0**-ell) * quad_coeff * curvature)
+        curvature = np.sum(v_dir**2 / r_sq, axis=-1)
+        b = b0 + scale * 2.0 * np.sum(v_dir * normal / r_sq, axis=-1)
+        disc = np.sqrt(b**2 - 4.0 * scale_sq * quad_coeff * curvature)
         s_scaled = 2.0 * curvature / (disc - b)  # small root of the shell quadratic
 
-        level = ell / 2.0 + np.log2(1.0 / radius)
+        level = np.array(ells)[:, None] / 2.0 + np.log2(1.0 / radius)
         in_support = (level >= 1.0) & (np.abs(s_scaled) <= C * radius**2)
-        offset = (2.0 ** (-ell / 2.0)) * v_dir + (2.0**-ell) * s_scaled[:, None] * normal - x
-        grad = 2.0 * offset / r**2
-        secant = np.linalg.norm(grad, axis=1) / np.abs(grad @ normal)
+        offset = scale[..., None] * v_dir + (scale_sq * s_scaled)[..., None] * normal - x
+        grad = 2.0 * offset / r_sq
+        secant = np.linalg.norm(grad, axis=-1) / np.abs(grad @ normal)
         values = np.where(
             in_support, radius ** (-(n - 1)) * level**-beta * secant, 0.0
         )
         values *= prefactor
-        terms[ell - 1] = float(np.mean(values))
-        std_errors[ell - 1] = float(np.std(values, ddof=1) / math.sqrt(m))
-        survivors[ell - 1] = int(np.count_nonzero(in_support))
-        normal_extent[ell - 1] = float(np.max(np.abs(s_scaled)))
+        return (
+            np.mean(values, axis=1),
+            np.std(values, axis=1, ddof=1) / math.sqrt(m),
+            np.count_nonzero(in_support, axis=1),
+            np.max(np.abs(s_scaled), axis=1),
+        )
+
+    blocks = ordered_map(run_block, -(-L // block))
+    terms, std_errors, survivors, normal_extent = (np.concatenate(col) for col in zip(*blocks))
 
     return ShellSeries(
         terms=terms,

@@ -4,8 +4,9 @@ Reproducibility contract
 ------------------------
 Every random draw in the package comes from a counter-based generator keyed
 by ``(seed, stream)``.  Estimators split work into independent units (chunks
-of one estimate, batches of one sampler, cells of one scan), derive one
-sub-stream per unit index, and reduce the units' results in index order.  The
+of one estimate, batches of one sampler, cells of one scan, blocks of shells
+of one series), derive their sub-streams from the unit's own keys, and reduce
+the units' results in index order (for shell blocks, shell order).  The
 resulting numbers are therefore bit-identical whatever the worker count —
 ``HOMOEOID_THREADS`` only changes how many independent units
 :func:`ordered_map` evaluates concurrently, never which generator produces
@@ -72,8 +73,8 @@ def _to_word(part) -> int:
         return word
     if isinstance(part, np.ndarray):
         word = 0
-        for v in np.asarray(part, dtype=float).ravel():
-            word = _mix64(word ^ int(np.float64(v).view(np.uint64)) ^ _GOLDEN)
+        for bits in np.asarray(part, np.float64).ravel().view(np.uint64).tolist():
+            word = _mix64(word ^ bits ^ _GOLDEN)
         return word
     if isinstance(part, (tuple, list)):
         word = 0

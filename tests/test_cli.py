@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from homoeoid import cli
+from homoeoid import cli, knapp
 
 
 def run_cli(*argv) -> int:
@@ -164,6 +165,12 @@ class TestRunCommand:
         rc = run_cli("run", *argv, "--out", tmp_path)
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_delta_grid_exits_two(self, tmp_path, capsys):
+        rc = run_cli("run", "--experiment", "multiplicity", "--delta-grid", ",", "--out", tmp_path)
+        assert rc == 2
+        assert "error: empty delta grid" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -438,9 +445,9 @@ class TestHelpers:
 
     def test_delta_grid_sorted_unique_descending(self):
         assert cli._parse_delta_grid("0.25,0.5,0.25") == (0.5, 0.25)
-        with pytest.raises(ValueError):
-            cli._parse_delta_grid(",")
+        # the parser keeps an empty grid; RunConfig states the rule once:
         # every experiment returns at least one row, which needs a delta
+        assert cli._parse_delta_grid(",") == ()
         with pytest.raises(ValueError, match="empty delta grid"):
             cli.RunConfig("explore-unrefined", deltas=())
 
@@ -547,3 +554,20 @@ class TestConsoleEntry:
         assert proc.stderr == ""
         summary = read_summary(tmp_path / "divergence-seed0")
         assert summary["metrics"]["slope_offset_fit"] is None
+
+    def test_divergence_records_shell_diagnostics(self, tmp_path):
+        rc = run_cli(
+            "run", "--experiment", "divergence", "--samples", "64", "--override", "L=16",
+            "--out", tmp_path,
+        )
+        assert rc in (0, 1)
+        summary = read_summary(tmp_path / "divergence-seed0")
+        x, r = knapp.sample_tangency_set(1, seed=0)
+        series = knapp.shell_partial_sums(x[0], r[0], 16, 64, seed=0)
+        metrics = summary["metrics"]
+        # shell 1 lies outside the profile's support, so it is flagged
+        assert metrics["low_confidence_shells"] == int(np.sum(series.low_confidence)) >= 1
+        assert metrics["min_survivors"] == int(np.min(series.survivors)) == 0
+        assert metrics["max_normal_extent"] == float(np.max(series.normal_extent))
+        diagnostics = {"low_confidence_shells", "min_survivors", "max_normal_extent"}
+        assert not diagnostics & {gate["metric"] for gate in summary["gates"]}

@@ -19,6 +19,11 @@ def tangency_pair(seed=7):
     return xs[0], rs[0]
 
 
+def series_arrays(series):
+    """The four per-shell arrays of a :class:`knapp.ShellSeries`."""
+    return series.terms, series.std_errors, series.survivors, series.normal_extent
+
+
 class TestDiagonalFrame:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_orthogonal_with_diagonal_last_row(self, n):
@@ -278,6 +283,56 @@ class TestShellPartialSums:
         short = knapp.shell_partial_sums(self.x, self.r, 64, 64, seed=2)
         long = knapp.shell_partial_sums(self.x, self.r, 128, 64, seed=2)
         np.testing.assert_array_equal(long.terms[:64], short.terms)
+
+    def test_prefix_stable_across_block_boundaries(self):
+        # at m = 256 a block holds 256 shells, so the extension crosses two
+        # block boundaries and ends its first block at a different shell
+        short = knapp.shell_partial_sums(self.x, self.r, 300, 256, seed=2)
+        long = knapp.shell_partial_sums(self.x, self.r, 700, 256, seed=2)
+        for a, b in zip(series_arrays(short), series_arrays(long)):
+            np.testing.assert_array_equal(b[:300], a)
+
+    def test_series_bits_are_frozen(self):
+        # frozen values on both sides of the block boundary between shells
+        # 256 and 257: a silent change would break seeded reproducibility
+        s = knapp.shell_partial_sums(self.x, self.r, 300, 256, seed=2)
+        assert s.terms[1] == 0.06475910491119445
+        assert s.terms[255] == 0.0019092783208365313
+        assert s.terms[256] == 0.0018584387136440905
+        assert s.std_errors[299] == 2.138584912728846e-05
+        assert s.normal_extent[256] == 0.33815915791834783
+        assert int(np.sum(s.survivors)) == 299 * 256
+        xs, rs = knapp.sample_tangency_set(1, seed=7, n=4)
+        s4 = knapp.shell_partial_sums(xs[0], rs[0], 300, 256, seed=1)
+        assert s4.terms[257] == 0.001376407796994676
+        assert s4.std_errors[3] == 0.0005700819762996855
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bits_independent_of_workers_and_block_size(self, monkeypatch, n):
+        xs, rs = knapp.sample_tangency_set(1, seed=7, n=n)
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HOMOEOID_THREADS", workers)
+            runs.append(knapp.shell_partial_sums(xs[0], rs[0], 300, 256, seed=1))
+        monkeypatch.setattr(knapp, "DEFAULT_CHUNK", 3 * 256)  # blocks of 3 shells
+        runs.append(knapp.shell_partial_sums(xs[0], rs[0], 300, 256, seed=1))
+        for other in runs[1:]:
+            for a, b in zip(series_arrays(runs[0]), series_arrays(other)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_blocks_reduce_in_shell_order(self, monkeypatch):
+        expected = knapp.shell_partial_sums(self.x, self.r, 700, 256, seed=2)
+
+        def last_first_map(fn, count):  # evaluates the units last to first
+            out = [None] * count
+            for i in reversed(range(count)):
+                out[i] = fn(i)
+            return out
+
+        monkeypatch.setattr(knapp, "ordered_map", last_first_map)
+        got = knapp.shell_partial_sums(self.x, self.r, 700, 256, seed=2)
+        for a, b in zip(series_arrays(expected), series_arrays(got)):
+            np.testing.assert_array_equal(a, b)
 
     def test_matches_filtered_surface_oracle(self):
         m_surface = 1 << 21

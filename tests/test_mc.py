@@ -27,6 +27,20 @@ class TestStreams:
         assert mc.derive_stream("chunk", 0, 0) == 9462907069811815415
         assert mc.derive_stream("volume", 0.25, 1.5) == 6275126827108224276
 
+    def test_derive_stream_array_ids_are_stable(self):
+        # frozen array keys: shell-series context, a non-contiguous view, an
+        # int array (hashed as floats) and both signed zeros
+        assert (
+            mc.derive_stream(
+                "shell-series", 1, np.array([0.1, -0.0, 2.5]), np.array([1.0, 1.25, 1.5])
+            )
+            == 1545386841207419812
+        )
+        assert mc.derive_stream(np.arange(12.0).reshape(3, 4)[:, ::2]) == 3666961626806306715
+        assert mc.derive_stream(np.array([1, 2, 3])) == 18136550018810629998
+        assert mc.derive_stream(np.array([0.0])) == 5177874090837916900
+        assert mc.derive_stream(np.array([-0.0])) == 15465070438398638370
+
     def test_derive_stream_distinguishes_types_and_order(self):
         assert mc.derive_stream(1, 2) != mc.derive_stream(2, 1)
         assert mc.derive_stream(1) != mc.derive_stream(1.0)
