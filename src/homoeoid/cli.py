@@ -224,6 +224,8 @@ def _exp_nondeg(config: RunConfig, *, generic_per_n=20, bound_trials=300) -> Run
         "min_abs_det_at_three_halves": min_abs_det,
         "min_scaled_determinant": scan.min_scaled_determinant,
         "max_scaled_inverse_norm": scan.max_scaled_inverse_norm,
+        "bound_accepted": scan.accepted,
+        "bound_requested": scan.requested,
     }
     gates = (
         Gate("max_relative_residual", "<=", report.threshold),
@@ -299,8 +301,10 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
     rows = []
     max_count = 0
     constants = {}
+    empty = {}
     for factor in (1.0, 0.5):
         worst = 0.0
+        empty[factor] = 0
         for i, (t, radii) in enumerate(seeded_cluster_configs(config.seed, configs)):
             rho = factor * t / 16.0
             report = low_jacobian_cluster(
@@ -314,6 +318,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
             )
             max_diam = max(report.diameters) if report.diameters else 0.0
             max_count = max(max_count, report.cluster_count)
+            empty[factor] += report.empty
             worst = max(worst, max_diam * t / rho)
             rows.append(
                 {
@@ -335,6 +340,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
         "diameter_constant": constants[1.0],
         "halved_constant": constants[0.5],
         "halving_ratio": halving,
+        "empty_reports_per_factor": empty,
     }
     gates = (Gate("max_cluster_count", "<=", 16), Gate("halving_ratio", "<=", 2.0))
     return RunResult(config.experiment, tuple(rows), metrics, gates)

@@ -415,9 +415,41 @@ def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _cfg_arrays(cfg: TangencyConfig):
-    r = cfg.radii
-    return cfg.t, cfg.frame.dtilde, r, 1.0 / (r * r)
+def _minor_core(t, d, r, w, i: int, j: int):
+    """:func:`gradient_minor` from per-trial ``(t, d, r, w)`` arrays.
+
+    The cores broadcast ``t`` over the batch and ``d``, ``r`` over the
+    points, and keep the input dtype (the integer literals leave object
+    arrays of ``Fraction`` exact), so the identity suite runs this very code
+    in both of its arithmetics.
+    """
+    inv2 = 1 / (r * r)
+    return (inv2[..., j] - inv2[..., i]) * w[..., i] * w[..., j] - t * (
+        d[..., j] * w[..., i] * inv2[..., j] - d[..., i] * w[..., j] * inv2[..., i]
+    )
+
+
+def _axis_minors_core(t, d, r, w, k: int):
+    """:func:`axis_minors` from per-trial arrays (see :func:`_minor_core`)."""
+    inv2 = 1 / (r * r)
+    wk, ik, dk = w[..., k : k + 1], inv2[..., k : k + 1], d[..., k : k + 1]
+    # gradient_minor with (i, j) = (j, k), vectorised over j
+    out = (ik - inv2) * w * wk - np.asarray(t)[..., None] * (dk * w * ik - d * wk * inv2)
+    out[..., k] = 0
+    return out
+
+
+def _system_jacobian_core(t, d, r, w, k: int):
+    """:func:`tangency_system_jacobian` from per-trial arrays (see :func:`_minor_core`)."""
+    n = w.shape[-1]
+    inv2 = 1 / (r * r)
+    jac = np.zeros(w.shape[:-1] + (n, n), dtype=w.dtype)
+    for row, j in enumerate(i for i in range(n) if i != k):
+        coeff = inv2[..., k] - inv2[..., j]
+        jac[..., row, j] = coeff * w[..., k] - t * d[..., k] * inv2[..., k]
+        jac[..., row, k] = coeff * w[..., j] + t * d[..., j] * inv2[..., j]
+    jac[..., n - 1, :] = w
+    return jac
 
 
 def gradient_minor(cfg: TangencyConfig, omega: Array, i: int, j: int) -> Array:
@@ -433,10 +465,8 @@ def gradient_minor(cfg: TangencyConfig, omega: Array, i: int, j: int) -> Array:
     The family is antisymmetric in ``(i, j)`` and its squares sum to the Gram
     functional: ``jacobian_gram_norm(cfg, w)**2 == 16 * sum_{i<j} minor**2``.
     """
-    t, d, _r, inv2 = _cfg_arrays(cfg)
     w = np.asarray(omega, dtype=float)
-    wi, wj = w[..., i], w[..., j]
-    return (inv2[j] - inv2[i]) * wi * wj - t * (d[j] * wi * inv2[j] - d[i] * wj * inv2[i])
+    return _minor_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, i, j)
 
 
 def axis_minors(cfg: TangencyConfig, omega: Array) -> Array:
@@ -447,14 +477,8 @@ def axis_minors(cfg: TangencyConfig, omega: Array) -> Array:
     components whose simultaneous smallness (together with being on-shell)
     characterises near-tangency along the refinement axis.
     """
-    t, d, _r, inv2 = _cfg_arrays(cfg)
-    k = cfg.frame.axis
     w = np.asarray(omega, dtype=float)
-    wk = w[..., k : k + 1]
-    # gradient_minor with (i, j) = (j, k), vectorised over j
-    out = (inv2[k] - inv2) * w * wk - t * (d[k] * w * inv2[k] - d * wk * inv2)
-    out[..., k] = 0.0
-    return out
+    return _axis_minors_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, cfg.frame.axis)
 
 
 def jacobian_gram_norm(cfg: TangencyConfig, omega: Array, method: str = "gram") -> Array:
@@ -551,23 +575,8 @@ def tangency_system_jacobian(cfg: TangencyConfig, omega: Array) -> Array:
 
     The last row is ``omega`` itself.
     """
-    t, d, _r, inv2 = _cfg_arrays(cfg)
-    k = cfg.frame.axis
     w = np.asarray(omega, dtype=float)
-    batch = w.shape[:-1]
-    n = cfg.n
-    jac = np.zeros(batch + (n, n))
-    row = 0
-    wk = w[..., k]
-    for j in range(n):
-        if j == k:
-            continue
-        coeff = inv2[k] - inv2[j]
-        jac[..., row, j] = coeff * wk - t * d[k] * inv2[k]
-        jac[..., row, k] = coeff * w[..., j] + t * d[j] * inv2[j]
-        row += 1
-    jac[..., n - 1, :] = w
-    return jac
+    return _system_jacobian_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, cfg.frame.axis)
 
 
 # ---------------------------------------------------------------------------

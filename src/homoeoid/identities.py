@@ -21,7 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import axis_direction, contact_point, default_refinement_cut
+from .geometry import (
+    _axis_minors_core,
+    _minor_core,
+    _system_jacobian_core,
+    axis_direction,
+    contact_point,
+    default_refinement_cut,
+)
 from .mc import derive_stream, rng_stream
 
 Array = np.ndarray
@@ -239,44 +246,15 @@ def contact_jacobian_check(
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation of the minor family and its derivative structure
+# the principal/remainder split of the tangency Jacobian
 # ---------------------------------------------------------------------------
 #
-# Every builder below takes float64 arrays or object arrays of ``Fraction``
-# and keeps the dtype (integer literals, ``dtype=w.dtype``), so the suite
-# evaluates the same formulas in both arithmetics.
-
-
-def _pair_minor_block(t: Array, r: Array, d: Array, w: Array, i: int, j: int) -> Array:
-    """Gradient minor for the pair ``(i, j)``: batch of trials at once."""
-    inv2 = 1 / (r * r)
-    return (inv2[:, j] - inv2[:, i]) * w[:, i] * w[:, j] - t * (
-        d[:, j] * w[:, i] * inv2[:, j] - d[:, i] * w[:, j] * inv2[:, i]
-    )
-
-
-def _axis_minor_block(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
-    """All minors against ``axis`` as a ``(trials, n)`` block (axis slot 0)."""
-    inv2 = 1 / (r * r)
-    wk = w[:, axis : axis + 1]
-    ik = inv2[:, axis : axis + 1]
-    dk = d[:, axis : axis + 1]
-    g = (ik - inv2) * w * wk - t[:, None] * (dk * w * ik - d * wk * inv2)
-    g[:, axis] = 0
-    return g
-
-
-def _system_jacobian_block(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
-    """Batched Jacobian of the tangency system (minor rows plus shell row)."""
-    trials, n = w.shape
-    inv2 = 1 / (r * r)
-    jac = np.zeros((trials, n, n), dtype=w.dtype)
-    for row, j in enumerate(k for k in range(n) if k != axis):
-        coeff = inv2[:, axis] - inv2[:, j]
-        jac[:, row, j] = coeff * w[:, axis] - t * d[:, axis] * inv2[:, axis]
-        jac[:, row, axis] = coeff * w[:, j] + t * d[:, j] * inv2[:, j]
-    jac[:, n - 1, :] = w
-    return jac
+# The minors and the system Jacobian come from geometry's own per-trial cores,
+# so the suite certifies the code the Gram check and the nondegeneracy scan
+# run.  Those cores and every builder below take float64 arrays or object
+# arrays of ``Fraction`` and keep the dtype (integer literals,
+# ``dtype=w.dtype``), so the suite evaluates the same formulas in both
+# arithmetics.
 
 
 def _principal_matrix(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
@@ -299,7 +277,7 @@ def _principal_matrix(t: Array, r: Array, d: Array, w: Array, axis: int) -> Arra
 def _minor_remainder_matrix(t: Array, r: Array, d: Array, w: Array, axis: int) -> Array:
     """Remainder: minor row ``j`` carries ``r_j**2 G_j`` and ``r_axis**2 G_j``."""
     trials, n = w.shape
-    g = _axis_minor_block(t, r, d, w, axis)
+    g = _axis_minors_core(t, d, r, w, axis)
     mat = np.zeros((trials, n, n), dtype=w.dtype)
     for row, j in enumerate(k for k in range(n) if k != axis):
         mat[:, row, j] = r[:, j] ** 2 * g[:, j]
@@ -503,11 +481,11 @@ def identity_suite(
     ]
 
     # (a) syzygy over all off-axis pairs
-    g = _axis_minor_block(t, r, d, w, axis)
+    g = _axis_minors_core(t, d, r, w, axis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if i != axis and j != axis]
     if pairs:
         res = [
-            _residual(w[:, axis] * _pair_minor_block(t, r, d, w, i, j), w[:, j] * g[:, i] - w[:, i] * g[:, j])
+            _residual(w[:, axis] * _minor_core(t, d, r, w, i, j), w[:, j] * g[:, i] - w[:, i] * g[:, j])
             for i, j in pairs
         ]
         reports.append(
@@ -521,7 +499,7 @@ def identity_suite(
         )
 
     # (b) derivative identities, both variables, all off-axis minors
-    jac = _system_jacobian_block(t, r, d, w, axis)
+    jac = _system_jacobian_core(t, d, r, w, axis)
     inv2 = 1 / (r * r)
     res = []
     for row, j in enumerate(k for k in range(n) if k != axis):

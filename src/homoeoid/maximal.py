@@ -10,13 +10,15 @@ as normaliser, so that the pointwise covering of the shell by the refined
 pieces makes ``max-average <= sum of refined max-averages`` a deterministic
 statement about shared sample batches, not a statistical one.
 
-Randomness discipline: every annulus average derives its stream from the
-values ``(delta, centre, radii)``, never from loop indices, so an average is
-a pure function of its inputs — evaluation order and worker count cannot
-change results.  The plain flavour and the ``n`` refined ones share that
-stream, so one ``(delta, x, r)`` batch serves every flavour through a single
-``mc_mean`` call: the field is evaluated once per sample and each refined
-column is the plain column times its axis indicator.
+Randomness discipline: every stream is keyed by what it samples, never by
+evaluation order.  :func:`discretised_maximal`, the one net-sup kernel, draws
+one reference-shell batch per call, keyed ``("scan-shell", delta, stream)``,
+for every point, net radius and flavour: each refined average is the plain
+values times that axis's indicator.  On the shared batch the covering makes
+domination exact sample by sample, and a sub-net sup never exceeds the net
+sup; each average stays unbiased (common random numbers).
+:func:`annulus_average`, one shell's estimate, keys its own stream by
+``(delta, centre, radii)``.
 """
 
 from __future__ import annotations
@@ -149,31 +151,6 @@ class RadiiNet:
 # ---------------------------------------------------------------------------
 
 
-def _shell_flavours(f: Field, x, r, delta: float, m: int, *, seed: int, cut: float) -> tuple:
-    """Plain and per-axis refined averages of ``|f|`` from one shell batch.
-
-    One ``mc_mean`` call on the stream of ``(delta, x, r)`` returns ``n + 1``
-    estimates: the plain average, then the refined one along each axis ``k``
-    (samples with ``|omega_k|**3 < 2*cut`` count as zero).
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    n = x.shape[0]
-    sampler = reference_shell_sampler(delta, n)
-
-    def sample_fn(rng: np.random.Generator, k: int) -> Array:
-        omega = sampler(rng, k)
-        # flavour-major rows, so that mc_mean's column sums run over
-        # contiguous memory and match the sum of a single flavour bit for bit
-        values = np.empty((n + 1, k))
-        values[0] = np.abs(f(geo.affine_map(x, r, omega)))
-        for axis in range(n):
-            values[axis + 1] = values[0] * geo.refinement_indicator(omega, axis, cut)
-        return values.T
-
-    return mc_mean(sample_fn, m, seed=seed, stream=derive_stream("annulus-avg", delta, x, r))
-
-
 def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
     """Average of ``|f|`` over the shell, refined pieces zero-extended.
 
@@ -185,44 +162,60 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
     """
     base, axis, cut = geo._spec_parts(spec)
     ell = base.ellipsoid
-    cut = geo._resolve_cut(base.n, cut)
-    flavours = _shell_flavours(f, ell.centre, ell.radii, base.delta, m, seed=seed, cut=cut)
-    return flavours[0 if axis is None else axis + 1]
+    sampler = reference_shell_sampler(base.delta, base.n)
 
+    def sample_fn(rng: np.random.Generator, k: int) -> Array:
+        omega = sampler(rng, k)
+        values = np.abs(f(geo.affine_map(ell.centre, ell.radii, omega)))
+        if axis is not None:
+            values = values * geo.refinement_indicator(omega, axis, cut)
+        return values
 
-def _net_maxima(f: Field, x, delta: float, net: RadiiNet, *, m: int, seed: int) -> list:
-    """Largest average over the net for every flavour: plain, then each axis."""
-    # validates x, delta and the (positive) net radii once for the whole net
-    spec = geo.AnnulusSpec(geo.Ellipsoid(x, net.lo), delta)
-    x, cut = spec.ellipsoid.centre, geo.default_refinement_cut(spec.n)
-    best = [-np.inf] * (spec.n + 1)
-    for r in net.points:
-        for j, est in enumerate(_shell_flavours(f, x, r, spec.delta, m, seed=seed, cut=cut)):
-            if est.value > best[j]:
-                best[j] = est.value
-    return best
+    stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
+    (est,) = mc_mean(sample_fn, m, seed=seed, stream=stream)
+    return est
 
 
 def discretised_maximal(
     f: Field,
-    x: Array,
+    xs: Array,
     delta: float,
     net: RadiiNet,
     *,
     m: int,
     seed: int,
-    axis: int | None = None,
-) -> float:
-    """Largest annulus average over the radii net at the point ``x``.
+    stream: int | str,
+    axes: Sequence[int] = (),
+) -> Array:
+    """Largest shell averages of ``|f|`` over the radii net, at a batch of points.
 
-    ``axis=None`` is the plain operator; an integer axis selects the refined
-    companion (zero-extended, plain normaliser).  Every net point draws its
-    own value-derived stream, so the sup is independent of enumeration order
-    and dominates each individual :func:`annulus_average` exactly.
+    Returns a ``(1 + len(axes), len(xs))`` array: row 0 is the plain
+    operator, row ``1 + j`` its refined companion along ``axes[j]``
+    (zero-extended, plain normaliser).  One reference-shell batch of ``m``
+    samples, keyed ``("scan-shell", delta, stream)``, serves every point,
+    every net radius and every row, so a sub-net sup never exceeds the net
+    sup and the covering holds sample by sample.
     """
-    if axis is not None and not 0 <= axis < len(net.lo):
-        raise ValueError(f"axis {axis} out of range for dimension {len(net.lo)}")
-    return _net_maxima(f, x, delta, net, m=m, seed=seed)[0 if axis is None else axis + 1]
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = xs.shape[1]
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if len(net.lo) != n:
+        raise ValueError(f"net dimension {len(net.lo)} does not match points of dimension {n}")
+    for axis in axes:
+        if not 0 <= axis < n:
+            raise ValueError(f"axis {axis} out of range for dimension {n}")
+    sampler = reference_shell_sampler(delta, n)
+    omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
+    cut = geo.default_refinement_cut(n)
+    masks = [geo.refinement_indicator(omega, axis, cut) for axis in axes]
+    best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
+    for r in net.points:
+        values = np.abs(f(xs[:, None, :] + omega[None, :, :] * r[None, None, :]))
+        np.maximum(best[0], np.mean(values, axis=1), out=best[0])
+        for row, mask in enumerate(masks, 1):
+            np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])
+    return best
 
 
 def domination_check(
@@ -236,17 +229,16 @@ def domination_check(
 ) -> float:
     """Max over sampled points of ``plain max-average - sum of refined ones``.
 
-    Under the shared-batch discipline this is non-positive deterministically:
-    every shell sample satisfies the covering inequality along some axis, so
-    the refined indicators sum to at least one sample-by-sample.  Each
-    ``(x, r)`` batch is drawn once and scores every flavour.
+    Non-positive deterministically: all rows come from one shared shell
+    batch, and every shell sample satisfies the covering inequality along
+    some axis, so the refined indicators sum to at least one sample by
+    sample.
     """
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    worst = -np.inf
-    for x in xs:
-        plain, *refined = _net_maxima(f, x, delta, net, m=m, seed=seed)
-        worst = max(worst, plain - sum(refined))
-    return worst
+    plain, *refined = discretised_maximal(
+        f, xs, delta, net, m=m, seed=seed, stream="domination", axes=range(xs.shape[1])
+    )
+    return float(np.max(plain - sum(refined)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +289,6 @@ class GrowthScan:
     rows: tuple[dict, ...]
 
 
-def _batched_maximal(
-    f: Field,
-    xs: Array,
-    delta: float,
-    net: RadiiNet,
-    *,
-    m: int,
-    seed: int,
-    stream_tag,
-) -> Array:
-    """Plain max-averages at a batch of points, one shared shell batch.
-
-    A single reference-shell sample serves every point and every net radius
-    (the shell law depends only on ``delta``), which slashes the cost of the
-    scan and, because the max is taken over averages of one shared batch,
-    keeps sub-net monotonicity exact.  Statistically this is an ordinary
-    common-random-numbers scheme: each average stays unbiased.
-    """
-    sampler = reference_shell_sampler(delta, xs.shape[1])
-    omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream_tag)), m)
-    best = np.full(xs.shape[0], -np.inf)
-    for r in net.points:
-        pts = xs[:, None, :] + omega[None, :, :] * r[None, None, :]
-        best = np.maximum(best, np.mean(np.abs(f(pts)), axis=1))
-    return best
-
-
 def l2_growth_scan(
     field_family: Callable[[int], Field],
     delta_list: Sequence[float],
@@ -360,7 +325,7 @@ def l2_growth_scan(
             f = field_family(idx)
             rng_x = rng_stream(seed, derive_stream("scan-x", delta, idx))
             xs = lo + rng_x.random((x_samples, n)) * (hi - lo)
-            values = _batched_maximal(f, xs, delta, net, m=m, seed=seed, stream_tag=idx)
+            (values,) = discretised_maximal(f, xs, delta, net, m=m, seed=seed, stream=idx)
             squares = values**2
             mean_sq = float(np.mean(squares))
             se_sq = float(np.std(squares, ddof=1) / np.sqrt(x_samples))

@@ -210,9 +210,12 @@ def mc_mean(
 
     Chunking is deterministic: chunk ``c`` of ``DEFAULT_CHUNK`` draws always
     sees the generator ``rng_stream(seed, derive_stream("chunk", stream,
-    c))``, and partial sums are reduced in chunk order, so the result is
+    c))``, and partial results are reduced in chunk order, so the result is
     independent of the worker count :func:`ordered_map` uses to evaluate
-    chunks.
+    chunks.  Each chunk returns its sum and its sum of squared deviations
+    about the chunk mean (M2); the chunks' M2 are merged with the pairwise
+    update of Chan, Golub and LeVeque (1979), so a large common offset in the
+    values does not cancel the variance away.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -225,22 +228,30 @@ def mc_mean(
         values = np.asarray(sample_fn(rng, hi - lo), dtype=float)
         if values.shape[0] != hi - lo:
             raise ValueError("sample_fn returned a batch of the wrong length")
-        return np.sum(values, axis=0), np.sum(values * values, axis=0), hi - lo
+        chunk_sum = np.sum(values, axis=0)
+        dev = values - chunk_sum / (hi - lo)
+        dev *= dev
+        return chunk_sum, np.sum(dev, axis=0), hi - lo
 
     partials = ordered_map(run_chunk, len(bounds))
     total = partials[0][0] * 0.0
-    total_sq = partials[0][1] * 0.0
-    for s, s2, _m in partials:  # fixed order: bit-identical for any worker count
+    m2 = partials[0][1] * 0.0
+    count = 0
+    for s, chunk_m2, k in partials:  # fixed order: bit-identical for any worker count
+        if count:
+            gap = s / k - total / count
+            chunk_m2 = chunk_m2 + gap * gap * (count * k / (count + k))
+        m2 = m2 + chunk_m2
         total = total + s
-        total_sq = total_sq + s2
+        count += k
 
-    def finish(s: float, s2: float) -> MCEstimate:
+    def finish(s: float, sq_dev: float) -> MCEstimate:
         mean = s / n_samples
         if n_samples < 2:
             return MCEstimate(float(mean), math.inf, n_samples, seed)
-        var = max((s2 - n_samples * mean * mean) / (n_samples - 1), 0.0)
-        return MCEstimate(float(mean), math.sqrt(var / n_samples), n_samples, seed)
+        std_error = math.sqrt(sq_dev / (n_samples - 1) / n_samples)
+        return MCEstimate(float(mean), std_error, n_samples, seed)
 
     return tuple(
-        finish(float(s), float(s2)) for s, s2 in zip(np.atleast_1d(total), np.atleast_1d(total_sq))
+        finish(float(s), float(v)) for s, v in zip(np.atleast_1d(total), np.atleast_1d(m2))
     )

@@ -48,6 +48,7 @@ def test_retired_functions_are_gone(owner, name):
         (mc.mc_mean, ["chunk"]),
         (fibres.trace_fibre, ["newton_tol", "max_newton", "max_steps"]),
         (knapp.shell_partial_sums, ["min_survivors"]),
+        (maximal.discretised_maximal, ["axis"]),
         (maximal.l2_growth_scan, ["net_policy"]),
         (maximal.bump_mixture_family, ["centre_box", "scale_range"]),
         (maximal.RadiiNet.for_delta, ["cut"]),

@@ -227,10 +227,25 @@ class TestRunCommand:
         assert summary["metrics"]["diameter_constant"] == 0.0
         assert summary["metrics"]["halved_constant"] == 0.0
         assert summary["metrics"]["halving_ratio"] == "nan"
+        # both configurations come back empty at both radius factors
+        assert summary["metrics"]["empty_reports_per_factor"] == {"1.0": 2, "0.5": 2}
         halving = [g for g in summary["gates"] if g["metric"] == "halving_ratio"]
         assert halving == [
             {"metric": "halving_ratio", "op": "<=", "bound": 2.0, "measured": "nan", "pass": False}
         ]
+
+    def test_diagnostics_are_metrics_not_gates(self, tmp_path):
+        nondeg = ("--override", "generic_per_n=2", "--override", "bound_trials=20")
+        clusters = ("--samples", 4096, "--override", "configs=2")
+        for experiment, argv in (("nondeg", nondeg), ("clusters", clusters)):
+            assert run_cli("run", "--experiment", experiment, *argv, "--out", tmp_path) in (0, 1)
+        metrics = read_summary(tmp_path / "nondeg-seed0")["metrics"]
+        assert (metrics["bound_accepted"], metrics["bound_requested"]) == (20, 20)
+        summary = read_summary(tmp_path / "clusters-seed0")
+        empty = summary["metrics"]["empty_reports_per_factor"]
+        assert set(empty) == {"1.0", "0.5"} and all(0 <= v <= 2 for v in empty.values())
+        gated = {g["metric"] for g in summary["gates"]}
+        assert not gated & {"empty_reports_per_factor", "bound_accepted", "bound_requested"}
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

@@ -180,21 +180,32 @@ class TestIdentitySuite:
             assert isinstance(closed, Fraction)
             assert closed == identities._frac_det(identities._principal_matrix(t, r, d, w, axis)[0].tolist())
 
-    def test_block_helpers_match_geometry(self):
+    def test_geometry_cores_take_per_trial_arrays(self):
+        # the suite's stacked (t, d, r, w) trials give, row by row, the bits of
+        # geometry's per-configuration functions, and Fractions stay exact
         rng = rng_stream(0, derive_stream("test-suite-tie"))
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
+        for n in range(2, 7):
             axis = int(rng.integers(0, n))
-            t = rng.uniform(0.05, 2.0)
-            r = rng.uniform(0.5, 2.0, n)
-            d = geometry.axis_direction(n, axis) + rng.uniform(-1, 1, n) * geometry.default_refinement_cut(n) ** 2 * 0.9
-            w = rng.uniform(-1.0, 1.0, n)
-            cfg = geometry.TangencyConfig(geometry.AxisFrame(n, axis, dtilde=d), t, r)
-            tb = np.array([t])
-            block_minors = identities._axis_minor_block(tb, r[None], d[None], w[None], axis)[0]
-            np.testing.assert_allclose(block_minors, geometry.axis_minors(cfg, w), atol=1e-14)
-            block_jac = identities._system_jacobian_block(tb, r[None], d[None], w[None], axis)[0]
-            np.testing.assert_allclose(block_jac, geometry.tangency_system_jacobian(cfg, w), atol=1e-14)
+            t = rng.uniform(0.05, 2.0, 6)
+            r = rng.uniform(0.5, 2.0, (6, n))
+            jitter = rng.uniform(-1, 1, (6, n)) * geometry.default_refinement_cut(n) ** 2 * 0.9
+            d = geometry.axis_direction(n, axis) + jitter
+            w = rng.uniform(-1.0, 1.0, (6, n))
+            minors = geometry._axis_minors_core(t, d, r, w, axis)
+            jac = geometry._system_jacobian_core(t, d, r, w, axis)
+            pair = geometry._minor_core(t, d, r, w, 0, n - 1)
+            for k in range(6):
+                cfg = geometry.TangencyConfig(geometry.AxisFrame(n, axis, dtilde=d[k]), t[k], r[k])
+                np.testing.assert_array_equal(minors[k], geometry.axis_minors(cfg, w[k]))
+                np.testing.assert_array_equal(jac[k], geometry.tangency_system_jacobian(cfg, w[k]))
+                assert pair[k] == geometry.gradient_minor(cfg, w[k], 0, n - 1)
+        q = np.array([[Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)]], dtype=object)
+        tq = np.array([Fraction(1, 2)], dtype=object)
+        out = geometry._axis_minors_core(tq, q, q + 1, q, 1)
+        assert out[0, 1] == 0
+        assert all(isinstance(v, Fraction) for v in (out[0, 0], out[0, 2]))
+        jac = geometry._system_jacobian_core(tq, q, q + 1, q, 1)
+        assert all(isinstance(v, (Fraction, int)) for v in jac.ravel())
 
 
 class TestNondegScan:

@@ -7,7 +7,7 @@ import pytest
 
 from homoeoid import geometry as geo
 from homoeoid import maximal
-from homoeoid.mc import DEFAULT_CHUNK, derive_stream, mc_mean, rng_stream
+from homoeoid.mc import derive_stream, mc_mean, rng_stream
 from homoeoid.volumes import reference_shell_sampler
 
 
@@ -107,58 +107,54 @@ class TestAnnulusAverage:
 class TestDiscretisedMaximal:
     NET = maximal.RadiiNet.for_delta(3, 2**-5)
     DELTA = 2**-5
+    XS = np.array([[0.1, -0.2, 0.05], [-0.15, 0.3, 0.0], [0.2, 0.0, -0.1]])
+
+    def sups(self, f, net=None, axes=(), seed=5):
+        net = self.NET if net is None else net
+        return maximal.discretised_maximal(
+            f, self.XS, self.DELTA, net, m=300, seed=seed, stream="test", axes=axes
+        )
+
+    def test_shape_is_one_row_per_flavour(self):
+        assert self.sups(slab_field(3)).shape == (1, 3)
+        assert self.sups(slab_field(3), axes=(2, 0)).shape == (3, 3)
 
     def test_constant_field_gives_one(self):
-        value = maximal.discretised_maximal(
-            constant_field(3), np.zeros(3), self.DELTA, self.NET, m=200, seed=0
-        )
-        assert value == 1.0
+        rows = self.sups(constant_field(3), axes=range(3))
+        np.testing.assert_array_equal(rows[0], 1.0)
+        assert np.all(rows[1:] <= 1.0)
 
-    def test_dominates_every_net_point(self):
-        f = slab_field(3)
-        x = np.array([0.1, -0.2, 0.05])
-        value = maximal.discretised_maximal(f, x, self.DELTA, self.NET, m=300, seed=5)
-        for r in self.NET.points[::25]:
-            est = maximal.annulus_average(
-                f, geo.AnnulusSpec(geo.Ellipsoid(x, r), self.DELTA), 300, seed=5
-            )
-            assert value >= est.value
-
-    def test_refined_operator_never_exceeds_plain(self):
-        f = slab_field(3)
-        x = np.array([-0.15, 0.3, 0.0])
-        plain = maximal.discretised_maximal(f, x, self.DELTA, self.NET, m=300, seed=6)
-        for axis in range(3):
-            refined = maximal.discretised_maximal(
-                f, x, self.DELTA, self.NET, m=300, seed=6, axis=axis
-            )
-            assert refined <= plain + 1e-15
+    def test_refined_rows_never_exceed_plain(self):
+        plain, *refined = self.sups(slab_field(3), axes=range(3), seed=6)
+        for row in refined:
+            assert np.all(row <= plain)
 
     def test_subnet_sup_is_monotone(self):
-        f = slab_field(3)
-        x = np.array([0.2, 0.0, -0.1])
-        full = maximal.discretised_maximal(f, x, self.DELTA, self.NET, m=300, seed=7)
-        subset = max(
-            maximal.annulus_average(
-                f, geo.AnnulusSpec(geo.Ellipsoid(x, r), self.DELTA), 300, seed=7
-            ).value
-            for r in self.NET.points[[0, 31, 62, 124]]
-        )
-        assert subset <= full
+        lo, hi = self.NET.lo, self.NET.hi
+        corners = maximal.RadiiNet(lo, hi, hi[0] - lo[0])
+        fine = {tuple(r) for r in self.NET.points}
+        assert all(tuple(r) in fine for r in corners.points)
+        full = self.sups(slab_field(3), axes=range(3), seed=7)
+        sub = self.sups(slab_field(3), net=corners, axes=range(3), seed=7)
+        assert np.all(sub <= full)
 
-    def test_monotone_in_the_field(self):
+    def test_doubling_the_field_doubles_the_sups(self):
         f = slab_field(3)
         g = maximal.Field.from_callable(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
-        x = np.array([0.0, 0.1, 0.2])
-        a = maximal.discretised_maximal(f, x, self.DELTA, self.NET, m=300, seed=8)
-        b = maximal.discretised_maximal(g, x, self.DELTA, self.NET, m=300, seed=8)
-        assert b == 2.0 * a
+        a = self.sups(f, axes=range(3), seed=8)
+        b = self.sups(g, axes=range(3), seed=8)
+        np.testing.assert_array_equal(b, 2.0 * a)
 
-    def test_out_of_range_axis_is_rejected(self):
+    def test_validation(self):
+        f = slab_field(3)
         with pytest.raises(ValueError, match="axis"):
-            maximal.discretised_maximal(
-                slab_field(3), np.zeros(3), self.DELTA, self.NET, m=8, seed=0, axis=-1
-            )
+            self.sups(f, axes=(-1,))
+        with pytest.raises(ValueError, match="axis"):
+            self.sups(f, axes=(3,))
+        with pytest.raises(ValueError, match="dimension"):
+            self.sups(f, net=small_net(2))
+        with pytest.raises(ValueError, match="m must"):
+            maximal.discretised_maximal(f, self.XS, self.DELTA, self.NET, m=0, seed=0, stream=0)
 
 
 class TestDomination:
@@ -178,10 +174,30 @@ class TestDomination:
         violation = maximal.domination_check(slab_field(3), xs, 2**-6, net, m=128, seed=2)
         assert violation <= 0.0
 
+    def test_draws_one_shell_batch(self, monkeypatch):
+        draws = []
 
-# The per-flavour loops the shared-batch kernel replaced: one stream derivation,
-# batch and field evaluation per (x, r, flavour).  Kept as the reference that
-# the kernel must match bit for bit.
+        def counting_sampler(delta, n):
+            sample = reference_shell_sampler(delta, n)
+
+            def counted(rng, m):
+                draws.append(m)
+                return sample(rng, m)
+
+            return counted
+
+        def no_mc_mean(*args, **kwargs):
+            raise AssertionError("a net sup must not run one estimate per shell")
+
+        monkeypatch.setattr(maximal, "reference_shell_sampler", counting_sampler)
+        monkeypatch.setattr(maximal, "mc_mean", no_mc_mean)
+        xs = np.random.default_rng(0).uniform(-0.4, 0.4, (3, 3))
+        maximal.domination_check(slab_field(3), xs, KERNEL_DELTA, small_net(3), m=64, seed=0)
+        assert draws == [64]
+
+
+# Spelled-out references: one shell average per stream, and the net sups as
+# a naive loop over (x, r, flavour) on the one batch the kernel draws.
 
 
 def reference_average(f, spec, m, seed):
@@ -201,15 +217,23 @@ def reference_average(f, spec, m, seed):
     return est
 
 
-def reference_maximal(f, x, delta, net, m, seed, axis=None):
-    best = -np.inf
-    for r in net.points:
-        base = geo.AnnulusSpec(geo.Ellipsoid(x, r), delta)
-        spec = base if axis is None else geo.RefinedAnnulusSpec(base, axis)
-        value = reference_average(f, spec, m, seed).value
-        if value > best:
-            best = value
-    return best
+def reference_net_sups(f, xs, delta, net, m, seed, stream, axes):
+    n = xs.shape[1]
+    shell = rng_stream(seed, derive_stream("scan-shell", delta, stream))
+    omega = reference_shell_sampler(delta, n)(shell, m)
+    cut = geo.default_refinement_cut(n)
+    out = np.full((1 + len(axes), len(xs)), -np.inf)
+    for i, x in enumerate(xs):
+        for r in net.points:
+            values = np.abs(f(geo.affine_map(x, r, omega)))
+            for row, axis in enumerate([None, *axes]):
+                if axis is not None:
+                    value = np.mean(values * geo.refinement_indicator(omega, axis, cut))
+                else:
+                    value = np.mean(values)
+                if value > out[row, i]:
+                    out[row, i] = value
+    return out
 
 
 KERNEL_DELTA = 2**-5
@@ -248,39 +272,20 @@ class TestSharedBatchKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("m", KERNEL_SAMPLES)
-    def test_operator_matches_per_flavour_reference(self, n, m):
+    def test_net_sups_match_naive_loop(self, n, m):
         f, net = smooth_field(n), small_net(n)
-        # one point at the two-chunk size keeps the per-flavour reference affordable
-        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (1 if m > DEFAULT_CHUNK else 2, n))
-        expected = []
-        for i, x in enumerate(xs):
-            plain, *refined = [
-                reference_maximal(f, x, KERNEL_DELTA, net, m, 4, axis=axis)
-                for axis in [None, *range(n)]
-            ]
-            expected.append(plain - sum(refined))
-            if i == 0:
-                for axis, value in ((None, plain), (n - 1, refined[-1])):
-                    got = maximal.discretised_maximal(
-                        f, x, KERNEL_DELTA, net, m=m, seed=4, axis=axis
-                    )
-                    assert got == value
-        assert maximal.domination_check(f, xs, KERNEL_DELTA, net, m=m, seed=4) == max(expected)
-
-
-class TestOneBatchPerShell:
-    def test_domination_draws_each_shell_batch_once(self, monkeypatch):
-        streams = []
-
-        def counting_mc_mean(sample_fn, n_samples, *, seed, stream):
-            streams.append(stream)
-            return mc_mean(sample_fn, n_samples, seed=seed, stream=stream)
-
-        monkeypatch.setattr(maximal, "mc_mean", counting_mc_mean)
-        net = small_net(3)
-        xs = np.random.default_rng(0).uniform(-0.4, 0.4, (3, 3))
-        maximal.domination_check(slab_field(3), xs, KERNEL_DELTA, net, m=64, seed=0)
-        assert len(streams) == len(set(streams)) == len(xs) * len(net)
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (3, n))
+        for stream, axes in ((7, ()), ("tag", (n - 1,)), ("tag", tuple(range(n)))):
+            got = maximal.discretised_maximal(
+                f, xs, KERNEL_DELTA, net, m=m, seed=4, stream=stream, axes=axes
+            )
+            expected = reference_net_sups(f, xs, KERNEL_DELTA, net, m, 4, stream, axes)
+            np.testing.assert_array_equal(got, expected)
+        plain, *refined = reference_net_sups(
+            f, xs, KERNEL_DELTA, net, m, 4, "domination", tuple(range(n))
+        )
+        worst = maximal.domination_check(f, xs, KERNEL_DELTA, net, m=m, seed=4)
+        assert worst == np.max(plain - sum(refined))
 
 
 class TestLpNorm:

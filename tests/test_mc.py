@@ -164,6 +164,27 @@ class TestMcMean:
         # differ from the contiguous case by a few ulp
         assert a.value == pytest.approx(a_alone.value, rel=1e-13)
 
+    def test_standard_error_survives_a_large_offset(self, monkeypatch):
+        # four chunks of 1e8 + U(0, 1): the variance is 1/12 whatever the offset
+        monkeypatch.setenv("HOMOEOID_THREADS", "1")
+        chunks = []
+
+        def offset(rng, m):
+            chunks.append(1e8 + rng.random(m))
+            return chunks[-1]
+
+        (est,) = mc.mc_mean(offset, 1 << 18, seed=0)
+        assert len(chunks) == 4
+        values = np.concatenate(chunks)
+        two_pass = np.std(values - np.mean(values), ddof=1) / np.sqrt(values.size)
+        assert est.std_error == pytest.approx(two_pass, rel=1e-9)
+        assert est.std_error == pytest.approx(np.sqrt(1 / 12 / 2**18), rel=0.02)
+        # the value is still the chunk-order total over n, bit for bit
+        total = 0.0
+        for chunk in chunks:
+            total = total + np.sum(chunk)
+        assert est.value == float(total / values.size)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mc.mc_mean(lambda rng, m: rng.random(m), 0, seed=1)
