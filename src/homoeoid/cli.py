@@ -395,6 +395,7 @@ def _exp_multiplicity(config: RunConfig, *, axis=0, trials=3) -> RunResult:
         "worst_refined": scan.worst,
         "worst_plain": scan.worst_plain,
         "drift": scan.drift,
+        "pair_samples_drawn": scan.drawn,
     }
     return RunResult(config.experiment, scan.rows, metrics, (Gate("drift", "<=", 4.0),))
 
@@ -819,6 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"report.json: {len(report['runs'])} runs, {warnings} warnings")
         return 0
     try:
+        worker_count()  # a malformed HOMOEOID_THREADS fails here, before any work
         config = RunConfig(
             experiment=args.experiment,
             n=args.n,

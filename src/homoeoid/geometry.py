@@ -12,7 +12,11 @@ Conventions used throughout the package:
 * The *axis refinement* keeps only the reference points with
   ``|omega[axis]|**3 >= 2*cut``.  For the default cut the refinements over all
   axes cover the full reference shell (see :func:`covering_margin`), so the
-  plain shell is the union of its refined pieces.
+  plain shell is the union of its refined pieces.  The masks test the
+  product ``a*a*a`` (``a = |omega[axis]|``) in place of ``a**3``, which is a
+  call of libm ``pow``; the product is within 3 ulps of the true cube, so
+  only values within a relative ``1e-14`` of ``2*cut`` are recomputed with
+  ``**``, and every mask equals the ``**`` mask bit for bit.
 * Tangency between the reference unit sphere and a second shell centred at
   ``t * dtilde`` is measured by :func:`jacobian_gram_norm`, the Gram
   determinant square root of the two defining gradients.  Its algebraic
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -318,10 +322,36 @@ def _spec_parts(spec):
     raise TypeError(f"expected an annulus spec, got {type(spec).__name__}")
 
 
+# Relative half-width of the band around the bound in which ``_cube_at_least``
+# defers to ``**``.  The product ``a*a*a`` is within 3 ulps of the true cube
+# and ``**`` within a few more, so outside the band both sit on the same side.
+_CUBE_SLACK = 1e-14
+
+
+def _cube_at_least(a: Array, bound: float) -> Array:
+    """``a**3 >= bound`` for nonnegative ``a``, bit for bit, without ``pow``.
+
+    The test is made on the product ``a*a*a``, a tenth of the cost of
+    ``**``; only values whose product lies within ``_CUBE_SLACK`` of
+    ``bound`` (relative) are recomputed with ``**``.  A 0-d input gives a
+    numpy scalar, as the ``**`` expression does.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.reshape(-1)
+    cube = flat * flat
+    cube *= flat
+    mask = cube >= bound * (1.0 + _CUBE_SLACK)
+    maybe = cube >= bound * (1.0 - _CUBE_SLACK)
+    if np.count_nonzero(maybe) != np.count_nonzero(mask):
+        near = maybe & ~mask
+        mask[near] = flat[near] ** 3 >= bound
+    return mask.reshape(a.shape)[()]
+
+
 def refinement_indicator(omega: Array, axis: int, cut: float) -> Array:
     """Boolean mask ``|omega[axis]|**3 >= 2*cut`` in reference coordinates."""
     w = np.asarray(omega, dtype=float)
-    return np.abs(w[..., axis]) ** 3 >= 2.0 * cut
+    return _cube_at_least(np.abs(w[..., axis]), 2.0 * cut)
 
 
 def shell_membership(
@@ -341,25 +371,49 @@ def shell_membership(
     so a refined shell is ``shell & sector``.
 
     The kernel runs coordinate by coordinate on shell-major ``(k, m)``
-    arrays: ``z_j = (y_j - x_j) / r_j`` is formed once per coordinate, its
-    squares are added in coordinate order (the order ``np.sum`` uses over a
-    trailing axis shorter than 8), and the refinement reuses ``z_axis``.  For
-    ``n < 8`` the masks therefore equal, bit for bit, those of
-    :func:`defining_value` and :func:`refinement_indicator` applied to
-    :func:`affine_map`'s inverse.
+    arrays (see :func:`_shell_major_membership`), so for ``n < 8`` the masks
+    equal, bit for bit, those of :func:`defining_value` and
+    :func:`refinement_indicator` applied to :func:`affine_map`'s inverse.
     """
     x = np.asarray(centres, dtype=float)
-    r = np.asarray(radii, dtype=float)
     y = np.asarray(points, dtype=float)
     n = y.shape[-1]
     flat = y.reshape(-1, n)
+    shell, sector = _shell_major_membership(
+        x, radii, delta, (flat[:, j] for j in range(n)), axis, cut
+    )
+    shape = y.shape[:-1] + (x.shape[0],)
+    return shell.T.reshape(shape), (None if sector is None else sector.T.reshape(shape))
+
+
+def _shell_major_membership(
+    centres: Array,
+    radii: Array,
+    delta: float,
+    columns: Iterable[Array],
+    axis: Optional[int] = None,
+    cut: Optional[float] = None,
+) -> tuple[Array, Optional[Array]]:
+    """Shell-major ``(k, m)`` masks ``(shell, sector)`` of :func:`shell_membership`.
+
+    ``columns`` yields the points' coordinates in order, each an array that
+    broadcasts against ``(k, 1)``: one ``(m,)`` column shared by every shell,
+    or a ``(k, m)`` array that gives each shell its own points (the pairs of
+    the multiplicity estimator).  ``z_j = (y_j - x_j) / r_j`` is formed once
+    per coordinate, its squares are added in coordinate order (the order
+    ``np.sum`` uses over a trailing axis shorter than 8), and the refinement
+    reuses ``z_axis`` through the product test of :func:`_cube_at_least`.
+    """
+    x = np.asarray(centres, dtype=float)
+    r = np.asarray(radii, dtype=float)
     total = None
     sector = None
-    for j in range(n):
-        z = flat[:, j] - x[:, j, None]
+    for j, column in enumerate(columns):
+        z = column - x[:, j, None]
         z /= r[:, j, None]
         if j == axis:
-            sector = np.abs(z) ** 3 >= 2.0 * cut
+            np.abs(z, out=z)  # the square below does not see the sign
+            sector = _cube_at_least(z, 2.0 * cut)
         z *= z
         if total is None:
             total = z
@@ -367,9 +421,7 @@ def shell_membership(
             total += z
     total -= 1.0
     np.abs(total, out=total)
-    shape = y.shape[:-1] + (x.shape[0],)
-    shell = (total < delta).T.reshape(shape)
-    return shell, (None if sector is None else sector.T.reshape(shape))
+    return total < delta, sector
 
 
 def annulus_contains(spec, points: Array) -> Array:

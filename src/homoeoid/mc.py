@@ -104,13 +104,24 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from ``HOMOEOID_THREADS`` (default 1, i.e. serial)."""
-    raw = os.environ.get("HOMOEOID_THREADS", "")
+    """Worker cap from ``HOMOEOID_THREADS``; ``1`` is serial.
+
+    Unset (or empty), it is the number of CPUs this process may run on.  A
+    value that is not a positive integer raises ``ValueError`` naming the
+    variable.
+    """
+    raw = os.environ.get("HOMOEOID_THREADS", "").strip()
+    if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(1, value)
+        value = 0
+    if value < 1:
+        raise ValueError(f"HOMOEOID_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 _worker = threading.local()

@@ -7,14 +7,19 @@ slot ``k``), parameters ``t_i`` in ``[-1, 1]`` pairwise separated by at least
 L2 norm of the counting function ``sum_i chi_{E_i}`` expands into pairwise
 intersection volumes; :func:`overlap_l2` estimates the off-diagonal part by
 Monte Carlo, while the diagonal is evaluated in closed form.  Each member
-draws one batch per dyadic distance class, with budgets that shrink in the
-parameter distance (distant pairs overlap little and need fewer samples),
-and scores it against every member of the class in one broadcast of
-:func:`geometry.shell_membership`; the refined and plain hit counts come
-from that same batch.  :func:`multiplicity_scan` takes both variants of a
-family from one such pass, normalises the norm by ``log(1/delta) *
-delta^(1/2) * N^(1/2)`` and tracks the worst constant across seeded trials,
-which is the quantity that must stay bounded as ``delta`` shrinks.
+draws one batch per dyadic distance class on its own keyed stream, with
+budgets that shrink in the parameter distance (distant pairs overlap little
+and need fewer samples), and the batch is scored against every member of
+the class; the refined and plain hit counts come from that same batch.  The
+batches of one class have one size, so they are scored together in blocks
+of at most ``DEFAULT_CHUNK`` pair samples: one buffer of draws, one pass of
+the sampler's arithmetic and one call of the geometry's membership kernel
+per block, whatever the number of members in it.  The result is the same,
+bit for bit, as scoring each batch on its own.  :func:`multiplicity_scan`
+takes both variants of a family from one such pass, normalises the norm by
+``log(1/delta) * delta^(1/2) * N^(1/2)`` and tracks the worst constant
+across seeded trials, which is the quantity that must stay bounded as
+``delta`` shrinks.
 
 :func:`direct_overlap_l2` evaluates the same norm by sampling a bounding box
 in physical space and averaging the squared counting function; it is kept as
@@ -31,8 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .mc import MCEstimate, derive_stream, mc_mean, rng_stream
-from .volumes import reference_shell_sampler, shell_volume
+from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream
+from .volumes import _normalise, _to_reference_shell, shell_volume
 
 Array = np.ndarray
 
@@ -197,45 +202,111 @@ def _pair_terms(family: EllipsoidFamily, m: int, seed: int) -> tuple[dict, int]:
     Each member ``i`` groups the others into dyadic distance classes
     ``2^a * delta <= |t_j - t_i| < 2^(a+1) * delta`` and draws one
     reference-shell batch of ``max(64, m >> a)`` points per class, keyed by
-    ``("overlap", i, a)``.  One :func:`geometry.shell_membership` call scores
-    the batch against every member of the class, and the refined and plain
-    hit counts come from that same call.  Returns ``{refined: [(mean term,
-    variance term), ...]}`` in batch order and the number of points drawn.
+    ``("overlap", i, a)``: ``standard_normal((batch, n))``, then
+    ``random(batch)``.  The ``(i, a)`` rows of one class share a batch size,
+    so they are scored together, in blocks of rows whose ``pairs * batch``
+    stays within ``DEFAULT_CHUNK`` (a row over that bound is a block of its
+    own).  A block draws each row's stream into one buffer, maps it to the
+    reference shell and then through the row's affine map in one pass each,
+    and scores every ``(i, j)`` pair of the block in one call of the
+    membership kernel; segment sums over each row's pairs give its plain and
+    refined hit counts, and the batch mean and standard deviation are taken
+    along the sample axis, which gives the bits of the per-batch 1-d calls.
+    Returns ``{refined: [(mean term, variance term), ...]}`` in ``(i, a)``
+    order and the number of points drawn.
     """
 
     if m < 64:
         raise ValueError("m must be >= 64")
-    delta = family.delta
-    sampler = reference_shell_sampler(delta, family.n)
-    centres = family.centres
-    terms: dict = {True: [], False: []}
-    drawn = 0
-    for i in range(len(family)):
-        others = np.flatnonzero(np.arange(len(family)) != i)
+    count = len(family)
+    classes: dict = {}
+    order = []
+    for i in range(count):
+        others = np.flatnonzero(np.arange(count) != i)
         gaps = np.abs(family.offsets[others] - family.offsets[i])
-        classes = np.floor(np.log2(np.maximum(gaps / delta, 1.0))).astype(int)
-        base_volume = shell_volume(family.radii[i], delta)
-        for a in np.unique(classes):
-            batch = max(64, m >> int(a))
-            rng = rng_stream(seed, derive_stream("overlap", i, int(a)))
-            omega = sampler(rng, batch)
-            y = geo.affine_map(centres[i], family.radii[i], omega)
-            keep = geo.refinement_indicator(omega, family.axis, family.cut)
-            members = others[classes == a]
-            shell, sector = geo.shell_membership(
-                centres[members], family.radii[members], delta, y, family.axis, family.cut
-            )
-            counts = {True: keep * np.sum(shell & sector, axis=-1), False: np.sum(shell, axis=-1)}
-            for refined, count in counts.items():
-                hits = count.astype(float)
-                terms[refined].append(
-                    (
-                        base_volume * float(np.mean(hits)),
-                        (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2,
+        level = np.floor(np.log2(np.maximum(gaps / family.delta, 1.0))).astype(int)
+        for a in np.unique(level):
+            classes.setdefault(int(a), []).append((i, others[level == a]))
+            order.append((i, int(a)))
+    volumes = [shell_volume(r, family.delta) for r in family.radii]
+    scored: dict = {}
+    for a, rows in classes.items():
+        batch = max(64, m >> a)
+        for block in _blocks(rows, batch):
+            hits = _block_hits(family, block, a, batch, seed)
+            for refined, counts in hits.items():
+                means = np.mean(counts, axis=1).tolist()
+                stds = np.std(counts, axis=1, ddof=1).tolist()
+                for k, (i, _) in enumerate(block):
+                    scored[i, a, refined] = (
+                        volumes[i] * means[k],
+                        (volumes[i] * stds[k] / math.sqrt(batch)) ** 2,
                     )
-                )
-            drawn += batch
+    terms = {refined: [scored[i, a, refined] for i, a in order] for refined in (True, False)}
+    drawn = sum(max(64, m >> a) for _, a in order)
     return terms, drawn
+
+
+def _blocks(rows: list, batch: int):
+    """Consecutive runs of ``(i, members)`` rows with at most ``DEFAULT_CHUNK``
+    pair samples (``pairs * batch``) each; a row over the bound runs alone."""
+    block, pairs = [], 0
+    for row in rows:
+        if block and (pairs + len(row[1])) * batch > DEFAULT_CHUNK:
+            yield block
+            block, pairs = [], 0
+        block.append(row)
+        pairs += len(row[1])
+    yield block
+
+
+def _block_points(family: EllipsoidFamily, rows: list, a: int, batch: int, seed: int) -> Array:
+    """The ``(rows, batch, n)`` reference-shell batches of a class-``a`` block,
+    each row's stream drawn in place into one buffer (see :func:`_pair_terms`)."""
+
+    normals = np.empty((len(rows), batch, family.n))
+    uniforms = np.empty((len(rows), batch))
+    for k, i in enumerate(rows):
+        rng = rng_stream(seed, derive_stream("overlap", i, a))
+        rng.standard_normal(out=normals[k])
+        rng.random(out=uniforms[k])
+    return _to_reference_shell(_normalise(normals), uniforms, family.delta)
+
+
+def _block_hits(family: EllipsoidFamily, block: list, a: int, batch: int, seed: int) -> dict:
+    """``{refined: hit counts}``, ``(rows, batch)`` floats, of the
+    ``(i, members)`` rows of one class-``a`` block (see :func:`_pair_terms`)."""
+
+    rows = [i for i, _ in block]
+    omega = _block_points(family, rows, a, batch, seed)
+    keep = geo.refinement_indicator(omega, family.axis, family.cut)
+    sizes = [len(j) for _, j in block]
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    x, r = family.centres[rows], family.radii[rows]
+
+    def column(c: int) -> Array:
+        # coordinate c of each pair's point: its row's affine map r*w + x
+        y = r[:, c, None] * omega[..., c]
+        y += x[:, c, None]
+        return y[owner]
+
+    members = np.concatenate([j for _, j in block])
+    shell, sector = geo._shell_major_membership(
+        family.centres[members],
+        family.radii[members],
+        family.delta,
+        (column(c) for c in range(family.n)),
+        family.axis,
+        family.cut,
+    )
+    # segment sums over each row's pairs, as counts over the hit positions:
+    # flat position p*batch + s of pair p lands on owner[p]*batch + s
+    hit = np.flatnonzero(shell)
+    target = hit - ((np.arange(len(owner)) - owner) * batch)[hit // batch]
+    size = len(rows) * batch
+    plain = np.bincount(target, minlength=size).reshape(len(rows), batch)
+    refined = np.bincount(target, weights=sector.ravel()[hit], minlength=size)
+    return {True: keep * refined.reshape(len(rows), batch), False: plain.astype(float)}
 
 
 def _norm_estimate(
@@ -330,11 +401,14 @@ class MultiplicityScan:
     ratio ``C``; ``worst`` and ``worst_plain`` map each delta to the largest
     ratio over trials for the refined and plain variants.  A uniform overlap
     bound corresponds to ``worst`` values of bounded drift as delta shrinks.
+    ``drawn`` is the number of reference-shell points the pairwise route
+    drew over the whole scan (each batch serves both variants).
     """
 
     rows: tuple[dict, ...]
     worst: dict
     worst_plain: dict
+    drawn: int
 
     @property
     def drift(self) -> float:
@@ -368,6 +442,7 @@ def multiplicity_scan(
     rows = []
     worst: dict = {}
     worst_plain: dict = {}
+    total_drawn = 0
     for i_delta, delta in enumerate(ds):
         count = int(rule(delta))
         bound = math.log(1.0 / delta) * math.sqrt(delta) * math.sqrt(count)
@@ -375,6 +450,7 @@ def multiplicity_scan(
             trial_seed = derive_stream("multiplicity-trial", seed, i_delta, trial)
             family = generate_family(axis, delta, count, trial_seed, n=n)
             terms, drawn = _pair_terms(family, m, trial_seed)
+            total_drawn += drawn
             for refined in (True, False):
                 est = _norm_estimate(family, refined, terms[refined], drawn, trial_seed)
                 ratio = est.value / bound
@@ -392,4 +468,6 @@ def multiplicity_scan(
                 )
                 table = worst if refined else worst_plain
                 table[delta] = max(table.get(delta, 0.0), ratio)
-    return MultiplicityScan(rows=tuple(rows), worst=worst, worst_plain=worst_plain)
+    return MultiplicityScan(
+        rows=tuple(rows), worst=worst, worst_plain=worst_plain, drawn=total_drawn
+    )

@@ -69,14 +69,33 @@ def shell_volume(radii: Array, delta: float) -> float:
     return float(np.prod(r)) * ball_volume(n) * span
 
 
-def _uniform_directions(rng: np.random.Generator, m: int, n: int) -> Array:
-    v = rng.standard_normal((m, n))
-    norm = v[:, 0] * v[:, 0]
+def _normalise(v: Array) -> Array:
+    """Scale every ``(..., n)`` row of ``v`` to unit length, in place."""
+    n = v.shape[-1]
+    norm = v[..., 0] * v[..., 0]
     for j in range(1, n):
-        norm += v[:, j] * v[:, j]
+        norm += v[..., j] * v[..., j]
     np.sqrt(norm, out=norm)
-    v /= norm[:, None]
+    v /= norm[..., None]
     return v
+
+
+def _uniform_directions(rng: np.random.Generator, m: int, n: int) -> Array:
+    return _normalise(rng.standard_normal((m, n)))
+
+
+def _to_reference_shell(omega: Array, s: Array, delta: float) -> Array:
+    """Reference-shell points from unit directions ``omega`` ``(..., n)`` and
+    uniforms ``s`` ``(...)``, both overwritten: each direction is scaled by
+    the inverse radial CDF of its uniform."""
+    n = omega.shape[-1]
+    lo = (1.0 - delta) ** (n / 2.0)
+    hi = (1.0 + delta) ** (n / 2.0)
+    s *= hi - lo
+    s += lo
+    s **= 1.0 / n
+    omega *= s[..., None]
+    return omega
 
 
 def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generator, int], Array]:
@@ -87,17 +106,10 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
     ``sqrt(1-delta)`` and ``sqrt(1+delta)``.
     """
     delta = geo._shell_width(delta)
-    lo = (1.0 - delta) ** (n / 2.0)
-    hi = (1.0 + delta) ** (n / 2.0)
 
     def sample(rng: np.random.Generator, m: int) -> Array:
         omega = _uniform_directions(rng, m, n)
-        s = rng.random(m)
-        s *= hi - lo
-        s += lo
-        s **= 1.0 / n
-        omega *= s[:, None]
-        return omega
+        return _to_reference_shell(omega, rng.random(m), delta)
 
     return sample
 

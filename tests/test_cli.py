@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from homoeoid import cli, knapp
+from homoeoid.multiplicity import multiplicity_scan
 
 
 def run_cli(*argv) -> int:
@@ -247,6 +249,17 @@ class TestRunCommand:
         gated = {g["metric"] for g in summary["gates"]}
         assert not gated & {"empty_reports_per_factor", "bound_accepted", "bound_requested"}
 
+    def test_multiplicity_records_its_samples_drawn(self, tmp_path):
+        deltas = (0.125, 0.0625, 0.03125)
+        argv = ("--delta-grid", ",".join(map(str, deltas)), "--samples", 64)
+        assert run_cli("run", "--experiment", "multiplicity", *argv, "--out", tmp_path) in (0, 1)
+        summary = read_summary(tmp_path / "multiplicity-seed0")
+        scan = multiplicity_scan(0, deltas, trials=3, m=64, seed=0)
+        assert summary["metrics"]["pair_samples_drawn"] == scan.drawn > 0
+        assert "pair_samples_drawn" not in {g["metric"] for g in summary["gates"]}
+        header = (tmp_path / "multiplicity-seed0" / "results.csv").read_text().splitlines()[0]
+        assert "drawn" not in header
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         capsys.readouterr()
@@ -283,13 +296,21 @@ class TestDeterminism:
         assert body_a == body_b
         summary_a = read_summary(tmp_path / "a" / "volume-bound-seed0")
         summary_b = read_summary(tmp_path / "b" / "volume-bound-seed0")
-        assert summary_a["workers"] == 1
+        assert summary_a["workers"] == len(os.sched_getaffinity(0))
         assert summary_b["workers"] == 4
         for summary, out in ((summary_a, "a"), (summary_b, "b")):
             summary.pop("created")
             summary.pop("workers")
             assert summary.pop("config").pop("out") == str(tmp_path / out)
         assert summary_a == summary_b
+
+
+@pytest.mark.parametrize("raw", ["many", "0"])
+def test_malformed_worker_env_exits_2(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("HOMOEOID_THREADS", raw)
+    assert run_cli(*VOLUME_ARGS, "--out", tmp_path) == 2
+    assert "HOMOEOID_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "volume-bound-seed0").exists()
 
 
 def fake_run(directory: Path, experiment: str, seed: int, rows=("1,2.5", "3,4.5")) -> Path:

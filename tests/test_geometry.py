@@ -107,8 +107,64 @@ def reference_membership(centre, radii, delta, points, axis=None, cut=None):
     inside = np.abs(geo.defining_value(centre, radii, points)) < delta
     if axis is not None:
         omega = geo.affine_map(centre, radii, points, inverse=True)
-        inside = inside & geo.refinement_indicator(omega, axis, cut)
+        inside = inside & (np.abs(omega[..., axis]) ** 3 >= 2.0 * cut)
     return inside
+
+
+class TestCubeTest:
+    """``_cube_at_least`` against the ``**`` mask it replaces, bit for bit."""
+
+    @staticmethod
+    def nearest_floats(value: float, count: int) -> np.ndarray:
+        """The ``count`` floats nearest ``value``, ``value`` among them."""
+        bits = np.float64(value).view(np.int64) + np.arange(-(count // 2), count - count // 2)
+        return bits.view(np.float64)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(12)
+        a = np.abs(rng.standard_normal(1 << 20)) * 0.6
+        for bound in (2.0 * geo.default_refinement_cut(3), 0.125, 1e-300, 7.5):
+            np.testing.assert_array_equal(geo._cube_at_least(a, bound), a**3 >= bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_floats_nearest_the_cube_root_of_the_default_cut(self, n):
+        bound = 2.0 * geo.default_refinement_cut(n)
+        a = self.nearest_floats(bound ** (1.0 / 3.0), 4000)
+        want = a**3 >= bound
+        assert want.any() and not want.all()  # the window straddles the cut
+        np.testing.assert_array_equal(geo._cube_at_least(a, bound), want)
+        # the band around the cut is recomputed with ** in place of the product
+        cube = a * a * a
+        assert np.any(np.abs(cube - bound) <= geo._CUBE_SLACK * bound)
+
+    def test_special_values(self):
+        a = np.array([0.0, np.inf, np.nan, 5e-324, 1e103, 1e-100])
+        for bound in (0.0, 1e-300, 0.5):
+            with np.errstate(over="ignore", under="ignore"):  # 1e103 cubed overflows in both
+                np.testing.assert_array_equal(geo._cube_at_least(a, bound), a**3 >= bound)
+
+    def test_shapes_and_zero_d_input(self):
+        bound = 2.0 * geo.default_refinement_cut(3)
+        root = bound ** (1.0 / 3.0)
+        a = self.nearest_floats(root, 24).reshape(2, 3, 4)
+        np.testing.assert_array_equal(geo._cube_at_least(a, bound), a**3 >= bound)
+        for value in (root, 0.1, 2.0):
+            got = geo._cube_at_least(np.float64(value), bound)
+            assert isinstance(got, np.bool_) and got == (np.float64(value) ** 3 >= bound)
+            assert geo._cube_at_least(np.array(value), bound) == (value**3 >= bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_refinement_indicator_matches_power(self, n):
+        rng = np.random.default_rng(n)
+        omega = rng.uniform(-1.2, 1.2, (50, 7, n))
+        cut = geo.default_refinement_cut(n)
+        root = (2.0 * cut) ** (1.0 / 3.0)
+        omega[0, :, 0] = -self.nearest_floats(root, 7)
+        for axis in range(n):
+            want = np.abs(omega[..., axis]) ** 3 >= 2.0 * cut
+            np.testing.assert_array_equal(geo.refinement_indicator(omega, axis, cut), want)
+            single = geo.refinement_indicator(omega[0, 0], axis, cut)
+            assert single.shape == () and single == want[0, 0]
 
 
 class TestShellMembershipKernel:

@@ -1,5 +1,6 @@
 """Tests for the deterministic Monte-Carlo engine."""
 
+import os
 import threading
 import time
 
@@ -59,18 +60,23 @@ class TestStreams:
 
 class TestWorkerCount:
     def test_default(self, monkeypatch):
+        # unset or empty: every CPU the process may run on
         monkeypatch.delenv("HOMOEOID_THREADS", raising=False)
-        assert mc.worker_count() == 1
+        assert mc.worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("HOMOEOID_THREADS", "")
+        assert mc.worker_count() == len(os.sched_getaffinity(0))
 
     def test_parses(self, monkeypatch):
         monkeypatch.setenv("HOMOEOID_THREADS", "4")
         assert mc.worker_count() == 4
+        monkeypatch.setenv("HOMOEOID_THREADS", "1")
+        assert mc.worker_count() == 1
 
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("HOMOEOID_THREADS", "many")
-        assert mc.worker_count() == 1
-        monkeypatch.setenv("HOMOEOID_THREADS", "0")
-        assert mc.worker_count() == 1
+    @pytest.mark.parametrize("raw", ["many", "0", "-2", "1.5"])
+    def test_garbage_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("HOMOEOID_THREADS", raw)
+        with pytest.raises(ValueError, match="HOMOEOID_THREADS"):
+            mc.worker_count()
 
 
 class TestOrderedMap:

@@ -269,6 +269,90 @@ def per_pair_overlap_l2(family, m, seed, refined):
     return norm, math.sqrt(variance) / (2.0 * norm), drawn
 
 
+def per_batch_pair_terms(family, m, seed):
+    """``_pair_terms`` as one sampler call and one membership test per
+    ``(i, a)`` batch, with the refinement taken through ``**``: the loop the
+    blocked scoring replaced, kept as its bit-for-bit reference."""
+    delta, axis, cut = family.delta, family.axis, family.cut
+    sampler = reference_shell_sampler(delta, family.n)
+    centres = family.centres
+    terms = {True: [], False: []}
+    drawn = 0
+    for i in range(len(family)):
+        others = np.flatnonzero(np.arange(len(family)) != i)
+        gaps = np.abs(family.offsets[others] - family.offsets[i])
+        classes = np.floor(np.log2(np.maximum(gaps / delta, 1.0))).astype(int)
+        base_volume = shell_volume(family.radii[i], delta)
+        for a in np.unique(classes):
+            batch = max(64, m >> int(a))
+            omega = sampler(rng_stream(seed, derive_stream("overlap", i, int(a))), batch)
+            y = geo.affine_map(centres[i], family.radii[i], omega)
+            keep = np.abs(omega[:, axis]) ** 3 >= 2.0 * cut
+            plain = np.zeros(batch, dtype=int)
+            refined = np.zeros(batch, dtype=int)
+            for j in others[classes == a]:
+                shell = np.abs(geo.defining_value(centres[j], family.radii[j], y)) < delta
+                w = geo.affine_map(centres[j], family.radii[j], y, inverse=True)
+                plain += shell
+                refined += shell & (np.abs(w[:, axis]) ** 3 >= 2.0 * cut)
+            for variant, count in ((True, keep * refined), (False, plain)):
+                hits = count.astype(float)
+                terms[variant].append(
+                    (
+                        base_volume * float(np.mean(hits)),
+                        (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2,
+                    )
+                )
+            drawn += batch
+    return terms, drawn
+
+
+class TestPairTerms:
+    """The blocked ``_pair_terms`` against the per-batch loop, bit for bit."""
+
+    @pytest.mark.parametrize("m", [64, 1000, 4096])
+    @pytest.mark.parametrize("n, axis", [(n, axis) for n in (2, 3, 4) for axis in range(n)])
+    def test_matches_per_batch_loop(self, n, axis, m):
+        for count in (1, 2, 12):
+            fam = generate_family(axis, 2**-5, count, seed=n + axis, n=n)
+            got = multiplicity._pair_terms(fam, m, seed=7)
+            assert got == per_batch_pair_terms(fam, m, 7)
+        assert got[1] > 0 and len(got[0][True]) > len(fam)
+
+    def test_a_class_spans_several_blocks(self, monkeypatch):
+        blocks = []
+        block_hits = multiplicity._block_hits
+
+        def spy(family, block, a, batch, seed):
+            pairs = sum(len(members) for _, members in block)
+            assert pairs * batch <= multiplicity.DEFAULT_CHUNK or len(block) == 1
+            blocks.append((a, len(block)))
+            return block_hits(family, block, a, batch, seed)
+
+        monkeypatch.setattr(multiplicity, "_block_hits", spy)
+        fam = lattice_family(2**-5, axis=1, seed=3)
+        got = multiplicity._pair_terms(fam, 4096, seed=2)
+        per_class = [a for a, _ in blocks]
+        assert per_class.count(0) > 1 and any(rows > 1 for _, rows in blocks)
+        monkeypatch.undo()
+        assert got == per_batch_pair_terms(fam, 4096, 2)
+
+    def test_a_row_over_the_block_bound_is_scored_alone(self):
+        # at m = 2^17 a class-0 row alone has 2 * 2^17 > DEFAULT_CHUNK pair samples
+        fam = generate_family(2, 2**-3, 5, seed=1)
+        assert multiplicity._pair_terms(fam, 1 << 17, seed=4) == per_batch_pair_terms(
+            fam, 1 << 17, 4
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_scan_is_the_same_at_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setenv("HOMOEOID_THREADS", workers)
+        scan = multiplicity_scan(0, [2**-3, 2**-4, 2**-5], trials=2, m=256, seed=1)
+        monkeypatch.setenv("HOMOEOID_THREADS", "1")
+        serial = multiplicity_scan(0, [2**-3, 2**-4, 2**-5], trials=2, m=256, seed=1)
+        assert scan == serial
+
+
 class TestDirectOverlapL2:
     def test_deterministic(self):
         fam = generate_family(0, 2**-4, 3, seed=6)
@@ -326,6 +410,7 @@ class TestMultiplicityScan:
 
     def test_every_row_is_reproducible_from_its_seed(self):
         scan = multiplicity_scan(0, self.DELTAS, trials=2, m=512, seed=4)
+        drawn = 0
         for row in scan.rows:
             fam = generate_family(0, row["delta"], row["N"], row["trial_seed"])
             est = overlap_l2(fam, 512, seed=row["trial_seed"], refined=row["refined"])
@@ -333,6 +418,8 @@ class TestMultiplicityScan:
             assert (est.value, est.std_error) == (row["norm"], row["std_error"])
             assert est.n_samples == other.n_samples
             assert est.value / row["bound"] == row["C"]
+            drawn += est.n_samples if row["refined"] else 0  # both variants share a batch
+        assert scan.drawn == drawn > 0
 
     def test_custom_count_rule(self):
         scan = multiplicity_scan(0, self.DELTAS, count_rule=lambda d: 4, trials=1, m=512, seed=0)
