@@ -28,11 +28,9 @@ Axis indices are 0-based everywhere.  All point-valued arguments accept
 arbitrary leading batch dimensions; coordinates live on the last axis.
 
 The hot kernels (:func:`shell_membership`, :func:`covering_margin` and the
-Gram route of :func:`jacobian_gram_norm`) run coordinate by coordinate on
-one column of the batch at a time, adding the per-coordinate terms in
-coordinate order.  That is the order ``np.sum`` uses over a trailing axis
-shorter than 8, so for ``n < 8`` they match the trailing-axis formulas bit
-for bit.
+Gram route of :func:`jacobian_gram_norm`) follow the package's layout rule
+(see :mod:`homoeoid.mc`): they run on one coordinate column of the batch at
+a time, so for ``n < 8`` they match the trailing-axis formulas bit for bit.
 """
 
 from __future__ import annotations

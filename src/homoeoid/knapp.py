@@ -30,7 +30,15 @@ import numpy as np
 
 from . import geometry as geo
 from .maximal import Field
-from .mc import DEFAULT_CHUNK, ScalingFit, derive_stream, fit_power_law, ordered_map, rng_stream
+from .mc import (
+    DEFAULT_CHUNK,
+    ScalingFit,
+    derive_stream,
+    fit_power_law,
+    ordered_map,
+    rng_stream,
+    stream_rekeyer,
+)
 from .volumes import ball_volume, sample_surface, sphere_area
 
 Array = np.ndarray
@@ -472,31 +480,59 @@ def shell_partial_sums(
         ells = range(idx * block + 1, min((idx + 1) * block, L) + 1)
         gauss = np.empty((len(ells), m, n - 1))
         uniform = np.empty((len(ells), m))
+        rekey = stream_rekeyer(seed)
         for i, ell in enumerate(ells):
-            rng = rng_stream(seed, derive_stream("shell-series", ell, x, r))
-            gauss[i] = rng.standard_normal((m, n - 1))
-            uniform[i] = rng.random(m)
+            rng = rekey(derive_stream("shell-series", ell, x, r))
+            rng.standard_normal(out=gauss[i])
+            rng.random(out=uniform[i])
         # the depths 2**(-l/2) and 2**-l through Python's float pow, not numpy's
         # array power (which may round differently), so a shell's bits do not
         # depend on its block
         scale = np.array([2.0 ** (-ell / 2.0) for ell in ells])[:, None]
         scale_sq = np.array([2.0**-ell for ell in ells])[:, None]
 
-        gauss /= np.linalg.norm(gauss, axis=-1, keepdims=True)
+        # coordinate by coordinate on (shells, m) columns, terms added in
+        # coordinate order; the two products with the frame stay BLAS calls
+        norm = gauss[..., 0] * gauss[..., 0]
+        for j in range(1, n - 1):
+            norm += gauss[..., j] * gauss[..., j]
+        np.sqrt(norm, out=norm)
         radius = (inner + uniform * (1.0 - inner)) ** (1.0 / (n - 1))
-        w = gauss * radius[..., None]
-
-        v_dir = w @ tangent_rows  # unscaled tangential vectors, |v_dir| = |w|
-        curvature = np.sum(v_dir**2 / r_sq, axis=-1)
-        b = b0 + scale * 2.0 * np.sum(v_dir * normal / r_sq, axis=-1)
+        for j in range(n - 1):
+            w = gauss[..., j]  # the Gaussian draws become w in place
+            w /= norm
+            w *= radius
+        v_dir = gauss @ tangent_rows  # unscaled tangential vectors, |v_dir| = |w|
+        v = [v_dir[..., j] for j in range(n)]
+        curvature = v[0] * v[0] / r_sq[0]
+        linear = v[0] * normal[0] / r_sq[0]
+        for j in range(1, n):
+            curvature += v[j] * v[j] / r_sq[j]
+            linear += v[j] * normal[j] / r_sq[j]
+        b = scale * 2.0 * linear
+        b += b0
         disc = np.sqrt(b**2 - 4.0 * scale_sq * quad_coeff * curvature)
         s_scaled = 2.0 * curvature / (disc - b)  # small root of the shell quadratic
 
         level = np.array(ells)[:, None] / 2.0 + np.log2(1.0 / radius)
         in_support = (level >= 1.0) & (np.abs(s_scaled) <= C * radius**2)
-        offset = scale[..., None] * v_dir + (scale_sq * s_scaled)[..., None] * normal - x
-        grad = 2.0 * offset / r_sq
-        secant = np.linalg.norm(grad, axis=-1) / np.abs(grad @ normal)
+        depth = scale_sq * s_scaled
+        grad = np.empty_like(v_dir)
+        grad_norm = None
+        for j in range(n):
+            column = scale * v[j]
+            column += depth * normal[j]
+            column -= x[j]
+            column *= 2.0
+            column /= r_sq[j]
+            grad[..., j] = column
+            column *= column
+            if grad_norm is None:
+                grad_norm = column
+            else:
+                grad_norm += column
+        np.sqrt(grad_norm, out=grad_norm)
+        secant = grad_norm / np.abs(grad @ normal)
         values = np.where(
             in_support, radius ** (-(n - 1)) * level**-beta * secant, 0.0
         )

@@ -194,7 +194,10 @@ def discretised_maximal(
     (zero-extended, plain normaliser).  One reference-shell batch of ``m``
     samples, keyed ``("scan-shell", delta, stream)``, serves every point,
     every net radius and every row, so a sub-net sup never exceeds the net
-    sup and the covering holds sample by sample.
+    sup and the covering holds sample by sample.  ``f`` is called once per
+    net radius on a ``(len(xs), m, n)`` view of one coordinate-major buffer,
+    refilled in place for each radius, so each coordinate column it reads
+    is contiguous.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[1]
@@ -210,8 +213,13 @@ def discretised_maximal(
     cut = geo.default_refinement_cut(n)
     masks = [geo.refinement_indicator(omega, axis, cut) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
+    buffer = np.empty((n, xs.shape[0], m))
+    points = buffer.transpose(1, 2, 0)
+    columns = [omega[:, j].copy() for j in range(n)]
     for r in net.points:
-        values = np.abs(f(xs[:, None, :] + omega[None, :, :] * r[None, None, :]))
+        for j in range(n):
+            np.add(columns[j] * r[j], xs[:, j, None], out=buffer[j])
+        values = np.abs(f(points))
         np.maximum(best[0], np.mean(values, axis=1), out=best[0])
         for row, mask in enumerate(masks, 1):
             np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])

@@ -16,7 +16,21 @@ into chunks of ``DEFAULT_CHUNK`` draws and returns a tuple with one
 
 Stream ids for geometric contexts (points, radii, shell indices, …) are
 derived from the IEEE-754 bit patterns of the defining floats through a
-splitmix64-style mixer; Python's salted ``hash`` is never used.
+splitmix64-style mixer; Python's salted ``hash`` is never used.  A loop over
+many streams re-keys one generator with :func:`stream_rekeyer` instead of
+building one per stream; the draws are the same.
+
+Array layout
+------------
+The package's hot kernels run their arithmetic one coordinate at a time, on
+contiguous ``(m,)`` (or ``(k, m)``) columns, instead of broadcasting or
+reducing over a trailing axis of length ``n``, which numpy does several
+times slower.  Per-coordinate terms are added in coordinate order: that is
+the order ``np.sum`` and ``np.linalg.norm`` use over a trailing axis shorter
+than 8, so for ``n < 8`` the columns give the trailing-axis formulas' bits.
+Matrix products (``@``) stay single BLAS calls on the row-major arrays they
+always had: a per-coordinate dot product rounds differently from BLAS and
+would move bits.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ __all__ = [
     "mc_mean",
     "ordered_map",
     "rng_stream",
+    "stream_rekeyer",
     "worker_count",
 ]
 
@@ -101,6 +116,37 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, stream) pair, via a keyed counter-based RNG."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream_rekeyer(seed: int) -> Callable[[int], np.random.Generator]:
+    """``rekey(stream)``: one generator, re-keyed to ``(seed, stream)`` per call.
+
+    Each call resets the Philox state of the same generator to that of a
+    fresh ``rng_stream(seed, stream)`` (key ``(seed, stream)``, counter
+    zero, buffer empty) and returns it, so it draws what ``rng_stream``
+    would.  That costs a fraction of building a bit generator, which first
+    seeds a ``SeedSequence`` from OS entropy.  A call invalidates what the
+    previous call returned, so a re-keyer belongs to one caller on one thread.
+    """
+    gen = rng_stream(seed)
+    bits = gen.bit_generator
+    word = int(seed) & _MASK64
+
+    def rekey(stream: int) -> np.random.Generator:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([word, int(stream) & _MASK64], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+    return rekey
 
 
 def worker_count() -> int:

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream
+from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream, stream_rekeyer
 from .volumes import _normalise, _to_reference_shell, shell_volume
 
 Array = np.ndarray
@@ -266,8 +266,9 @@ def _block_points(family: EllipsoidFamily, rows: list, a: int, batch: int, seed:
 
     normals = np.empty((len(rows), batch, family.n))
     uniforms = np.empty((len(rows), batch))
+    rekey = stream_rekeyer(seed)
     for k, i in enumerate(rows):
-        rng = rng_stream(seed, derive_stream("overlap", i, a))
+        rng = rekey(derive_stream("overlap", i, a))
         rng.standard_normal(out=normals[k])
         rng.random(out=uniforms[k])
     return _to_reference_shell(_normalise(normals), uniforms, family.delta)
@@ -367,22 +368,45 @@ def direct_overlap_l2(
     averages the squared counting function.  Every pairwise product is scored
     simultaneously, so the estimate is a genuinely independent cross-check of
     the pairwise route; the cost grows with the box volume over the occupied
-    volume, which keeps this practical only for small families.
+    volume, which keeps this practical only for small families.  The box
+    points are scored against every member in one call of the geometry's
+    membership kernel per sub-block of ``DEFAULT_CHUNK // len(family)``
+    points, so its ``(members, points)`` arrays hold about one chunk of
+    values (smaller and larger sub-blocks both measured slower).
     """
 
     count = len(family)
-    specs = [family.spec(j, refined) for j in range(count)]
+    n = family.n
+    axis = family.axis if refined else None
+    centres = family.centres
     pad = np.sqrt(1.0 + family.delta) * family.radii
-    lo = np.min(family.centres - pad, axis=0)
-    hi = np.max(family.centres + pad, axis=0)
-    box_volume = float(np.prod(hi - lo))
+    lo = np.min(centres - pad, axis=0)
+    hi = np.max(centres + pad, axis=0)
+    width = hi - lo
+    box_volume = float(np.prod(width))
+    step = max(1, DEFAULT_CHUNK // count)
+    tally = np.min_scalar_type(count)  # the narrowest integer that holds a count
 
     def values(rng: np.random.Generator, k: int) -> Array:
-        y = lo + (hi - lo) * rng.random((k, family.n))
-        counts = np.zeros(k)
-        for spec in specs:
-            counts += geo.annulus_contains(spec, y)
-        return box_volume * counts**2
+        u = rng.random((k, n))
+        y = [u[:, j] * width[j] + lo[j] for j in range(n)]  # box coordinates, per column
+        counts = np.empty(k)
+        for start in range(0, k, step):
+            stop = min(start + step, k)
+            shell, sector = geo._shell_major_membership(
+                centres,
+                family.radii,
+                family.delta,
+                (column[start:stop] for column in y),
+                axis,
+                family.cut,
+            )
+            if sector is not None:
+                shell &= sector
+            counts[start:stop] = np.add.reduce(shell, axis=0, dtype=tally)
+        counts *= counts
+        counts *= box_volume
+        return counts
 
     (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("direct-overlap", int(refined)))
     if est.value <= 0.0:

@@ -9,11 +9,11 @@ as indicators on a *shared* batch wherever several quantities must be
 compared: partitions then sum exactly, and refined estimates are exactly
 dominated by unrefined ones, sample by sample.
 
-The direction sampler normalises Gaussian draws coordinate by coordinate: the
-squared norm is accumulated one column at a time in coordinate order (the
-order ``np.sum`` uses over a trailing axis shorter than 8, so for ``n < 8``
-the samples equal those of ``np.linalg.norm`` bit for bit), and the batch is
-then divided and scaled in place.
+The direction sampler follows the package's layout rule (see :mod:`homoeoid.mc`):
+the squared norm is accumulated one coordinate column at a time in
+coordinate order, so for ``n < 8`` the samples equal those of
+``np.linalg.norm`` bit for bit, and each column is then divided by the norm
+and scaled by the radius in place.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def _normalise(v: Array) -> Array:
     for j in range(1, n):
         norm += v[..., j] * v[..., j]
     np.sqrt(norm, out=norm)
-    v /= norm[..., None]
+    for j in range(n):
+        v[..., j] /= norm
     return v
 
 
@@ -94,7 +95,8 @@ def _to_reference_shell(omega: Array, s: Array, delta: float) -> Array:
     s *= hi - lo
     s += lo
     s **= 1.0 / n
-    omega *= s[..., None]
+    for j in range(n):
+        omega[..., j] *= s
     return omega
 
 

@@ -8,8 +8,8 @@ import pytest
 from homoeoid import geometry as geo
 from homoeoid import knapp
 from homoeoid.maximal import annulus_average
-from homoeoid.mc import fit_power_law
-from homoeoid.volumes import sample_surface
+from homoeoid.mc import derive_stream, fit_power_law, rng_stream
+from homoeoid.volumes import ball_volume, sample_surface
 
 EXACT_L2_NORM_SQ = 32.0 * math.pi * math.log(2.0)  # closed form of the n=3 profile
 
@@ -259,6 +259,49 @@ class TestGLpNorm:
             knapp.g_lp_norm(2.0, quad_points=50)
 
 
+def trailing_axis_shell_terms(x, r, ells, m, seed, surface_measure, C=4.0):
+    """Per-shell arrays of the series for shells ``ells``, scored as one block
+    of the trailing-axis form (broadcasts and reductions over the last axis)
+    that the coordinate-major block replaces; one fresh stream per shell."""
+    n = x.shape[0]
+    frame = knapp.diagonal_frame(n)
+    tangent_rows, normal = frame[: n - 1], frame[n - 1]
+    beta = n / (n + 1.0)
+    inner = 2.0 ** (-(n - 1) / 2.0)
+    prefactor = ball_volume(n - 1) * (1.0 - inner) / surface_measure
+    r_sq = r**2
+    quad_coeff = float(np.sum(normal**2 / r_sq))
+    b0 = -2.0 * float(np.sum(normal * x / r_sq))
+    gauss = np.empty((len(ells), m, n - 1))
+    uniform = np.empty((len(ells), m))
+    for i, ell in enumerate(ells):
+        rng = rng_stream(seed, derive_stream("shell-series", ell, x, r))
+        gauss[i] = rng.standard_normal((m, n - 1))
+        uniform[i] = rng.random(m)
+    scale = np.array([2.0 ** (-ell / 2.0) for ell in ells])[:, None]
+    scale_sq = np.array([2.0**-ell for ell in ells])[:, None]
+    gauss /= np.linalg.norm(gauss, axis=-1, keepdims=True)
+    radius = (inner + uniform * (1.0 - inner)) ** (1.0 / (n - 1))
+    v_dir = (gauss * radius[..., None]) @ tangent_rows
+    curvature = np.sum(v_dir**2 / r_sq, axis=-1)
+    b = b0 + scale * 2.0 * np.sum(v_dir * normal / r_sq, axis=-1)
+    disc = np.sqrt(b**2 - 4.0 * scale_sq * quad_coeff * curvature)
+    s_scaled = 2.0 * curvature / (disc - b)
+    level = np.array(ells)[:, None] / 2.0 + np.log2(1.0 / radius)
+    in_support = (level >= 1.0) & (np.abs(s_scaled) <= C * radius**2)
+    offset = scale[..., None] * v_dir + (scale_sq * s_scaled)[..., None] * normal - x
+    grad = 2.0 * offset / r_sq
+    secant = np.linalg.norm(grad, axis=-1) / np.abs(grad @ normal)
+    values = np.where(in_support, radius ** (-(n - 1)) * level**-beta * secant, 0.0)
+    values *= prefactor
+    return (
+        np.mean(values, axis=1),
+        np.std(values, axis=1, ddof=1) / math.sqrt(m),
+        np.count_nonzero(in_support, axis=1),
+        np.max(np.abs(s_scaled), axis=1),
+    )
+
+
 class TestShellPartialSums:
     def setup_method(self):
         self.x, self.r = tangency_pair(seed=7)
@@ -319,6 +362,17 @@ class TestShellPartialSums:
         for other in runs[1:]:
             for a, b in zip(series_arrays(runs[0]), series_arrays(other)):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_trailing_axis_form_across_a_block_boundary(self, n):
+        # at m = 256 the first block ends at shell 256
+        xs, rs = knapp.sample_tangency_set(1, seed=7, n=n)
+        s = knapp.shell_partial_sums(xs[0], rs[0], 270, 256, seed=1)
+        ells = range(240, 271)
+        want = trailing_axis_shell_terms(xs[0], rs[0], ells, 256, 1, s.surface_measure)
+        for a, b in zip(series_arrays(s), want):
+            np.testing.assert_array_equal(a[ells[0] - 1 :], b)
+        assert np.all(s.survivors[ells[0] - 1 :] > 0)
 
     def test_blocks_reduce_in_shell_order(self, monkeypatch):
         expected = knapp.shell_partial_sums(self.x, self.r, 700, 256, seed=2)

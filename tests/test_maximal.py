@@ -236,6 +236,23 @@ def reference_net_sups(f, xs, delta, net, m, seed, stream, axes):
     return out
 
 
+def row_major_net_sups(f, xs, delta, net, m, seed, stream, axes):
+    """The net sups on one ``(len(xs), m, n)`` array ``x + omega * r`` per net
+    radius, the form the coordinate-major buffer replaces."""
+    n = xs.shape[1]
+    shell = rng_stream(seed, derive_stream("scan-shell", delta, stream))
+    omega = reference_shell_sampler(delta, n)(shell, m)
+    cut = geo.default_refinement_cut(n)
+    masks = [geo.refinement_indicator(omega, axis, cut) for axis in axes]
+    best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
+    for r in net.points:
+        values = np.abs(f(xs[:, None, :] + omega[None, :, :] * r[None, None, :]))
+        np.maximum(best[0], np.mean(values, axis=1), out=best[0])
+        for row, mask in enumerate(masks, 1):
+            np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])
+    return best
+
+
 KERNEL_DELTA = 2**-5
 KERNEL_SAMPLES = [1, 256, 300, 2**16 + 1]  # 2**16 + 1 spans two mc_mean chunks
 
@@ -285,6 +302,25 @@ class TestSharedBatchKernel:
             f, xs, KERNEL_DELTA, net, m, 4, "domination", tuple(range(n))
         )
         worst = maximal.domination_check(f, xs, KERNEL_DELTA, net, m=m, seed=4)
+        assert worst == np.max(plain - sum(refined))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_net_sups_match_row_major_form(self, n, m):
+        net = small_net(n)
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (5, n))
+        fields = [smooth_field(n), maximal.bump_mixture_family(n, seed=2)(1)]
+        for f in fields:
+            for axes in ((), (0,), tuple(range(n))):
+                got = maximal.discretised_maximal(
+                    f, xs, KERNEL_DELTA, net, m=m, seed=4, stream="tag", axes=axes
+                )
+                want = row_major_net_sups(f, xs, KERNEL_DELTA, net, m, 4, "tag", axes)
+                np.testing.assert_array_equal(got, want)
+        plain, *refined = row_major_net_sups(
+            fields[1], xs, KERNEL_DELTA, net, m, 4, "domination", tuple(range(n))
+        )
+        worst = maximal.domination_check(fields[1], xs, KERNEL_DELTA, net, m=m, seed=4)
         assert worst == np.max(plain - sum(refined))
 
 

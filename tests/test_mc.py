@@ -58,6 +58,44 @@ class TestStreams:
         assert 0.0 <= gen.random() < 1.0
 
 
+def draws(gen):
+    # an odd-length 32-bit draw first and last leaves half a word buffered,
+    # and the normals and uniforms between leave the Philox block part used
+    return (
+        gen.integers(0, 1000, 3, dtype=np.int32),
+        gen.standard_normal(5),
+        gen.random(3),
+        gen.integers(0, 2**40, 3),
+        gen.integers(0, 1000, 1, dtype=np.int32),
+    )
+
+
+class TestStreamRekeyer:
+    def test_consecutive_rekeys_draw_what_fresh_streams_draw(self):
+        rekey = mc.stream_rekeyer(12345)
+        for stream in range(200):
+            got, want = draws(rekey(stream)), draws(mc.rng_stream(12345, stream))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_rekey_after_a_partly_used_buffer_starts_afresh(self):
+        rekey = mc.stream_rekeyer(2**64 - 1)
+        for stream in (7, 7, 2**64 - 1, 7):
+            gen = rekey(stream)
+            assert gen.integers(0, 1000, 1, dtype=np.int32)[0] == (
+                mc.rng_stream(2**64 - 1, stream).integers(0, 1000, 1, dtype=np.int32)[0]
+            )
+            gen.standard_normal(3)  # leaves the block and the 32-bit half-word part used
+        want = mc.rng_stream(2**64 - 1, 3)
+        got = rekey(3)
+        for a, b in zip(draws(got), draws(want)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_returns_one_generator(self):
+        rekey = mc.stream_rekeyer(1)
+        assert rekey(1) is rekey(2)
+
+
 class TestWorkerCount:
     def test_default(self, monkeypatch):
         # unset or empty: every CPU the process may run on

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homoeoid import geometry as geo
 from homoeoid import multiplicity
-from homoeoid.mc import derive_stream, rng_stream
+from homoeoid.mc import MCEstimate, derive_stream, mc_mean, rng_stream
 from homoeoid.multiplicity import (
     EllipsoidFamily,
     direct_overlap_l2,
@@ -353,7 +353,49 @@ class TestPairTerms:
         assert scan == serial
 
 
+def per_member_direct_overlap_l2(family, m, seed, refined):
+    """The oracle with one ``annulus_contains`` call per member on row-major
+    box points, the form its all-members kernel replaces."""
+    specs = [family.spec(j, refined) for j in range(len(family))]
+    pad = np.sqrt(1.0 + family.delta) * family.radii
+    lo = np.min(family.centres - pad, axis=0)
+    hi = np.max(family.centres + pad, axis=0)
+    box_volume = float(np.prod(hi - lo))
+
+    def values(rng, k):
+        y = lo + (hi - lo) * rng.random((k, family.n))
+        counts = np.zeros(k)
+        for spec in specs:
+            counts += geo.annulus_contains(spec, y)
+        return box_volume * counts**2
+
+    (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("direct-overlap", int(refined)))
+    if est.value <= 0.0:
+        return MCEstimate(0.0, math.sqrt(est.std_error), est.n_samples, seed)
+    return MCEstimate(
+        math.sqrt(est.value), est.std_error / (2.0 * math.sqrt(est.value)), est.n_samples, seed
+    )
+
+
 class TestDirectOverlapL2:
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    @pytest.mark.parametrize("n, axis", [(n, axis) for n in (2, 3) for axis in range(n)])
+    def test_matches_per_member_loop(self, n, axis, count):
+        # 70,001 points: one whole chunk and a ragged one, each cut into
+        # sub-blocks of DEFAULT_CHUNK // count points
+        fam = generate_family(axis, 2**-4, count, seed=n + axis, n=n)
+        for refined in (True, False):
+            got = direct_overlap_l2(fam, 70_001, seed=3, refined=refined)
+            assert got == per_member_direct_overlap_l2(fam, 70_001, 3, refined)
+            assert got.value > 0.0
+
+    def test_matches_per_member_loop_for_a_large_family(self):
+        # 300 members: counts tallied in 16 bits, sub-blocks of 218 points
+        fam = generate_family(1, 2**-8, 300, seed=4, n=2)
+        for refined in (True, False):
+            got = direct_overlap_l2(fam, 20_001, seed=5, refined=refined)
+            assert got == per_member_direct_overlap_l2(fam, 20_001, 5, refined)
+
     def test_deterministic(self):
         fam = generate_family(0, 2**-4, 3, seed=6)
         a = direct_overlap_l2(fam, 1 << 18, seed=1)

@@ -87,6 +87,20 @@ class TestSamplerKernel:
         assert got.shape == (m, n) and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_block_batches_match_trailing_axis_reference(self, n):
+        # the (rows, batch, n) buffers that the multiplicity blocks pass
+        delta = 2.0**-5
+        rows, batch = 3, 257
+        normals = rng_stream(SEED, n).standard_normal((rows, batch, n))
+        uniforms = rng_stream(SEED, n + 1).random((rows, batch))
+        lo = (1.0 - delta) ** (n / 2.0)
+        hi = (1.0 + delta) ** (n / 2.0)
+        unit = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+        want = unit * ((lo + uniforms * (hi - lo)) ** (1.0 / n))[..., None]
+        got = vol._to_reference_shell(vol._normalise(normals.copy()), uniforms.copy(), delta)
+        np.testing.assert_array_equal(got, want)
+
     def test_surface_sampler_matches_reference(self):
         radii = np.array([2.0, 1.0, 0.5])
         points, weights = vol.sample_surface(radii, 1000, SEED)
