@@ -27,10 +27,12 @@ Conventions used throughout the package:
 Axis indices are 0-based everywhere.  All point-valued arguments accept
 arbitrary leading batch dimensions; coordinates live on the last axis.
 
-The hot kernels (:func:`shell_membership`, :func:`covering_margin` and the
-Gram route of :func:`jacobian_gram_norm`) follow the package's layout rule
-(see :mod:`homoeoid.mc`): they run on one coordinate column of the batch at
-a time, so for ``n < 8`` they match the trailing-axis formulas bit for bit.
+Shell membership has one kernel, :func:`shell_membership`, with shell-major
+``(k, m)`` masks; :func:`annulus_contains` is its one-shell case.  The hot
+kernels (:func:`shell_membership`, :func:`covering_margin` and the Gram
+route of :func:`jacobian_gram_norm`) follow the package's layout rule (see
+:mod:`homoeoid.mc`): they run on one coordinate column of the batch at a
+time, so for ``n < 8`` they match the trailing-axis formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -180,10 +182,6 @@ class AnnulusSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _shell_width(self.delta))
-
-    @property
-    def base(self) -> "AnnulusSpec":
-        return self
 
     @property
     def n(self) -> int:
@@ -356,51 +354,25 @@ def shell_membership(
     centres: Array,
     radii: Array,
     delta: float,
-    points: Array,
-    axis: Optional[int] = None,
-    cut: Optional[float] = None,
-) -> tuple[Array, Optional[Array]]:
-    """Membership of a point batch in ``k`` shells of one width ``delta``.
-
-    ``centres`` and ``radii`` hold one row per shell, ``(k, n)``; ``points``
-    is ``(..., n)``.  Returns ``(shell, sector)``, both ``(..., k)`` boolean:
-    ``shell`` is ``|F| < delta`` and ``sector`` the axis refinement
-    ``|omega[axis]|**3 >= 2*cut`` of the pullback (``None`` without ``axis``),
-    so a refined shell is ``shell & sector``.
-
-    The kernel runs coordinate by coordinate on shell-major ``(k, m)``
-    arrays (see :func:`_shell_major_membership`), so for ``n < 8`` the masks
-    equal, bit for bit, those of :func:`defining_value` and
-    :func:`refinement_indicator` applied to :func:`affine_map`'s inverse.
-    """
-    x = np.asarray(centres, dtype=float)
-    y = np.asarray(points, dtype=float)
-    n = y.shape[-1]
-    flat = y.reshape(-1, n)
-    shell, sector = _shell_major_membership(
-        x, radii, delta, (flat[:, j] for j in range(n)), axis, cut
-    )
-    shape = y.shape[:-1] + (x.shape[0],)
-    return shell.T.reshape(shape), (None if sector is None else sector.T.reshape(shape))
-
-
-def _shell_major_membership(
-    centres: Array,
-    radii: Array,
-    delta: float,
     columns: Iterable[Array],
     axis: Optional[int] = None,
     cut: Optional[float] = None,
 ) -> tuple[Array, Optional[Array]]:
-    """Shell-major ``(k, m)`` masks ``(shell, sector)`` of :func:`shell_membership`.
+    """Shell-major ``(k, m)`` masks ``(shell, sector)`` of points in ``k``
+    shells of width ``delta``, with ``(k, n)`` ``centres`` and ``radii``:
+    ``shell`` is ``|F| < delta``, ``sector`` the axis refinement
+    ``|omega[axis]|**3 >= 2*cut`` of the pullback (``None`` without ``axis``).
 
     ``columns`` yields the points' coordinates in order, each an array that
-    broadcasts against ``(k, 1)``: one ``(m,)`` column shared by every shell,
-    or a ``(k, m)`` array that gives each shell its own points (the pairs of
-    the multiplicity estimator).  ``z_j = (y_j - x_j) / r_j`` is formed once
-    per coordinate, its squares are added in coordinate order (the order
-    ``np.sum`` uses over a trailing axis shorter than 8), and the refinement
-    reuses ``z_axis`` through the product test of :func:`_cube_at_least`.
+    broadcasts against ``(k, 1)``: one ``(m,)`` column shared by every shell
+    (the rows of ``points.reshape(-1, n).T``), or a ``(k, m)`` array that
+    gives each shell its own points (the pairs of the multiplicity
+    estimator).  ``z_j = (y_j - x_j) / r_j`` is formed once per coordinate,
+    its squares are added in coordinate order (the order ``np.sum`` uses
+    over a trailing axis shorter than 8), and the refinement reuses
+    ``z_axis`` through the product test of :func:`_cube_at_least`, so for
+    ``n < 8`` the masks equal those of :func:`defining_value` and
+    :func:`refinement_indicator` bit for bit.
     """
     x = np.asarray(centres, dtype=float)
     r = np.asarray(radii, dtype=float)
@@ -432,11 +404,12 @@ def annulus_contains(spec, points: Array) -> Array:
     """
     base, axis, cut = _spec_parts(spec)
     ell = base.ellipsoid
+    y = np.asarray(points, dtype=float)
     shell, sector = shell_membership(
-        ell.centre[None], ell.radii[None], base.delta, points, axis, cut
+        ell.centre[None], ell.radii[None], base.delta, y.reshape(-1, y.shape[-1]).T, axis, cut
     )
     inside = shell if sector is None else shell & sector
-    return inside[..., 0][()]  # [()] turns a single point's 0-d result into a scalar
+    return inside.reshape(y.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar
 
 
 def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:

@@ -30,16 +30,8 @@ import numpy as np
 
 from . import geometry as geo
 from .maximal import Field
-from .mc import (
-    DEFAULT_CHUNK,
-    ScalingFit,
-    derive_stream,
-    fit_power_law,
-    ordered_map,
-    rng_stream,
-    stream_rekeyer,
-)
-from .volumes import ball_volume, sample_surface, sphere_area
+from .mc import DEFAULT_CHUNK, ScalingFit, derive_stream, fit_power_law, ordered_map, rng_stream
+from .volumes import ball_volume, keyed_shell_points, sample_surface, sphere_area
 
 Array = np.ndarray
 
@@ -478,13 +470,9 @@ def shell_partial_sums(
 
     def run_block(idx: int) -> tuple[Array, Array, Array, Array]:
         ells = range(idx * block + 1, min((idx + 1) * block, L) + 1)
-        gauss = np.empty((len(ells), m, n - 1))
-        uniform = np.empty((len(ells), m))
-        rekey = stream_rekeyer(seed)
-        for i, ell in enumerate(ells):
-            rng = rekey(derive_stream("shell-series", ell, x, r))
-            rng.standard_normal(out=gauss[i])
-            rng.random(out=uniform[i])
+        streams = [derive_stream("shell-series", ell, x, r) for ell in ells]
+        # w uniform in the tangential annulus 2**(-1/2) < |w| <= 1 of R^(n-1)
+        w, radius = keyed_shell_points(seed, streams, m, n - 1, (0.5, 1.0))
         # the depths 2**(-l/2) and 2**-l through Python's float pow, not numpy's
         # array power (which may round differently), so a shell's bits do not
         # depend on its block
@@ -493,16 +481,7 @@ def shell_partial_sums(
 
         # coordinate by coordinate on (shells, m) columns, terms added in
         # coordinate order; the two products with the frame stay BLAS calls
-        norm = gauss[..., 0] * gauss[..., 0]
-        for j in range(1, n - 1):
-            norm += gauss[..., j] * gauss[..., j]
-        np.sqrt(norm, out=norm)
-        radius = (inner + uniform * (1.0 - inner)) ** (1.0 / (n - 1))
-        for j in range(n - 1):
-            w = gauss[..., j]  # the Gaussian draws become w in place
-            w /= norm
-            w *= radius
-        v_dir = gauss @ tangent_rows  # unscaled tangential vectors, |v_dir| = |w|
+        v_dir = w @ tangent_rows  # unscaled tangential vectors, |v_dir| = |w|
         v = [v_dir[..., j] for j in range(n)]
         curvature = v[0] * v[0] / r_sq[0]
         linear = v[0] * normal[0] / r_sq[0]

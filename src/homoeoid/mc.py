@@ -16,9 +16,9 @@ into chunks of ``DEFAULT_CHUNK`` draws and returns a tuple with one
 
 Stream ids for geometric contexts (points, radii, shell indices, …) are
 derived from the IEEE-754 bit patterns of the defining floats through a
-splitmix64-style mixer; Python's salted ``hash`` is never used.  A loop over
-many streams re-keys one generator with :func:`stream_rekeyer` instead of
-building one per stream; the draws are the same.
+splitmix64-style mixer; Python's salted ``hash`` is never used.  The one loop
+over many streams (:func:`homoeoid.volumes.keyed_shell_points`) re-keys one
+generator with :func:`stream_rekeyer`, drawing what fresh generators draw.
 
 Array layout
 ------------

@@ -36,8 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream, stream_rekeyer
-from .volumes import _normalise, _to_reference_shell, shell_volume
+from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream
+from .volumes import keyed_shell_points, shell_volume
 
 Array = np.ndarray
 
@@ -206,12 +206,12 @@ def _pair_terms(family: EllipsoidFamily, m: int, seed: int) -> tuple[dict, int]:
     ``random(batch)``.  The ``(i, a)`` rows of one class share a batch size,
     so they are scored together, in blocks of rows whose ``pairs * batch``
     stays within ``DEFAULT_CHUNK`` (a row over that bound is a block of its
-    own).  A block draws each row's stream into one buffer, maps it to the
-    reference shell and then through the row's affine map in one pass each,
-    and scores every ``(i, j)`` pair of the block in one call of the
-    membership kernel; segment sums over each row's pairs give its plain and
-    refined hit counts, and the batch mean and standard deviation are taken
-    along the sample axis, which gives the bits of the per-batch 1-d calls.
+    own).  One :func:`~homoeoid.volumes.keyed_shell_points` call draws a
+    block, its rows go through their affine maps in one pass, and every
+    ``(i, j)`` pair of the block is scored in one call of the membership
+    kernel; segment sums over each row's pairs give its plain and refined hit
+    counts, and the batch mean and standard deviation are taken along the
+    sample axis, which gives the bits of the per-batch 1-d calls.
     Returns ``{refined: [(mean term, variance term), ...]}`` in ``(i, a)``
     order and the number of points drawn.
     """
@@ -260,26 +260,14 @@ def _blocks(rows: list, batch: int):
     yield block
 
 
-def _block_points(family: EllipsoidFamily, rows: list, a: int, batch: int, seed: int) -> Array:
-    """The ``(rows, batch, n)`` reference-shell batches of a class-``a`` block,
-    each row's stream drawn in place into one buffer (see :func:`_pair_terms`)."""
-
-    normals = np.empty((len(rows), batch, family.n))
-    uniforms = np.empty((len(rows), batch))
-    rekey = stream_rekeyer(seed)
-    for k, i in enumerate(rows):
-        rng = rekey(derive_stream("overlap", i, a))
-        rng.standard_normal(out=normals[k])
-        rng.random(out=uniforms[k])
-    return _to_reference_shell(_normalise(normals), uniforms, family.delta)
-
-
 def _block_hits(family: EllipsoidFamily, block: list, a: int, batch: int, seed: int) -> dict:
     """``{refined: hit counts}``, ``(rows, batch)`` floats, of the
     ``(i, members)`` rows of one class-``a`` block (see :func:`_pair_terms`)."""
 
     rows = [i for i, _ in block]
-    omega = _block_points(family, rows, a, batch, seed)
+    streams = [derive_stream("overlap", i, a) for i in rows]
+    bounds = (1.0 - family.delta, 1.0 + family.delta)  # the reference shell
+    omega, _ = keyed_shell_points(seed, streams, batch, family.n, bounds)
     keep = geo.refinement_indicator(omega, family.axis, family.cut)
     sizes = [len(j) for _, j in block]
     owner = np.repeat(np.arange(len(rows)), sizes)
@@ -292,7 +280,7 @@ def _block_hits(family: EllipsoidFamily, block: list, a: int, batch: int, seed: 
         return y[owner]
 
     members = np.concatenate([j for _, j in block])
-    shell, sector = geo._shell_major_membership(
+    shell, sector = geo.shell_membership(
         family.centres[members],
         family.radii[members],
         family.delta,
@@ -390,10 +378,11 @@ def direct_overlap_l2(
     def values(rng: np.random.Generator, k: int) -> Array:
         u = rng.random((k, n))
         y = [u[:, j] * width[j] + lo[j] for j in range(n)]  # box coordinates, per column
+        del u  # the columns are all that is scored
         counts = np.empty(k)
         for start in range(0, k, step):
             stop = min(start + step, k)
-            shell, sector = geo._shell_major_membership(
+            shell, sector = geo.shell_membership(
                 centres,
                 family.radii,
                 family.delta,

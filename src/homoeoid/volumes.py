@@ -9,11 +9,12 @@ as indicators on a *shared* batch wherever several quantities must be
 compared: partitions then sum exactly, and refined estimates are exactly
 dominated by unrefined ones, sample by sample.
 
-The direction sampler follows the package's layout rule (see :mod:`homoeoid.mc`):
-the squared norm is accumulated one coordinate column at a time in
-coordinate order, so for ``n < 8`` the samples equal those of
-``np.linalg.norm`` bit for bit, and each column is then divided by the norm
-and scaled by the radius in place.
+Two kernels draw every shell point: :func:`reference_shell_sampler` from one
+generator, and :func:`keyed_shell_points` one batch per stream id.  Both
+follow the package's layout rule (see :mod:`homoeoid.mc`): the squared norm
+is accumulated one coordinate column at a time in coordinate order, so for
+``n < 8`` the samples equal those of ``np.linalg.norm`` bit for bit, and
+each column is then divided by the norm and scaled by the radius in place.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from homoeoid import geometry as geo
-from homoeoid.mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, ordered_map, rng_stream
+from homoeoid.mc import (
+    DEFAULT_CHUNK,
+    MCEstimate,
+    derive_stream,
+    mc_mean,
+    ordered_map,
+    rng_stream,
+    stream_rekeyer,
+)
 
 Array = np.ndarray
 
@@ -36,6 +45,7 @@ __all__ = [
     "sphere_area",
     "shell_volume",
     "reference_shell_sampler",
+    "keyed_shell_points",
     "sample_surface",
     "intersection_volume",
     "volume_bound_scan",
@@ -65,8 +75,13 @@ def shell_volume(radii: Array, delta: float) -> float:
     r = np.asarray(radii, dtype=float)
     n = r.shape[-1]
     delta = geo._shell_width(delta)
-    span = (1.0 + delta) ** (n / 2.0) - (1.0 - delta) ** (n / 2.0)
-    return float(np.prod(r)) * ball_volume(n) * span
+    lo, hi = _radial_bounds((1.0 - delta, 1.0 + delta), n)
+    return float(np.prod(r)) * ball_volume(n) * (hi - lo)
+
+
+def _radial_bounds(bounds: tuple[float, float], d: int) -> tuple[float, float]:
+    """Bounds on ``|w|**d`` of the shell ``lo < |w|**2 < hi`` of ``R^d``."""
+    return bounds[0] ** (d / 2.0), bounds[1] ** (d / 2.0)
 
 
 def _normalise(v: Array) -> Array:
@@ -81,21 +96,16 @@ def _normalise(v: Array) -> Array:
     return v
 
 
-def _uniform_directions(rng: np.random.Generator, m: int, n: int) -> Array:
-    return _normalise(rng.standard_normal((m, n)))
-
-
-def _to_reference_shell(omega: Array, s: Array, delta: float) -> Array:
-    """Reference-shell points from unit directions ``omega`` ``(..., n)`` and
-    uniforms ``s`` ``(...)``, both overwritten: each direction is scaled by
-    the inverse radial CDF of its uniform."""
-    n = omega.shape[-1]
-    lo = (1.0 - delta) ** (n / 2.0)
-    hi = (1.0 + delta) ** (n / 2.0)
+def _to_shell(omega: Array, s: Array, bounds: tuple[float, float]) -> Array:
+    """Points of the shell ``bounds[0] < |w|**2 < bounds[1]`` from unit
+    directions ``omega`` ``(..., d)`` and uniforms ``s`` ``(...)``, both
+    overwritten: ``s`` becomes the radius, by the inverse CDF of ``s^{d-1} ds``."""
+    d = omega.shape[-1]
+    lo, hi = _radial_bounds(bounds, d)
     s *= hi - lo
     s += lo
-    s **= 1.0 / n
-    for j in range(n):
+    s **= 1.0 / d
+    for j in range(d):
         omega[..., j] *= s
     return omega
 
@@ -110,10 +120,30 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
     delta = geo._shell_width(delta)
 
     def sample(rng: np.random.Generator, m: int) -> Array:
-        omega = _uniform_directions(rng, m, n)
-        return _to_reference_shell(omega, rng.random(m), delta)
+        omega = _normalise(rng.standard_normal((m, n)))
+        return _to_shell(omega, rng.random(m), (1.0 - delta, 1.0 + delta))
 
     return sample
+
+
+def keyed_shell_points(
+    seed: int, streams: Sequence[int], m: int, d: int, bounds: tuple[float, float]
+) -> tuple[Array, Array]:
+    """``m`` uniform points of the shell ``bounds[0] < |w|**2 < bounds[1]`` of
+    ``R^d`` per stream id (``(1-delta, 1+delta)`` is the reference shell):
+    row ``i`` draws ``standard_normal((m, d))`` and then ``random(m)`` from
+    ``(seed, streams[i])`` through one :func:`~homoeoid.mc.stream_rekeyer`
+    generator, mapped as in :func:`reference_shell_sampler`.  Returns the
+    ``(k, m, d)`` points and their ``(k, m)`` radii.
+    """
+    points = np.empty((len(streams), m, d))
+    radii = np.empty((len(streams), m))
+    rekey = stream_rekeyer(seed)
+    for k, stream in enumerate(streams):
+        rng = rekey(stream)
+        rng.standard_normal(out=points[k])
+        rng.random(out=radii[k])
+    return _to_shell(_normalise(points), radii, bounds), radii
 
 
 def sample_surface(
@@ -134,7 +164,7 @@ def sample_surface(
     n = r.shape[0]
     x = np.zeros(n) if centre is None else np.asarray(centre, dtype=float)
     rng = rng_stream(seed, derive_stream("surface", stream))
-    theta = _uniform_directions(rng, m, n)
+    theta = _normalise(rng.standard_normal((m, n)))
     weights = sphere_area(n) * float(np.prod(r)) * np.sqrt(np.sum((theta / r) ** 2, axis=1))
     return x + r * theta, weights
 

@@ -1,7 +1,10 @@
-"""The public surface: every exported name resolves, and retired API stays gone."""
+"""The public surface: every exported name resolves, retired API stays gone,
+and no module reaches into another module's private names."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,61 @@ def test_retired_functions_are_gone(owner, name):
 def test_retired_keywords_are_gone(fn, knobs):
     params = inspect.signature(fn).parameters
     assert not [k for k in knobs if k in params]
+
+
+# Private names that modules share on purpose: the validation helpers, and the
+# exact-arithmetic cores that the identity suite runs in both arithmetics.
+SHARED_PRIVATE = {
+    "_shell_width",
+    "_resolve_cut",
+    "_width_grid",
+    "_spec_parts",
+    "_minor_core",
+    "_axis_minors_core",
+    "_system_jacobian_core",
+}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(source):
+    """The underscore names a module's source imports from, or reads off,
+    another homoeoid module."""
+    tree = ast.parse(source)
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("homoeoid")):
+            package = node.module in (None, "homoeoid")  # from . import geometry as geo
+            for alias in node.names:
+                if package:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.add(alias.name)
+        elif isinstance(node, ast.Import):  # import homoeoid.geometry as geo
+            modules.update(a.asname for a in node.names if a.name.startswith("homoeoid."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _private(node.attr):
+                found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(homoeoid.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_private_names_stay_in_their_module(path):
+    assert foreign_private_names(path.read_text()) - SHARED_PRIVATE == set()
+
+
+def test_private_name_check_sees_each_import_form():
+    source = "\n".join(
+        [
+            "from . import geometry as geo",
+            "import homoeoid.mc as mc",
+            "from .volumes import _normalise, shell_volume",
+            "geo._kernel, mc._mix64, geo.__name__",
+        ]
+    )
+    assert foreign_private_names(source) == {"_normalise", "_kernel", "_mix64"}

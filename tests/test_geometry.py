@@ -197,9 +197,11 @@ class TestShellMembershipKernel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kernel_matches_reference(self, n, seed):
         centres, radii, delta, points, axis, cut = self.case(n, seed)
-        shell, sector = geo.shell_membership(centres, radii, delta, points, axis, cut)
-        plain, none = geo.shell_membership(centres, radii, delta, points)
+        columns = points.reshape(-1, n).T
+        shell, sector = geo.shell_membership(centres, radii, delta, columns, axis, cut)
+        plain, none = geo.shell_membership(centres, radii, delta, columns)
         assert none is None
+        shell, sector, plain = (mask.T.reshape(4, 5, 3) for mask in (shell, sector, plain))
         assert shell.shape == sector.shape == plain.shape == (4, 5, 3)
         assert shell.dtype == sector.dtype == bool
         for i in range(3):

@@ -98,8 +98,35 @@ class TestSamplerKernel:
         hi = (1.0 + delta) ** (n / 2.0)
         unit = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
         want = unit * ((lo + uniforms * (hi - lo)) ** (1.0 / n))[..., None]
-        got = vol._to_reference_shell(vol._normalise(normals.copy()), uniforms.copy(), delta)
+        got = vol._to_shell(vol._normalise(normals.copy()), uniforms.copy(), (1 - delta, 1 + delta))
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shell", ["reference", "annulus"])
+    def test_keyed_points_match_per_stream_draws(self, d, shell):
+        # d = 1 is the n = 2 shell series, whose annulus is two segments;
+        # the annulus is the series' 2**(-1/2) < |w| <= 1, the reference
+        # shell that of the overlap rows
+        delta = 2.0**-5
+        lo, hi = {
+            "reference": ((1.0 - delta) ** (d / 2.0), (1.0 + delta) ** (d / 2.0)),
+            "annulus": (2.0 ** (-d / 2.0), 1.0),
+        }[shell]
+        bounds = (1.0 - delta, 1.0 + delta) if shell == "reference" else (0.5, 1.0)
+        streams = [derive_stream("keyed", d, row) for row in range(4)]
+        m = 129
+        points, radii = vol.keyed_shell_points(SEED, streams, m, d, bounds)
+        assert points.shape == (4, m, d) and radii.shape == (4, m)
+        for row, stream in enumerate(streams):
+            rng = rng_stream(SEED, stream)
+            v = rng.standard_normal((m, d))
+            s = (lo + rng.random(m) * (hi - lo)) ** (1.0 / d)
+            np.testing.assert_array_equal(radii[row], s)
+            np.testing.assert_array_equal(
+                points[row], s[:, None] * (v / np.linalg.norm(v, axis=1, keepdims=True))
+            )
+        square = radii * radii
+        assert np.all((square >= bounds[0]) & (square < bounds[1]))
 
     def test_surface_sampler_matches_reference(self):
         radii = np.array([2.0, 1.0, 0.5])
