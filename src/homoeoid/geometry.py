@@ -10,15 +10,19 @@ Conventions used throughout the package:
   pulls the shell back to the reference shell around the unit sphere.  Points
   in the reference coordinates are called ``omega``.
 * The *axis refinement* keeps only the reference points with
-  ``|omega[axis]|**3 >= 2*cut``.  For the default cut the refinements over all
-  axes cover the full reference shell (see :func:`covering_margin`), so the
-  plain shell is the union of its refined pieces.  The masks test the
-  product ``a*a*a`` (``a = |omega[axis]|``) in place of ``a**3``, which is a
-  call of libm ``pow``; the product is within 3 ulps of the true cube, so
-  only values within a relative ``1e-14`` of ``2*cut`` are recomputed with
-  ``**``, and every mask equals the ``**`` mask bit for bit.
+  ``|omega[axis]|**3 >= 2*cut``.  The cut is fixed by the dimension:
+  ``cut = default_refinement_cut(n)``, and no function takes it as an
+  argument.  With it the refinements over all axes cover the full reference
+  shell (see :func:`covering_margin`), so the plain shell is the union of its
+  refined pieces.  The masks test the product ``a*a*a`` (``a =
+  |omega[axis]|``) in place of ``a**3``, which is a call of libm ``pow``; the
+  product is within 3 ulps of the true cube, so only values within a
+  relative ``1e-14`` of ``2*cut`` are recomputed with ``**``, and every mask
+  equals the ``**`` mask bit for bit.
 * Tangency between the reference unit sphere and a second shell centred at
-  ``t * dtilde`` is measured by :func:`jacobian_gram_norm`, the Gram
+  ``t * dtilde`` is set up by :class:`TangencyConfig`, which holds the
+  refinement axis, its direction ``dtilde``, the offset ``t`` and the second
+  shell's radii.  It is measured by :func:`jacobian_gram_norm`, the Gram
   determinant square root of the two defining gradients.  Its algebraic
   skeleton is the antisymmetric family of quarter 2x2 minors
   :func:`gradient_minor`; the distinguished minors against the refinement axis
@@ -49,7 +53,6 @@ __all__ = [
     "Ellipsoid",
     "AnnulusSpec",
     "RefinedAnnulusSpec",
-    "AxisFrame",
     "TangencyConfig",
     "default_refinement_cut",
     "restricted_radii_box",
@@ -96,14 +99,6 @@ def _shell_width(delta) -> float:
     return d
 
 
-def _resolve_cut(n: int, cut: Optional[float]) -> float:
-    """:func:`default_refinement_cut` when ``cut`` is None, else a positive float."""
-    c = default_refinement_cut(n) if cut is None else float(cut)
-    if c <= 0:
-        raise ValueError("cut must be positive")
-    return c
-
-
 def _width_grid(deltas: Sequence[float]) -> list[float]:
     """The shell widths as floats: at least three, strictly decreasing."""
     ds = [float(d) for d in deltas]
@@ -114,9 +109,9 @@ def _width_grid(deltas: Sequence[float]) -> list[float]:
     return ds
 
 
-def restricted_radii_box(n: int, cut: Optional[float] = None) -> tuple[Array, Array]:
+def restricted_radii_box(n: int) -> tuple[Array, Array]:
     """Lower/upper corners of the restricted radii box ``[1, 1 + cut**2]**n``."""
-    c = _resolve_cut(n, cut)
+    c = default_refinement_cut(n)
     lo = np.ones(n)
     hi = np.full(n, 1.0 + c * c)
     return lo, hi
@@ -191,7 +186,8 @@ class AnnulusSpec:
 @dataclasses.dataclass(frozen=True)
 class RefinedAnnulusSpec:
     """Axis-refined shell: the base shell intersected with the image of
-    ``{ |omega[axis]|**3 >= 2*cut }`` under the shell's affine map.
+    ``{ |omega[axis]|**3 >= 2*cut }`` under the shell's affine map, with
+    the cut of the shell's dimension.
 
     Note the refinement lives in the *reference* coordinates of the base
     shell, so refined membership of a physical point ``y`` first pulls ``y``
@@ -200,13 +196,11 @@ class RefinedAnnulusSpec:
 
     base: AnnulusSpec
     axis: int
-    cut: Optional[float] = None
 
     def __post_init__(self) -> None:
         n = self.base.n
         if not 0 <= self.axis < n:
             raise ValueError(f"axis {self.axis} out of range for dimension {n}")
-        object.__setattr__(self, "cut", _resolve_cut(n, self.cut))
 
     @property
     def delta(self) -> float:
@@ -218,48 +212,32 @@ class RefinedAnnulusSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class AxisFrame:
-    """Refinement axis together with its (possibly perturbed) direction.
-
-    ``dtilde`` defaults to :func:`axis_direction` and may deviate from it by
-    at most ``cut**2`` in sup norm (the deviation produced by reference radii
-    from the restricted box).
-    """
-
-    n: int
-    axis: int
-    dtilde: Optional[Array] = None
-    cut: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.axis < self.n:
-            raise ValueError(f"axis {self.axis} out of range for dimension {self.n}")
-        c = _resolve_cut(self.n, self.cut)
-        d = axis_direction(self.n, self.axis) if self.dtilde is None else _validate_vector(self.dtilde, "dtilde")
-        if d.shape[0] != self.n:
-            raise ValueError("dtilde dimension mismatch")
-        if np.max(np.abs(d - axis_direction(self.n, self.axis))) > c * c + 1e-12:
-            raise ValueError("dtilde deviates from the axis direction by more than cut**2")
-        object.__setattr__(self, "cut", c)
-        object.__setattr__(self, "dtilde", d)
-
-
-@dataclasses.dataclass(frozen=True)
 class TangencyConfig:
     """A reference unit sphere paired with a second shell at offset ``t``.
 
-    The second ellipsoid has radii ``radii`` (in ``[1/2, 2]**n``) and centre
-    ``t * frame.dtilde`` with ``t`` in ``[0, 2]``.
+    The second ellipsoid has radii ``radii`` (in ``[1/2, 2]**n``, which also
+    fixes ``n``) and centre ``t * dtilde`` with ``t`` in ``[0, 2]``.
+    ``axis`` is the refinement axis.  Its direction ``dtilde`` defaults to
+    :func:`axis_direction` and may deviate from it by at most ``cut**2`` in
+    sup norm (the deviation produced by reference radii from the restricted
+    box).
     """
 
-    frame: AxisFrame
+    axis: int
     t: float
     radii: Array
+    dtilde: Optional[Array] = None
 
     def __post_init__(self) -> None:
         r = _validate_vector(self.radii, "radii")
-        if r.shape[0] != self.frame.n:
-            raise ValueError("radii dimension mismatch")
+        n = r.shape[0]
+        home = axis_direction(n, self.axis)  # raises for an axis out of range
+        c = default_refinement_cut(n)
+        d = home if self.dtilde is None else _validate_vector(self.dtilde, "dtilde")
+        if d.shape[0] != n:
+            raise ValueError("dtilde dimension mismatch")
+        if np.max(np.abs(d - home)) > c * c + 1e-12:
+            raise ValueError("dtilde deviates from the axis direction by more than cut**2")
         if np.any(r < 0.5 - 1e-12) or np.any(r > 2.0 + 1e-12):
             raise ValueError("tangency radii must lie in [1/2, 2]")
         t = float(self.t)
@@ -267,14 +245,15 @@ class TangencyConfig:
             raise ValueError(f"offset t must lie in [0, 2], got {t}")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "dtilde", d)
 
     @property
     def n(self) -> int:
-        return self.frame.n
+        return self.radii.shape[0]
 
     @property
     def centre(self) -> Array:
-        return self.t * self.frame.dtilde
+        return self.t * self.dtilde
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +278,20 @@ def defining_gradient(centre: Array, radii: Array, points: Array) -> Array:
     return 2.0 * (y - x) / (r * r)
 
 
-def affine_map(centre: Array, radii: Array, points: Array, inverse: bool = False) -> Array:
-    """Reference-to-physical map ``w -> x + r*w`` (or its inverse)."""
+def affine_map(centre: Array, radii: Array, points: Array) -> Array:
+    """Reference-to-physical map ``w -> x + r*w``."""
     x = np.asarray(centre, dtype=float)
     r = np.asarray(radii, dtype=float)
     w = np.asarray(points, dtype=float)
-    if inverse:
-        return (w - x) / r
     return x + r * w
 
 
 def _spec_parts(spec):
-    """(base AnnulusSpec, axis or None, cut or None) for either spec flavour."""
+    """(base AnnulusSpec, axis or None) for either spec flavour."""
     if isinstance(spec, RefinedAnnulusSpec):
-        return spec.base, spec.axis, spec.cut
+        return spec.base, spec.axis
     if isinstance(spec, AnnulusSpec):
-        return spec, None, None
+        return spec, None
     raise TypeError(f"expected an annulus spec, got {type(spec).__name__}")
 
 
@@ -344,10 +321,10 @@ def _cube_at_least(a: Array, bound: float) -> Array:
     return mask.reshape(a.shape)[()]
 
 
-def refinement_indicator(omega: Array, axis: int, cut: float) -> Array:
+def refinement_indicator(omega: Array, axis: int) -> Array:
     """Boolean mask ``|omega[axis]|**3 >= 2*cut`` in reference coordinates."""
     w = np.asarray(omega, dtype=float)
-    return _cube_at_least(np.abs(w[..., axis]), 2.0 * cut)
+    return _cube_at_least(np.abs(w[..., axis]), 2.0 * default_refinement_cut(w.shape[-1]))
 
 
 def shell_membership(
@@ -356,7 +333,6 @@ def shell_membership(
     delta: float,
     columns: Iterable[Array],
     axis: Optional[int] = None,
-    cut: Optional[float] = None,
 ) -> tuple[Array, Optional[Array]]:
     """Shell-major ``(k, m)`` masks ``(shell, sector)`` of points in ``k``
     shells of width ``delta``, with ``(k, n)`` ``centres`` and ``radii``:
@@ -383,7 +359,7 @@ def shell_membership(
         z /= r[:, j, None]
         if j == axis:
             np.abs(z, out=z)  # the square below does not see the sign
-            sector = _cube_at_least(z, 2.0 * cut)
+            sector = _cube_at_least(z, 2.0 * default_refinement_cut(x.shape[1]))
         z *= z
         if total is None:
             total = z
@@ -402,28 +378,28 @@ def annulus_contains(spec, points: Array) -> Array:
     one-shell case of the coordinate-major kernel :func:`shell_membership`,
     which forms each pulled-back coordinate once for both tests.
     """
-    base, axis, cut = _spec_parts(spec)
+    base, axis = _spec_parts(spec)
     ell = base.ellipsoid
     y = np.asarray(points, dtype=float)
     shell, sector = shell_membership(
-        ell.centre[None], ell.radii[None], base.delta, y.reshape(-1, y.shape[-1]).T, axis, cut
+        ell.centre[None], ell.radii[None], base.delta, y.reshape(-1, y.shape[-1]).T, axis
     )
     inside = shell if sector is None else shell & sector
     return inside.reshape(y.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar
 
 
-def covering_margin(omega: Array, cut: Optional[float] = None) -> Array:
+def covering_margin(omega: Array) -> Array:
     """``max_k |omega_k|**3 - 2*cut``, the slack in the covering property.
 
-    For the default cut this is ``>= 2*cut`` whenever ``|omega| >= 2**-0.5``,
-    which every admissible reference shell satisfies; nonnegativity is what
-    makes the axis refinements a covering of the plain shell.
+    This is ``>= 2*cut`` whenever ``|omega| >= 2**-0.5``, which every
+    admissible reference shell satisfies; nonnegativity is what makes the
+    axis refinements a covering of the plain shell.
 
     The maximum is a running one over the coordinates of the flattened batch.
     """
     w = np.asarray(omega, dtype=float)
     n = w.shape[-1]
-    c = _resolve_cut(n, cut)
+    c = default_refinement_cut(n)
     flat = w.reshape(-1, n)
     top = np.abs(flat[:, 0])
     for j in range(1, n):
@@ -489,19 +465,19 @@ def gradient_minor(cfg: TangencyConfig, omega: Array, i: int, j: int) -> Array:
     functional: ``jacobian_gram_norm(cfg, w)**2 == 16 * sum_{i<j} minor**2``.
     """
     w = np.asarray(omega, dtype=float)
-    return _minor_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, i, j)
+    return _minor_core(cfg.t, cfg.dtilde, cfg.radii, w, i, j)
 
 
 def axis_minors(cfg: TangencyConfig, omega: Array) -> Array:
     """All minors against the refinement axis, as a vector over ``j``.
 
-    Entry ``j`` equals ``gradient_minor(cfg, omega, j, frame.axis)``; the
+    Entry ``j`` equals ``gradient_minor(cfg, omega, j, cfg.axis)``; the
     ``j == axis`` slot is identically zero.  These are the distinguished
     components whose simultaneous smallness (together with being on-shell)
     characterises near-tangency along the refinement axis.
     """
     w = np.asarray(omega, dtype=float)
-    return _axis_minors_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, cfg.frame.axis)
+    return _axis_minors_core(cfg.t, cfg.dtilde, cfg.radii, w, cfg.axis)
 
 
 def jacobian_gram_norm(cfg: TangencyConfig, omega: Array, method: str = "gram") -> Array:
@@ -581,7 +557,7 @@ def tangency_system(cfg: TangencyConfig, omega: Array) -> Array:
     refinement axis.
     """
     w = np.asarray(omega, dtype=float)
-    k = cfg.frame.axis
+    k = cfg.axis
     minors = axis_minors(cfg, w)
     keep = [j for j in range(cfg.n) if j != k]
     shell = 0.5 * (np.sum(w * w, axis=-1) - 1.0)
@@ -599,7 +575,7 @@ def tangency_system_jacobian(cfg: TangencyConfig, omega: Array) -> Array:
     The last row is ``omega`` itself.
     """
     w = np.asarray(omega, dtype=float)
-    return _system_jacobian_core(cfg.t, cfg.frame.dtilde, cfg.radii, w, cfg.frame.axis)
+    return _system_jacobian_core(cfg.t, cfg.dtilde, cfg.radii, w, cfg.axis)
 
 
 # ---------------------------------------------------------------------------

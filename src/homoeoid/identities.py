@@ -587,7 +587,6 @@ def nondeg_bounds_scan(
     tangency points.
     """
     from .geometry import (  # local import to avoid cycles at module import
-        AxisFrame,
         TangencyConfig,
         tangency_system,
         tangency_system_jacobian,
@@ -625,7 +624,7 @@ def nondeg_bounds_scan(
         omega = np.empty(n)
         omega[keep] = guess_tang
         omega[axis] = np.sqrt(1.0 - ssum) * (1.0 if rng.random() < 0.5 else -1.0)
-        cfg = TangencyConfig(AxisFrame(n, axis, dtilde=d), t, r)
+        cfg = TangencyConfig(axis, t, r, dtilde=d)
         ok = False
         for _ in range(25):
             val = tangency_system(cfg, omega)

@@ -102,7 +102,7 @@ class KnappSlab:
 
     def indicator(self) -> Field:
         half_diag = 0.5 * math.sqrt((self.n - 1) * self.delta + self.delta**2)
-        return Field.from_callable(
+        return Field(
             lambda pts: self.contains(pts).astype(float),
             np.full(self.n, -half_diag),
             np.full(self.n, half_diag),
@@ -243,7 +243,7 @@ def knapp_exponent(
         powers = values**p
         mean_pow = float(np.mean(powers))
         se_pow = float(np.std(powers, ddof=1) / math.sqrt(m_x))
-        slab_norm = KnappSlab(delta, n).volume ** (1.0 / p)
+        slab_norm = slab.volume ** (1.0 / p)
         if mean_pow > 0.0:
             ratio = mean_pow ** (1.0 / p) / slab_norm
             std_error = se_pow * mean_pow ** (1.0 / p - 1.0) / (p * slab_norm)
@@ -301,12 +301,6 @@ class CounterexampleField:
         normal = coords[..., self.n - 1]
         opening = np.abs(normal) <= self.C * tangential**2
         return profile_value(tangential, self.n) * opening
-
-    def field(self) -> Field:
-        half_width = math.sqrt(0.25 + self.C**2 / 16.0)
-        return Field.from_callable(
-            self.__call__, np.full(self.n, -half_width), np.full(self.n, half_width)
-        )
 
 
 def g_lp_norm(
@@ -537,12 +531,16 @@ def shell_partial_sums(
     )
 
 
-def dyadic_block_slope(partial_sums: Sequence[float], blocks: int = 3) -> ScalingFit:
+# The number of top dyadic blocks that :func:`dyadic_block_slope` fits.
+_BLOCKS = 3
+
+
+def dyadic_block_slope(partial_sums: Sequence[float]) -> ScalingFit:
     """Growth exponent of a partial-sum sequence from its top dyadic blocks.
 
     ``partial_sums[k-1]`` is ``S_k``.  With ``J = floor(log2(len))``, the
-    blocks are ``B_j = S_(2**j) - S_(2**(j-1))`` for the top ``blocks``
-    values ``j = J-blocks+1 .. J``, and the fit is of ``log B_j`` against
+    blocks are ``B_j = S_(2**j) - S_(2**(j-1))`` for the top three values
+    ``j = J-2 .. J``, and the fit is of ``log B_j`` against
     ``log 2**j``.  If ``S_L = a*L**b + c + O(L**(b-1))`` then
 
         B_j = a*(1 - 2**-b) * 2**(j*b) * (1 + O(2**-j)),
@@ -555,15 +553,13 @@ def dyadic_block_slope(partial_sums: Sequence[float], blocks: int = 3) -> Scalin
     sums = np.asarray(partial_sums, dtype=float)
     if sums.ndim != 1:
         raise ValueError("partial sums must be a 1-d sequence")
-    if blocks < 3:
-        raise ValueError(f"dyadic block slope needs blocks >= 3, got {blocks}")
-    if sums.shape[0] < 2**blocks:
+    if sums.shape[0] < 2**_BLOCKS:
         raise ValueError(
-            f"dyadic block slope with {blocks} blocks needs at least "
-            f"{2**blocks} partial sums, got {sums.shape[0]}"
+            f"dyadic block slope with {_BLOCKS} blocks needs at least "
+            f"{2**_BLOCKS} partial sums, got {sums.shape[0]}"
         )
     top = sums.shape[0].bit_length() - 1
-    exponents = range(top - blocks + 1, top + 1)
+    exponents = range(top - _BLOCKS + 1, top + 1)
     sizes = [2.0**j for j in exponents]
     block_sums = [float(sums[2**j - 1] - sums[2 ** (j - 1) - 1]) for j in exponents]
     for j, value in zip(exponents, block_sums):

@@ -89,10 +89,6 @@ class Field:
         values = np.asarray(self.evaluator(pts), dtype=float)
         return np.where(inside, values, 0.0)
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[Array], Array], lo, hi) -> "Field":
-        return cls(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # radii nets
@@ -156,11 +152,11 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
 
     Plain specs give the mean of ``|f|`` over uniform shell samples.  Refined
     specs keep the *same* sample batch (the stream is derived from the base
-    shell only) and multiply by the refinement indicator at the spec's cut,
-    so the normaliser stays the plain shell volume and a refined average
-    never exceeds the plain one on the same inputs.
+    shell only) and multiply by the refinement indicator of its axis, so the
+    normaliser stays the plain shell volume and a refined average never
+    exceeds the plain one on the same inputs.
     """
-    base, axis, cut = geo._spec_parts(spec)
+    base, axis = geo._spec_parts(spec)
     ell = base.ellipsoid
     sampler = reference_shell_sampler(base.delta, base.n)
 
@@ -168,7 +164,7 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
         omega = sampler(rng, k)
         values = np.abs(f(geo.affine_map(ell.centre, ell.radii, omega)))
         if axis is not None:
-            values = values * geo.refinement_indicator(omega, axis, cut)
+            values = values * geo.refinement_indicator(omega, axis)
         return values
 
     stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
@@ -210,8 +206,7 @@ def discretised_maximal(
             raise ValueError(f"axis {axis} out of range for dimension {n}")
     sampler = reference_shell_sampler(delta, n)
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
-    cut = geo.default_refinement_cut(n)
-    masks = [geo.refinement_indicator(omega, axis, cut) for axis in axes]
+    masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
     buffer = np.empty((n, xs.shape[0], m))
     points = buffer.transpose(1, 2, 0)
@@ -411,6 +406,6 @@ def bump_mixture_family(
 
         lo = np.min(centres - 9.0 * scales[:, None], axis=0)
         hi = np.max(centres + 9.0 * scales[:, None], axis=0)
-        return Field.from_callable(evaluator, lo, hi)
+        return Field(evaluator, lo, hi)
 
     return make

@@ -60,14 +60,13 @@ class EllipsoidFamily:
     (up to an absolute slack of 1e-12 for rounding), all values in
     ``[-1, 1]``; the member count can therefore never exceed
     ``floor(2 / delta) + 1``.  ``radii`` holds one row per member, inside the
-    restricted box for the given ``cut``.
+    restricted box of its dimension.
     """
 
     axis: int
     delta: float
     offsets: Array
     radii: Array
-    cut: Optional[float] = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.offsets, dtype=float)
@@ -86,14 +85,12 @@ class EllipsoidFamily:
             raise ValueError("offsets must lie in [-1, 1]")
         if t.shape[0] > 1 and np.min(np.diff(t)) < d - 1e-12:
             raise ValueError("offsets must be nondecreasing with gaps >= delta")
-        c = geo._resolve_cut(n, self.cut)
-        lo, hi = geo.restricted_radii_box(n, c)
+        lo, hi = geo.restricted_radii_box(n)
         if np.any(r < lo - 1e-12) or np.any(r > hi + 1e-12):
             raise ValueError("radii must lie in the restricted box")
         object.__setattr__(self, "offsets", t)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "cut", c)
 
     @property
     def n(self) -> int:
@@ -113,7 +110,7 @@ class EllipsoidFamily:
         base = geo.AnnulusSpec(self.member(i), self.delta)
         if not refined:
             return base
-        return geo.RefinedAnnulusSpec(base, self.axis, self.cut)
+        return geo.RefinedAnnulusSpec(base, self.axis)
 
 
 def generate_family(
@@ -131,8 +128,7 @@ def generate_family(
     so sorted uniforms on that interval sample the configuration set
     uniformly.  When the slack ``2 - (count-1)*delta`` is zero (a maximal
     family) the offsets collapse to the exact lattice ``-1 + i*delta``.
-    Radii are drawn i.i.d. uniformly from the restricted box of the default
-    cut.
+    Radii are drawn i.i.d. uniformly from the restricted box.
     """
 
     if count < 1:
@@ -152,9 +148,7 @@ def generate_family(
     return EllipsoidFamily(axis=axis, delta=d, offsets=offsets, radii=radii)
 
 
-def refined_shell_volume(
-    radii: Array, delta: float, axis: int, cut: Optional[float] = None
-) -> float:
+def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
     """Volume of an axis-refined shell, by one-dimensional quadrature.
 
     In reference coordinates the shell is ``{ s in (sqrt(1-delta),
@@ -171,7 +165,7 @@ def refined_shell_volume(
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     d = geo._shell_width(delta)
-    c = geo._resolve_cut(n, cut)
+    c = geo.default_refinement_cut(n)
     from scipy.integrate import quad
     from scipy.special import betainc
 
@@ -191,7 +185,7 @@ def refined_shell_volume(
 def _member_volumes(family: EllipsoidFamily, refined: bool) -> Array:
     if refined:
         return np.array(
-            [refined_shell_volume(r, family.delta, family.axis, family.cut) for r in family.radii]
+            [refined_shell_volume(r, family.delta, family.axis) for r in family.radii]
         )
     return np.array([shell_volume(r, family.delta) for r in family.radii])
 
@@ -268,7 +262,7 @@ def _block_hits(family: EllipsoidFamily, block: list, a: int, batch: int, seed: 
     streams = [derive_stream("overlap", i, a) for i in rows]
     bounds = (1.0 - family.delta, 1.0 + family.delta)  # the reference shell
     omega, _ = keyed_shell_points(seed, streams, batch, family.n, bounds)
-    keep = geo.refinement_indicator(omega, family.axis, family.cut)
+    keep = geo.refinement_indicator(omega, family.axis)
     sizes = [len(j) for _, j in block]
     owner = np.repeat(np.arange(len(rows)), sizes)
     x, r = family.centres[rows], family.radii[rows]
@@ -286,7 +280,6 @@ def _block_hits(family: EllipsoidFamily, block: list, a: int, batch: int, seed: 
         family.delta,
         (column(c) for c in range(family.n)),
         family.axis,
-        family.cut,
     )
     # segment sums over each row's pairs, as counts over the hit positions:
     # flat position p*batch + s of pair p lands on owner[p]*batch + s
@@ -388,7 +381,6 @@ def direct_overlap_l2(
                 family.delta,
                 (column[start:stop] for column in y),
                 axis,
-                family.cut,
             )
             if sector is not None:
                 shell &= sector

@@ -176,7 +176,7 @@ def intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0) -> M
     ``spec_a`` times membership in ``spec_b``; the estimate is unbiased with
     binomial-type error.  ``spec_b == spec_a`` recovers the shell volume.
     """
-    base_a, axis_a, cut_a = geo._spec_parts(spec_a)
+    base_a, axis_a = geo._spec_parts(spec_a)
     ell = base_a.ellipsoid
     v_base = shell_volume(ell.radii, base_a.delta)
     sampler = reference_shell_sampler(base_a.delta, base_a.n)
@@ -187,7 +187,7 @@ def intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0) -> M
         omega = sampler(rng, k)
         hit = np.ones(k, dtype=bool)
         if axis_a is not None:
-            hit &= geo.refinement_indicator(omega, axis_a, cut_a)
+            hit &= geo.refinement_indicator(omega, axis_a)
         y = omega if unit else geo.affine_map(ell.centre, ell.radii, omega)
         hit &= geo.annulus_contains(spec_b, y)
         return v_base * hit
@@ -299,7 +299,7 @@ def banded_intersection_scan(
 ) -> BandDecomposition:
     """Split a refined-pair intersection volume by tangency-functional size.
 
-    The first shell is the refined reference shell (default cut); the second
+    The first shell is the refined reference shell of ``axis``; the second
     is the plain shell at centre ``t * axis_direction(n, axis)`` with the
     given radii.  Requires ``t`` well separated from the shell width (``t >
     10*delta``), the regime in which the band structure is meaningful.  All
@@ -310,8 +310,7 @@ def banded_intersection_scan(
     n = radii.shape[0]
     if t <= 10.0 * delta:
         raise ValueError(f"band scan needs t > 10*delta, got t={t}, delta={delta}")
-    frame = geo.AxisFrame(n, axis)
-    cfg = geo.TangencyConfig(frame, t, radii)
+    cfg = geo.TangencyConfig(axis, t, radii)
     spec_b = geo.AnnulusSpec(geo.Ellipsoid(cfg.centre, radii), delta)
     v_base = shell_volume(np.ones(n), delta)
     sampler = reference_shell_sampler(delta, n)
@@ -327,7 +326,7 @@ def banded_intersection_scan(
 
     def classified(rng: np.random.Generator, k: int) -> Array:
         omega = sampler(rng, k)
-        inter = geo.refinement_indicator(omega, axis, frame.cut)
+        inter = geo.refinement_indicator(omega, axis)
         inter &= geo.annulus_contains(spec_b, omega)  # reference shell is unit: y == omega
         norm = geo.jacobian_gram_norm(cfg, omega)
         cols = [inter & (norm < 2.0 * rho0)]
@@ -338,7 +337,7 @@ def banded_intersection_scan(
 
     def plain(rng: np.random.Generator, k: int) -> Array:
         omega = sampler(rng, k)
-        inter = geo.refinement_indicator(omega, axis, frame.cut)
+        inter = geo.refinement_indicator(omega, axis)
         inter &= geo.annulus_contains(spec_b, omega)
         return v_base * inter
 
@@ -387,7 +386,7 @@ def low_jacobian_cluster(
 ) -> ClusterReport:
     """Cluster the refined shell points where the tangency functional < rho.
 
-    The refinement uses the default cut and the unperturbed axis direction.
+    The refinement uses the unperturbed axis direction.
     Accepted points are grouped by single linkage at distance ``16 * rho /
     t``; near tangency the low-norm region falls apart into a bounded number
     of such clusters with diameters O(rho/t).
@@ -399,8 +398,7 @@ def low_jacobian_cluster(
     n = radii.shape[0]
     if rho <= 0 or t <= 0:
         raise ValueError("rho and t must be positive")
-    frame = geo.AxisFrame(n, axis)
-    cfg = geo.TangencyConfig(frame, t, radii)
+    cfg = geo.TangencyConfig(axis, t, radii)
     sampler = reference_shell_sampler(delta, n)
 
     chunk = DEFAULT_CHUNK
@@ -409,7 +407,7 @@ def low_jacobian_cluster(
     def batch(batch_idx: int) -> tuple[int, Array]:
         rng = rng_stream(seed, derive_stream("cluster", rho, t, batch_idx))
         omega = sampler(rng, min(chunk, m - batch_idx * chunk))
-        ok = geo.refinement_indicator(omega, axis, frame.cut)
+        ok = geo.refinement_indicator(omega, axis)
         ok &= geo.jacobian_gram_norm(cfg, omega) < rho
         accepted = omega[ok]
         return accepted.shape[0], accepted[:keep]

@@ -78,7 +78,7 @@ def test_criterion_02_gram_minor_dual_path():
             rng = rng_stream(SEED, derive_stream("cb-tuples", n, c))
             radii = rng.uniform(0.5, 2.0, n)
             t = float(rng.uniform(0.0, 2.0))
-            cfg = geo.TangencyConfig(geo.AxisFrame(n, 0, None, None), t, radii)
+            cfg = geo.TangencyConfig(0, t, radii)
             omega = reference_shell_sampler(2.0**-4, n)(rng, 400)
             tuples += omega.shape[0]
             gram = geo.jacobian_gram_norm(cfg, omega, method="gram")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import homoeoid
-from homoeoid import fibres, identities, knapp, maximal, mc, multiplicity, volumes
+from homoeoid import fibres, geometry, identities, knapp, maximal, mc, multiplicity, volumes
 
 MODULES = ["cli", "fibres", "geometry", "identities", "knapp", "maximal", "mc", "multiplicity", "volumes"]
 
@@ -38,6 +38,10 @@ def test_package_exports_resolve():
         (volumes, "sample_annulus"),
         (mc.MCEstimate, "interval"),
         (mc.MCEstimate, "consistent_with"),
+        (geometry, "AxisFrame"),
+        (geometry, "_resolve_cut"),
+        (maximal.Field, "from_callable"),
+        (knapp.CounterexampleField, "field"),
     ],
 )
 def test_retired_functions_are_gone(owner, name):
@@ -61,6 +65,16 @@ def test_retired_functions_are_gone(owner, name):
         (volumes.low_jacobian_cluster, ["cut", "dtilde", "scale_factor"]),
         (identities.contact_jacobian_check, ["r_samples", "fd_step"]),
         (identities.nondeg_bounds_scan, ["axis"]),
+        (geometry.refinement_indicator, ["cut"]),
+        (geometry.shell_membership, ["cut"]),
+        (geometry.covering_margin, ["cut"]),
+        (geometry.restricted_radii_box, ["cut"]),
+        (geometry.RefinedAnnulusSpec, ["cut"]),
+        (geometry.TangencyConfig, ["frame"]),
+        (geometry.affine_map, ["inverse"]),
+        (multiplicity.EllipsoidFamily, ["cut"]),
+        (multiplicity.refined_shell_volume, ["cut"]),
+        (knapp.dyadic_block_slope, ["blocks"]),
     ],
 )
 def test_retired_keywords_are_gone(fn, knobs):
@@ -72,7 +86,6 @@ def test_retired_keywords_are_gone(fn, knobs):
 # exact-arithmetic cores that the identity suite runs in both arithmetics.
 SHARED_PRIVATE = {
     "_shell_width",
-    "_resolve_cut",
     "_width_grid",
     "_spec_parts",
     "_minor_core",
@@ -124,3 +137,45 @@ def test_private_name_check_sees_each_import_form():
         ]
     )
     assert foreign_private_names(source) == {"_normalise", "_kernel", "_mix64"}
+
+
+def cut_options(source):
+    """The function parameters and class fields named ``cut`` in a module's
+    source: the refinement cut is ``default_refinement_cut(n)``, never an
+    option."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}({a.arg})" for a in params if a is not None and a.arg == "cut"]
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "cut":
+                    found.append(f"{node.name}.cut")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(homoeoid.__file__).parent.glob("*.py")), ids=lambda path: path.stem
+)
+def test_no_cut_option(path):
+    assert cut_options(path.read_text()) == []
+
+
+def test_cut_option_check_sees_each_form():
+    source = "\n".join(
+        [
+            "def f(x, cut=None): pass",
+            "def g(x, *, cut): pass",
+            "h = lambda cut: cut",
+            "class Spec:",
+            "    axis: int",
+            "    cut: float = 0.1",
+            "def k(x):",
+            "    cut = 2.0",
+            "    return cut",
+        ]
+    )
+    assert sorted(cut_options(source)) == ["<lambda>(cut)", "Spec.cut", "f(cut)", "g(cut)"]

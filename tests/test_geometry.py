@@ -31,9 +31,10 @@ def configs(n):
         vectors(n, -(cut * cut), cut * cut),
     ).map(
         lambda akrp: geo.TangencyConfig(
-            frame=geo.AxisFrame(n, akrp[0], geo.axis_direction(n, akrp[0]) + akrp[3]),
+            axis=akrp[0],
             t=akrp[1],
             radii=akrp[2],
+            dtilde=geo.axis_direction(n, akrp[0]) + akrp[3],
         )
     )
 
@@ -52,7 +53,7 @@ class TestDefiningFunction:
     @given(vectors(3, -2, 2), vectors(3, 0.5, 2.0), vectors(3, -3, 3))
     def test_affine_roundtrip(self, centre, radii, w):
         y = geo.affine_map(centre, radii, w)
-        np.testing.assert_allclose(geo.affine_map(centre, radii, y, inverse=True), w, atol=1e-12)
+        np.testing.assert_array_equal(y, centre + radii * w)
 
     @given(vectors(3, -2, 2), vectors(3, 0.5, 2.0), vectors(3, -3, 3))
     def test_defining_value_is_affine_pullback(self, centre, radii, w):
@@ -106,7 +107,7 @@ def reference_membership(centre, radii, delta, points, axis=None, cut=None):
     """The composition the many-shell kernel replaces, one shell at a time."""
     inside = np.abs(geo.defining_value(centre, radii, points)) < delta
     if axis is not None:
-        omega = geo.affine_map(centre, radii, points, inverse=True)
+        omega = (points - centre) / radii
         inside = inside & (np.abs(omega[..., axis]) ** 3 >= 2.0 * cut)
     return inside
 
@@ -162,17 +163,20 @@ class TestCubeTest:
         omega[0, :, 0] = -self.nearest_floats(root, 7)
         for axis in range(n):
             want = np.abs(omega[..., axis]) ** 3 >= 2.0 * cut
-            np.testing.assert_array_equal(geo.refinement_indicator(omega, axis, cut), want)
-            single = geo.refinement_indicator(omega[0, 0], axis, cut)
+            np.testing.assert_array_equal(geo.refinement_indicator(omega, axis), want)
+            single = geo.refinement_indicator(omega[0, 0], axis)
             assert single.shape == () and single == want[0, 0]
 
 
 class TestShellMembershipKernel:
     """``shell_membership`` and ``annulus_contains`` against the reference
-    composition, bit for bit, including points exactly on both boundaries."""
+    composition, bit for bit, including points exactly on both boundaries.
+
+    The kernels read the cut from ``default_refinement_cut``; each case
+    patches it to a value that puts one point exactly on the cut."""
 
     @staticmethod
-    def case(n, seed):
+    def case(n, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         k = 3
         centres = rng.uniform(-0.5, 0.5, (k, n))
@@ -188,17 +192,18 @@ class TestShellMembershipKernel:
         # lies exactly on the refinement cut of shell 1.  Both come from the
         # batched array operations the reference itself evaluates.
         delta = float(np.abs(geo.defining_value(centres[0], radii[0], points))[0, 0])
-        omega = geo.affine_map(centres[1], radii[1], points, inverse=True)
+        omega = (points - centres[1]) / radii[1]
         cut = float((np.abs(omega[..., axis]) ** 3)[0, 1] / 2.0)
         assert 0.0 < delta <= geo.MAX_SHELL_WIDTH and cut > 0.0
+        monkeypatch.setattr(geo, "default_refinement_cut", lambda dim: cut)
         return centres, radii, delta, points, axis, cut
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_kernel_matches_reference(self, n, seed):
-        centres, radii, delta, points, axis, cut = self.case(n, seed)
+    def test_kernel_matches_reference(self, n, seed, monkeypatch):
+        centres, radii, delta, points, axis, cut = self.case(n, seed, monkeypatch)
         columns = points.reshape(-1, n).T
-        shell, sector = geo.shell_membership(centres, radii, delta, columns, axis, cut)
+        shell, sector = geo.shell_membership(centres, radii, delta, columns, axis)
         plain, none = geo.shell_membership(centres, radii, delta, columns)
         assert none is None
         shell, sector, plain = (mask.T.reshape(4, 5, 3) for mask in (shell, sector, plain))
@@ -217,11 +222,11 @@ class TestShellMembershipKernel:
         assert sector[0, 1, 1]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_annulus_contains_matches_reference(self, n):
-        centres, radii, delta, points, axis, cut = self.case(n, 10 + n)
+    def test_annulus_contains_matches_reference(self, n, monkeypatch):
+        centres, radii, delta, points, axis, cut = self.case(n, 10 + n, monkeypatch)
         for i in range(3):
             spec = geo.AnnulusSpec(geo.Ellipsoid(centres[i], radii[i]), delta)
-            refined = geo.RefinedAnnulusSpec(spec, axis, cut)
+            refined = geo.RefinedAnnulusSpec(spec, axis)
             c, r = centres[i], radii[i]
             np.testing.assert_array_equal(
                 geo.annulus_contains(spec, points), reference_membership(c, r, delta, points)
@@ -281,7 +286,7 @@ class TestTangencyFunctional:
     @given(configs(4), shell_points(4), st.integers(0, 3), st.integers(0, 3))
     def test_syzygy(self, cfg, w, i, j):
         """w_k * G_{ij} == w_j * G_i - w_i * G_j for the axis minors G_m."""
-        k = cfg.frame.axis
+        k = cfg.axis
         lhs = w[k] * geo.gradient_minor(cfg, w, i, j)
         minors = geo.axis_minors(cfg, w)
         rhs = w[j] * minors[i] - w[i] * minors[j]
@@ -289,7 +294,7 @@ class TestTangencyFunctional:
 
     @given(configs(3), shell_points(3))
     def test_axis_minors_match_pairwise(self, cfg, w):
-        k = cfg.frame.axis
+        k = cfg.axis
         minors = geo.axis_minors(cfg, w)
         for j in range(3):
             expected = 0.0 if j == k else geo.gradient_minor(cfg, w, j, k)
@@ -321,7 +326,7 @@ class TestCoordinateKernels:
         axis = int(rng.integers(n))
         dtilde = geo.axis_direction(n, axis) + rng.uniform(-cut * cut, cut * cut, n)
         cfg = geo.TangencyConfig(
-            geo.AxisFrame(n, axis, dtilde), float(rng.uniform(0.1, 1.9)), rng.uniform(0.5, 2.0, n)
+            axis, float(rng.uniform(0.1, 1.9)), rng.uniform(0.5, 2.0, n), dtilde
         )
         w = rng.normal(size=(4, 5, n))
         # tangent points: w_j = x_j / (1 - lam * r_j**2) makes b = lam * a,
@@ -349,7 +354,7 @@ class TestCoordinateKernels:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_exact_tangency_gives_exact_zero(self, n):
         # a second shell equal to the reference sphere: b == a exactly
-        cfg = geo.TangencyConfig(geo.AxisFrame(n, 0), 0.0, np.ones(n))
+        cfg = geo.TangencyConfig(0, 0.0, np.ones(n))
         w = np.random.default_rng(n).normal(size=(4, 5, n))
         np.testing.assert_array_equal(geo.jacobian_gram_norm(cfg, w), np.zeros((4, 5)))
         np.testing.assert_array_equal(geo._gram_norm_sq(cfg, w, "gram")[0], reference_gram_sq(cfg, w)[0])
@@ -366,20 +371,18 @@ class TestCoordinateKernels:
     def test_covering_margin_matches_reference(self, n):
         w = np.random.default_rng(n).normal(size=(4, 5, n))
         w[1, 1] = np.where(np.arange(n) % 2 == 0, 0.75, -0.75)  # a tie across signs
-        for cut in (None, 0.3):
-            c = geo.default_refinement_cut(n) if cut is None else cut
-            want = reference_covering_margin(w, c)
-            np.testing.assert_array_equal(geo.covering_margin(w, cut), want)
-            np.testing.assert_array_equal(geo.covering_margin(w.reshape(20, n), cut), want.reshape(20))
-            single = geo.covering_margin(w[2, 3], cut)
-            assert type(single) is type(want[2, 3]) and single == want[2, 3]
+        want = reference_covering_margin(w, geo.default_refinement_cut(n))
+        np.testing.assert_array_equal(geo.covering_margin(w), want)
+        np.testing.assert_array_equal(geo.covering_margin(w.reshape(20, n)), want.reshape(20))
+        single = geo.covering_margin(w[2, 3])
+        assert type(single) is type(want[2, 3]) and single == want[2, 3]
 
 
 class TestTangencySystem:
     @given(configs(3), shell_points(3))
     def test_components(self, cfg, w):
         sys_val = geo.tangency_system(cfg, w)
-        keep = [j for j in range(3) if j != cfg.frame.axis]
+        keep = [j for j in range(3) if j != cfg.axis]
         minors = geo.axis_minors(cfg, w)
         np.testing.assert_allclose(sys_val[:-1], minors[keep], atol=1e-14)
         assert sys_val[-1] == pytest.approx(0.5 * (np.sum(w * w) - 1.0))
@@ -392,7 +395,7 @@ class TestTangencySystem:
         np.testing.assert_allclose(jac, fd, atol=1e-8)
 
     def test_jacobian_batched(self):
-        cfg = geo.TangencyConfig(geo.AxisFrame(3, 1), 0.7, np.array([1.1, 0.9, 1.3]))
+        cfg = geo.TangencyConfig(1, 0.7, np.array([1.1, 0.9, 1.3]))
         pts = np.array([[0.9, 0.1, 0.4], [0.2, -1.0, 0.3]])
         batched = geo.tangency_system_jacobian(cfg, pts)
         for row, p in enumerate(pts):
@@ -424,21 +427,20 @@ class TestValidation:
         n = 3
         cut = geo.default_refinement_cut(n)
         d = geo.axis_direction(n, 0)
-        geo.AxisFrame(n, 0, d + 0.9 * cut * cut)
+        geo.TangencyConfig(0, 0.5, np.ones(n), d + 0.9 * cut * cut)
         with pytest.raises(ValueError):
-            geo.AxisFrame(n, 0, d + 2.0 * cut * cut)
+            geo.TangencyConfig(0, 0.5, np.ones(n), d + 2.0 * cut * cut)
 
     def test_perturbed_direction_stays_admissible(self):
         lo, hi = geo.restricted_radii_box(3)
         for r in (lo, hi, np.array([1.0, hi[1], 1.0])):
-            geo.AxisFrame(3, 1, geo.perturbed_axis_direction(1, r))
+            geo.TangencyConfig(1, 0.5, np.ones(3), geo.perturbed_axis_direction(1, r))
 
     def test_tangency_config_ranges(self):
-        frame = geo.AxisFrame(3, 0)
         with pytest.raises(ValueError):
-            geo.TangencyConfig(frame, -0.1, np.ones(3))
+            geo.TangencyConfig(0, -0.1, np.ones(3))
         with pytest.raises(ValueError):
-            geo.TangencyConfig(frame, 0.5, np.array([0.4, 1.0, 1.0]))
+            geo.TangencyConfig(0, 0.5, np.array([0.4, 1.0, 1.0]))
 
     def test_axis_range(self):
         shell = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(2), np.ones(2)), 0.1)

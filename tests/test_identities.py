@@ -195,7 +195,7 @@ class TestIdentitySuite:
             jac = geometry._system_jacobian_core(t, d, r, w, axis)
             pair = geometry._minor_core(t, d, r, w, 0, n - 1)
             for k in range(6):
-                cfg = geometry.TangencyConfig(geometry.AxisFrame(n, axis, dtilde=d[k]), t[k], r[k])
+                cfg = geometry.TangencyConfig(axis, t[k], r[k], dtilde=d[k])
                 np.testing.assert_array_equal(minors[k], geometry.axis_minors(cfg, w[k]))
                 np.testing.assert_array_equal(jac[k], geometry.tangency_system_jacobian(cfg, w[k]))
                 assert pair[k] == geometry.gradient_minor(cfg, w[k], 0, n - 1)

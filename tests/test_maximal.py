@@ -12,13 +12,13 @@ from homoeoid.volumes import reference_shell_sampler
 
 
 def constant_field(n, value=1.0, half_width=50.0):
-    return maximal.Field.from_callable(
+    return maximal.Field(
         lambda p: np.full(p.shape[:-1], value), np.full(n, -half_width), np.full(n, half_width)
     )
 
 
 def slab_field(n, height=1.0, width=0.1):
-    return maximal.Field.from_callable(
+    return maximal.Field(
         lambda p: (np.abs(p[..., n - 1] - height) < width).astype(float),
         np.full(n, -5.0),
         np.full(n, 5.0),
@@ -27,14 +27,14 @@ def slab_field(n, height=1.0, width=0.1):
 
 class TestField:
     def test_zero_outside_bounding_box(self):
-        f = maximal.Field.from_callable(lambda p: np.ones(p.shape[:-1]), [-1.0, -1.0], [1.0, 1.0])
+        f = maximal.Field(lambda p: np.ones(p.shape[:-1]), [-1.0, -1.0], [1.0, 1.0])
         vals = f(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, -1.5]]))
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
         assert f.n == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            maximal.Field.from_callable(lambda p: p, [0.0, 0.0], [1.0, -1.0])
+            maximal.Field(lambda p: p, [0.0, 0.0], [1.0, -1.0])
 
 
 class TestRadiiNet:
@@ -70,7 +70,7 @@ class TestAnnulusAverage:
         assert est.std_error < 1e-12
 
     def test_odd_field_averages_its_absolute_value(self):
-        f = maximal.Field.from_callable(lambda p: p[..., 0], np.full(3, -9.0), np.full(3, 9.0))
+        f = maximal.Field(lambda p: p[..., 0], np.full(3, -9.0), np.full(3, 9.0))
         est = maximal.annulus_average(f, self.SPEC, 20_000, seed=1)
         assert est.value > 0.4  # E|w_0| = 1/2 on the unit sphere in R^3
 
@@ -89,7 +89,7 @@ class TestAnnulusAverage:
 
     def test_field_scaling_is_exact(self):
         f = slab_field(3)
-        g = maximal.Field.from_callable(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
+        g = maximal.Field(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
         a = maximal.annulus_average(f, self.SPEC, 3000, seed=3)
         b = maximal.annulus_average(g, self.SPEC, 3000, seed=3)
         assert b.value == 2.0 * a.value
@@ -140,7 +140,7 @@ class TestDiscretisedMaximal:
 
     def test_doubling_the_field_doubles_the_sups(self):
         f = slab_field(3)
-        g = maximal.Field.from_callable(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
+        g = maximal.Field(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
         a = self.sups(f, axes=range(3), seed=8)
         b = self.sups(g, axes=range(3), seed=8)
         np.testing.assert_array_equal(b, 2.0 * a)
@@ -201,7 +201,7 @@ class TestDomination:
 
 
 def reference_average(f, spec, m, seed):
-    base, axis, cut = geo._spec_parts(spec)
+    base, axis = geo._spec_parts(spec)
     ell = base.ellipsoid
     sampler = reference_shell_sampler(base.delta, base.n)
 
@@ -209,7 +209,7 @@ def reference_average(f, spec, m, seed):
         omega = sampler(rng, k)
         values = np.abs(f(geo.affine_map(ell.centre, ell.radii, omega)))
         if axis is not None:
-            values = values * geo.refinement_indicator(omega, axis, cut)
+            values = values * geo.refinement_indicator(omega, axis)
         return values
 
     stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
@@ -221,14 +221,13 @@ def reference_net_sups(f, xs, delta, net, m, seed, stream, axes):
     n = xs.shape[1]
     shell = rng_stream(seed, derive_stream("scan-shell", delta, stream))
     omega = reference_shell_sampler(delta, n)(shell, m)
-    cut = geo.default_refinement_cut(n)
     out = np.full((1 + len(axes), len(xs)), -np.inf)
     for i, x in enumerate(xs):
         for r in net.points:
             values = np.abs(f(geo.affine_map(x, r, omega)))
             for row, axis in enumerate([None, *axes]):
                 if axis is not None:
-                    value = np.mean(values * geo.refinement_indicator(omega, axis, cut))
+                    value = np.mean(values * geo.refinement_indicator(omega, axis))
                 else:
                     value = np.mean(values)
                 if value > out[row, i]:
@@ -242,8 +241,7 @@ def row_major_net_sups(f, xs, delta, net, m, seed, stream, axes):
     n = xs.shape[1]
     shell = rng_stream(seed, derive_stream("scan-shell", delta, stream))
     omega = reference_shell_sampler(delta, n)(shell, m)
-    cut = geo.default_refinement_cut(n)
-    masks = [geo.refinement_indicator(omega, axis, cut) for axis in axes]
+    masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
     for r in net.points:
         values = np.abs(f(xs[:, None, :] + omega[None, :, :] * r[None, None, :]))
@@ -264,7 +262,7 @@ def threads(request, monkeypatch):
 
 def smooth_field(n):
     # non-dyadic values, so that any change in summation order shows in the bits
-    return maximal.Field.from_callable(
+    return maximal.Field(
         lambda p: np.cos(3.0 * p[..., 0] - p[..., n - 1]) + 0.25, np.full(n, -3.0), np.full(n, 3.0)
     )
 
@@ -283,7 +281,6 @@ class TestSharedBatchKernel:
         ellipsoid = geo.Ellipsoid(np.linspace(-0.2, 0.3, n), small_net(n).hi)
         base = geo.AnnulusSpec(ellipsoid, KERNEL_DELTA)
         specs = [base] + [geo.RefinedAnnulusSpec(base, k) for k in range(n)]
-        specs.append(geo.RefinedAnnulusSpec(base, n - 1, cut=0.3))
         for spec in specs:
             assert maximal.annulus_average(f, spec, m, seed=3) == reference_average(f, spec, m, 3)
 
@@ -326,7 +323,7 @@ class TestSharedBatchKernel:
 
 class TestLpNorm:
     def test_unit_cube_indicator(self):
-        f = maximal.Field.from_callable(
+        f = maximal.Field(
             lambda p: np.ones(p.shape[:-1]), np.zeros(3), np.ones(3)
         )
         for p in (1.0, 2.0, 3.5):
@@ -337,14 +334,14 @@ class TestLpNorm:
     def test_scaling_homogeneity_is_exact(self):
         fam = maximal.bump_mixture_family(2, components=3, seed=9)
         f = fam(0)
-        g = maximal.Field.from_callable(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
+        g = maximal.Field(lambda p: 2.0 * f.evaluator(p), f.lo, f.hi)
         region = (f.lo, f.hi)
         a = maximal.lp_norm(f, 2.0, region, 2000, seed=1)
         b = maximal.lp_norm(g, 2.0, region, 2000, seed=1)
         assert b.value == pytest.approx(2.0 * a.value, rel=1e-14)
 
     def test_zero_field(self):
-        f = maximal.Field.from_callable(lambda p: np.zeros(p.shape[:-1]), [0.0], [1.0])
+        f = maximal.Field(lambda p: np.zeros(p.shape[:-1]), [0.0], [1.0])
         est = maximal.lp_norm(f, 2.0, ([0.0], [1.0]), 100, seed=0)
         assert est.value == 0.0 and est.std_error == 0.0
 

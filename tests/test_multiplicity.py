@@ -39,7 +39,7 @@ class TestEllipsoidFamily:
         assert np.array_equal(ell.radii, fam.radii[1])
         refined = fam.spec(1)
         assert isinstance(refined, geo.RefinedAnnulusSpec)
-        assert refined.axis == 2 and refined.cut == fam.cut
+        assert refined.axis == 2
         plain = fam.spec(1, refined=False)
         assert isinstance(plain, geo.AnnulusSpec)
         assert plain.delta == fam.delta
@@ -146,19 +146,11 @@ class TestRefinedShellVolume:
         assert total >= plain
         assert refined_shell_volume(r, delta, 0) < plain
 
-    def test_monotone_in_cut(self):
-        r = np.ones(3)
-        small = refined_shell_volume(r, 2**-4, 0, cut=0.005)
-        large = refined_shell_volume(r, 2**-4, 0, cut=0.02)
-        assert small > large > 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             refined_shell_volume(np.ones(3), 2**-4, 3)
         with pytest.raises(ValueError):
             refined_shell_volume(np.ones(3), 0.6, 0)
-        with pytest.raises(ValueError):
-            refined_shell_volume(np.ones(3), 2**-4, 0, cut=0.0)
 
 
 class TestOverlapL2:
@@ -235,7 +227,7 @@ def per_pair_overlap_l2(family, m, seed, refined):
     replaced, kept as its bit-for-bit reference."""
     delta = family.delta
     if refined:
-        diag = [refined_shell_volume(r, delta, family.axis, family.cut) for r in family.radii]
+        diag = [refined_shell_volume(r, delta, family.axis) for r in family.radii]
     else:
         diag = [shell_volume(r, delta) for r in family.radii]
     total = float(np.sum(diag))
@@ -252,15 +244,15 @@ def per_pair_overlap_l2(family, m, seed, refined):
             batch = max(64, m >> int(a))
             omega = sampler(rng_stream(seed, derive_stream("overlap", i, int(a))), batch)
             y = geo.affine_map(centres[i], family.radii[i], omega)
-            keep = geo.refinement_indicator(omega, family.axis, family.cut)
+            keep = geo.refinement_indicator(omega, family.axis)
             hits = np.zeros(batch)
             for j, cls in zip(others, classes):
                 if cls != a:
                     continue
                 inside = np.abs(geo.defining_value(centres[j], family.radii[j], y)) < delta
                 if refined:
-                    w = geo.affine_map(centres[j], family.radii[j], y, inverse=True)
-                    inside &= keep & geo.refinement_indicator(w, family.axis, family.cut)
+                    w = (y - centres[j]) / family.radii[j]
+                    inside &= keep & geo.refinement_indicator(w, family.axis)
                 hits += inside
             total += base_volume * float(np.mean(hits))
             variance += (base_volume * float(np.std(hits, ddof=1)) / math.sqrt(batch)) ** 2
@@ -273,7 +265,7 @@ def per_batch_pair_terms(family, m, seed):
     """``_pair_terms`` as one sampler call and one membership test per
     ``(i, a)`` batch, with the refinement taken through ``**``: the loop the
     blocked scoring replaced, kept as its bit-for-bit reference."""
-    delta, axis, cut = family.delta, family.axis, family.cut
+    delta, axis, cut = family.delta, family.axis, geo.default_refinement_cut(family.n)
     sampler = reference_shell_sampler(delta, family.n)
     centres = family.centres
     terms = {True: [], False: []}
@@ -292,7 +284,7 @@ def per_batch_pair_terms(family, m, seed):
             refined = np.zeros(batch, dtype=int)
             for j in others[classes == a]:
                 shell = np.abs(geo.defining_value(centres[j], family.radii[j], y)) < delta
-                w = geo.affine_map(centres[j], family.radii[j], y, inverse=True)
+                w = (y - centres[j]) / family.radii[j]
                 plain += shell
                 refined += shell & (np.abs(w[:, axis]) ** 3 >= 2.0 * cut)
             for variant, count in ((True, keep * refined), (False, plain)):
