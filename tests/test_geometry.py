@@ -441,6 +441,8 @@ class TestValidation:
             geo.TangencyConfig(0, -0.1, np.ones(3))
         with pytest.raises(ValueError):
             geo.TangencyConfig(0, 0.5, np.array([0.4, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="axis 3 out of range"):
+            geo.TangencyConfig(3, 0.5, np.ones(3))
 
     def test_axis_range(self):
         shell = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(2), np.ones(2)), 0.1)
