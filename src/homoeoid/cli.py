@@ -302,6 +302,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
     max_count = 0
     constants = {}
     empty = {}
+    drawn = 0
     for factor in (1.0, 0.5):
         worst = 0.0
         empty[factor] = 0
@@ -319,6 +320,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
             max_diam = max(report.diameters) if report.diameters else 0.0
             max_count = max(max_count, report.cluster_count)
             empty[factor] += report.empty
+            drawn += report.drawn
             worst = max(worst, max_diam * t / rho)
             rows.append(
                 {
@@ -341,6 +343,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
         "halved_constant": constants[0.5],
         "halving_ratio": halving,
         "empty_reports_per_factor": empty,
+        "shell_points_drawn": drawn,
     }
     gates = (Gate("max_cluster_count", "<=", 16), Gate("halving_ratio", "<=", 2.0))
     return RunResult(config.experiment, tuple(rows), metrics, gates)

@@ -117,10 +117,15 @@ def restricted_radii_box(n: int) -> tuple[Array, Array]:
     return lo, hi
 
 
-def axis_direction(n: int, axis: int) -> Array:
-    """All-ones vector with a zero in slot ``axis`` (0-based)."""
+def _check_axis(axis: int, n: int) -> None:
+    """Reject a refinement axis outside ``0 <= axis < n``."""
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
+
+
+def axis_direction(n: int, axis: int) -> Array:
+    """All-ones vector with a zero in slot ``axis`` (0-based)."""
+    _check_axis(axis, n)
     d = np.ones(n)
     d[axis] = 0.0
     return d
@@ -198,9 +203,7 @@ class RefinedAnnulusSpec:
     axis: int
 
     def __post_init__(self) -> None:
-        n = self.base.n
-        if not 0 <= self.axis < n:
-            raise ValueError(f"axis {self.axis} out of range for dimension {n}")
+        _check_axis(self.axis, self.base.n)
 
     @property
     def delta(self) -> float:
@@ -322,8 +325,10 @@ def _cube_at_least(a: Array, bound: float) -> Array:
 
 
 def refinement_indicator(omega: Array, axis: int) -> Array:
-    """Boolean mask ``|omega[axis]|**3 >= 2*cut`` in reference coordinates."""
+    """Boolean mask ``|omega[axis]|**3 >= 2*cut`` in reference coordinates;
+    an axis outside ``0 <= axis < n`` raises."""
     w = np.asarray(omega, dtype=float)
+    _check_axis(axis, w.shape[-1])
     return _cube_at_least(np.abs(w[..., axis]), 2.0 * default_refinement_cut(w.shape[-1]))
 
 
@@ -337,7 +342,8 @@ def shell_membership(
     """Shell-major ``(k, m)`` masks ``(shell, sector)`` of points in ``k``
     shells of width ``delta``, with ``(k, n)`` ``centres`` and ``radii``:
     ``shell`` is ``|F| < delta``, ``sector`` the axis refinement
-    ``|omega[axis]|**3 >= 2*cut`` of the pullback (``None`` without ``axis``).
+    ``|omega[axis]|**3 >= 2*cut`` of the pullback (``None`` without ``axis``;
+    an axis outside ``0 <= axis < n`` raises).
 
     ``columns`` yields the points' coordinates in order, each an array that
     broadcasts against ``(k, 1)``: one ``(m,)`` column shared by every shell
@@ -352,6 +358,8 @@ def shell_membership(
     """
     x = np.asarray(centres, dtype=float)
     r = np.asarray(radii, dtype=float)
+    if axis is not None:
+        _check_axis(axis, x.shape[1])
     total = None
     sector = None
     for j, column in enumerate(columns):

@@ -9,12 +9,32 @@ as indicators on a *shared* batch wherever several quantities must be
 compared: partitions then sum exactly, and refined estimates are exactly
 dominated by unrefined ones, sample by sample.
 
-Two kernels draw every shell point: :func:`reference_shell_sampler` from one
-generator, and :func:`keyed_shell_points` one batch per stream id.  Both
+Two kernels draw every full shell sample: :func:`reference_shell_sampler`
+from one generator, and :func:`keyed_shell_points` one batch per stream id
+(the cluster estimator draws only part of its sample; see below).  Both
 follow the package's layout rule (see :mod:`homoeoid.mc`): the squared norm
 is accumulated one coordinate column at a time in coordinate order, so for
 ``n < 8`` the samples equal those of ``np.linalg.norm`` bit for bit, and
 each column is then divided by the norm and scaled by the radius in place.
+
+Drawing only where a point can be accepted
+------------------------------------------
+:func:`low_jacobian_cluster` keeps the law of ``m`` uniform reference-shell
+points filtered by the refinement and ``jacobian_gram_norm < rho``, but
+draws only the points that can pass.  In n = 3 a uniform shell point
+``s*u`` is a uniform point of the box ``(z, phi, v)``: ``z = u[axis]`` is
+uniform on ``[-1, 1]`` and the azimuth ``phi`` on ``[0, 2 pi)`` (Archimedes'
+hat-box theorem), and ``v = s**3`` is uniform on ``[s0**3, s1**3]`` (the
+radial inverse CDF of :func:`_to_shell`).  Of a batch of ``k`` such draws a
+Binomial(k, |K| / 4 pi) number land in ``K x [s0**3, s1**3]``, for any union
+``K`` of ``(z, phi)`` cells, and those are i.i.d. uniform there.  If ``K``
+holds every point that the float kernels accept, the accepted set, its size
+and its first ``max_keep`` points have the law of the full batch.
+:func:`_tangency_cover` builds such a ``K`` with a certificate that carries
+two float margins: ``kappa``, a multiple of ``eps * |a|**2 |b|**2`` that
+bounds the Gram kernel's rounding of ``N**2`` (without it a float-accepted
+point could fall outside ``K`` when ``rho`` is tiny), and a relative
+``1e-12`` below the refinement's edge for the cube test's rounding.
 """
 
 from __future__ import annotations
@@ -360,7 +380,10 @@ class ClusterReport:
 
     ``diameters`` are max intra-cluster pairwise distances, descending.
     ``empty`` distinguishes "no shell point had a small tangency functional"
-    from a degenerate one-point cluster.
+    from a degenerate one-point cluster.  ``requested`` is the size of the
+    uniform shell sample whose law the report has; ``drawn`` is the number of
+    shell points actually drawn, those of the sample that fall in the
+    tangency cover.
     """
 
     rho: float
@@ -370,7 +393,136 @@ class ClusterReport:
     diameters: tuple[float, ...]
     accepted: int
     requested: int
+    drawn: int
     empty: bool
+
+
+# The tangency cover starts from this many azimuth cells per refined z band,
+# quarters every kept cell once per level up to ``_COVER_DEPTH`` levels, and
+# stops early once more than ``_COVER_CELLS`` cells are kept, so no level
+# scores more than ``DEFAULT_CHUNK`` cells.
+_COVER_PHI_CELLS = 8
+_COVER_DEPTH = 12
+_COVER_CELLS = DEFAULT_CHUNK // 4
+# Multiple of eps * |a|^2 |b|^2 that bounds the float Gram kernel's error in
+# N^2, with room to spare: its three sums and the subtraction round by a few
+# dozen eps * |a|^2 |b|^2 in all.
+_GRAM_ROUNDING = 256.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _TangencyCover:
+    """Kept cells ``[z, z + dz] x [phi, phi + dphi]`` of the unit sphere, in
+    the coordinates ``z = u[axis]`` and the azimuth ``phi`` about the axis;
+    ``z`` and ``phi`` hold the lower corners, and every cell has the area
+    ``dz * dphi``."""
+
+    z: Array
+    phi: Array
+    dz: float
+    dphi: float
+
+    @property
+    def fraction(self) -> float:
+        """Share of the sphere's area ``4 pi`` that the cells cover."""
+        return self.z.size * self.dz * self.dphi / (4.0 * math.pi)
+
+
+def _sphere_columns(z: Array, phi: Array, axis: int) -> Array:
+    """Coordinate-major ``(3, k)`` unit vectors of ``R^3`` with ``u[axis] =
+    z`` and azimuth ``phi`` about the axis."""
+    u = np.empty((3,) + z.shape)
+    ring = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    u[axis] = z
+    np.multiply(ring, np.cos(phi), out=u[(axis + 1) % 3])
+    np.multiply(ring, np.sin(phi), out=u[(axis + 2) % 3])
+    return u
+
+
+def _tangency_cover(cfg: geo.TangencyConfig, rho: float, delta: float) -> _TangencyCover:
+    """Cells of the sphere outside which no refined shell point passes the
+    float test ``jacobian_gram_norm(cfg, s*u) < rho``, for ``s**2`` in
+    ``(1 - delta, 1 + delta)`` (n = 3).
+
+    ``N(s u) = 4 s |s A(u) - B(u)|`` with ``A = u x Du``, ``B = u x Dc`` and
+    ``D = diag(1/r**2)``.  In a cell with centre ``u_c`` and geodesic radius
+    ``h``, ``A`` moves by at most ``h (|D u_c| + max D) + h**2 max D`` and
+    ``B`` by at most ``h |Dc|``, and the minimum of ``|s A_c - B_c|`` over
+    ``s`` in ``[s0, s1]`` is the distance from ``B_c`` to the segment
+    ``{s A_c}``.  A cell is dropped only when ``4 s0`` times the resulting
+    lower bound exceeds ``sqrt(rho**2 + kappa)``, where ``kappa`` bounds the
+    Gram kernel's rounding of ``N**2``.  The z range starts at the
+    refinement's edge ``(2 cut)**(1/3) / s1``, less a relative ``1e-12`` for
+    the rounding of the cube test.
+    """
+    s0, s1 = math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)
+    inv2 = 1.0 / (cfg.radii * cfg.radii)
+    dc = inv2 * cfg.centre
+    top, dc_norm = float(inv2.max()), float(np.linalg.norm(dc))
+    scale = 4.0 * s1 * s1 * 4.0 * (top * s1 + dc_norm) ** 2  # max |a|^2 |b|^2 on the shell
+    kappa = _GRAM_ROUNDING * np.finfo(float).eps * (scale + rho * rho)
+    bound = math.sqrt(rho * rho + kappa)
+    z_lo = (1.0 - 1e-12) * (2.0 * geo.default_refinement_cut(3)) ** (1.0 / 3.0) / s1
+
+    dz, dphi = 1.0 - z_lo, 2.0 * math.pi / _COVER_PHI_CELLS
+    phi = np.tile(np.arange(_COVER_PHI_CELLS) * dphi, 2)
+    z = np.repeat([-1.0, z_lo], _COVER_PHI_CELLS)
+    cyc = [((j + 1) % 3, (j + 2) % 3) for j in range(3)]
+    for level in range(_COVER_DEPTH + 1):
+        zc = z + 0.5 * dz
+        theta = np.arccos(zc)
+        h = np.maximum(
+            np.abs(np.arccos(z) - theta), np.abs(np.arccos(np.minimum(z + dz, 1.0)) - theta)
+        )
+        h += np.sin(theta) * (0.5 * dphi)
+        u = _sphere_columns(zc, phi + 0.5 * dphi, cfg.axis)
+        a = [u[k] * u[l] * (inv2[l] - inv2[k]) for k, l in cyc]
+        b = [u[k] * dc[l] - u[l] * dc[k] for k, l in cyc]
+        aa = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+        s = (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]) / np.maximum(aa, np.finfo(float).tiny)
+        np.clip(s, s0, s1, out=s)
+        gap = np.sqrt(sum((s * a[j] - b[j]) ** 2 for j in range(3)))
+        du = np.sqrt(sum((inv2[j] * u[j]) ** 2 for j in range(3)))
+        gap -= s1 * h * (du + top + h * top) + h * dc_norm
+        keep = 4.0 * s0 * gap <= bound
+        z, phi = z[keep], phi[keep]
+        if level == _COVER_DEPTH or z.size > _COVER_CELLS:
+            break
+        dz, dphi = 0.5 * dz, 0.5 * dphi
+        z = np.concatenate([z, z + dz, z, z + dz])
+        phi = np.concatenate([phi, phi, phi + dphi, phi + dphi])
+    return _TangencyCover(z, phi, dz, dphi)
+
+
+def _low_tangency_points(
+    cfg: geo.TangencyConfig, rho: float, delta: float, m: int, seed: int, keep: int
+) -> tuple[int, int, Array]:
+    """``(drawn, accepted, points)`` of :func:`low_jacobian_cluster`: the
+    shell points drawn, the number accepted, and the first ``keep`` accepted
+    points in draw order."""
+    delta = geo._shell_width(delta)
+    cover = _tangency_cover(cfg, rho, delta)
+    bounds = (1.0 - delta, 1.0 + delta)
+    chunk = DEFAULT_CHUNK
+
+    def batch(batch_idx: int) -> tuple[int, int, Array]:
+        rng = rng_stream(seed, derive_stream("cluster", rho, cfg.t, batch_idx))
+        drawn = int(rng.binomial(min(chunk, m - batch_idx * chunk), cover.fraction))
+        if drawn == 0:
+            return 0, 0, np.empty((0, 3))
+        cell = rng.integers(cover.z.size, size=drawn)
+        z = cover.z[cell] + cover.dz * rng.random(drawn)
+        phi = cover.phi[cell] + cover.dphi * rng.random(drawn)
+        omega = _to_shell(_sphere_columns(z, phi, cfg.axis).T, rng.random(drawn), bounds)
+        ok = geo.refinement_indicator(omega, cfg.axis)
+        ok &= geo.jacobian_gram_norm(cfg, omega) < rho
+        accepted = omega[ok]
+        return drawn, accepted.shape[0], accepted[:keep]
+
+    batches = ordered_map(batch, max(1, math.ceil(m / chunk)))
+    drawn = sum(count for count, _, _ in batches)
+    have = sum(count for _, count, _ in batches)
+    return drawn, have, np.concatenate([rows for _, _, rows in batches], axis=0)[:keep]
 
 
 def low_jacobian_cluster(
@@ -389,38 +541,33 @@ def low_jacobian_cluster(
     The refinement uses the unperturbed axis direction.
     Accepted points are grouped by single linkage at distance ``16 * rho /
     t``; near tangency the low-norm region falls apart into a bounded number
-    of such clusters with diameters O(rho/t).
-    At most ``max_keep`` accepted points (the first ones drawn — an unbiased
-    subsample of i.i.d. draws) enter the O(count^2) linkage stage.  The
-    sample batches are independent units of :func:`ordered_map`.
+    of such clusters with diameters O(rho/t).  n = 3 only.
+
+    The report has the law of ``m`` uniform points of the reference shell,
+    drawn in batches of ``DEFAULT_CHUNK`` and filtered by the refinement and
+    ``jacobian_gram_norm < rho``, but only the points of the tangency cover
+    are drawn (see the module docstring): each batch draws its count in the
+    cover from its stream ``("cluster", rho, t, batch)``, then that many
+    uniform points of the cover (cell, then ``z``, ``phi`` and ``v``) from
+    the same stream.  At most ``max_keep`` accepted points (the first ones
+    drawn — an unbiased subsample of i.i.d. draws) enter the O(count^2)
+    linkage stage.  The batches are independent units of
+    :func:`ordered_map`.
     """
     radii = np.asarray(radii, dtype=float)
     n = radii.shape[0]
+    if n != 3:
+        raise ValueError(f"low_jacobian_cluster is specific to n=3, got n={n}")
     if rho <= 0 or t <= 0:
         raise ValueError("rho and t must be positive")
     cfg = geo.TangencyConfig(axis, t, radii)
-    sampler = reference_shell_sampler(delta, n)
-
-    chunk = DEFAULT_CHUNK
-    keep = max(max_keep, 0)
-
-    def batch(batch_idx: int) -> tuple[int, Array]:
-        rng = rng_stream(seed, derive_stream("cluster", rho, t, batch_idx))
-        omega = sampler(rng, min(chunk, m - batch_idx * chunk))
-        ok = geo.refinement_indicator(omega, axis)
-        ok &= geo.jacobian_gram_norm(cfg, omega) < rho
-        accepted = omega[ok]
-        return accepted.shape[0], accepted[:keep]
-
-    batches = ordered_map(batch, max(1, math.ceil(m / chunk)))
-    have = sum(count for count, _ in batches)
-    pts = np.concatenate([rows for _, rows in batches], axis=0)[:keep]
+    drawn, have, pts = _low_tangency_points(cfg, rho, delta, m, seed, max(max_keep, 0))
 
     scale = 16.0 * rho / t
     if pts.shape[0] == 0:
-        return ClusterReport(rho, t, scale, 0, (), 0, m, empty=True)
+        return ClusterReport(rho, t, scale, 0, (), 0, m, drawn, empty=True)
     if pts.shape[0] == 1:
-        return ClusterReport(rho, t, scale, 1, (0.0,), have, m, empty=False)
+        return ClusterReport(rho, t, scale, 1, (0.0,), have, m, drawn, empty=False)
 
     from scipy.cluster.hierarchy import fcluster, linkage
     from scipy.spatial.distance import pdist, squareform
@@ -441,6 +588,7 @@ def low_jacobian_cluster(
         diameters=tuple(diameters),
         accepted=have,
         requested=m,
+        drawn=drawn,
         empty=False,
     )
 

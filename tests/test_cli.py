@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from homoeoid import cli, knapp
+from homoeoid.mc import derive_stream
 from homoeoid.multiplicity import multiplicity_scan
+from homoeoid.volumes import low_jacobian_cluster, seeded_cluster_configs
 
 
 def run_cli(*argv) -> int:
@@ -258,6 +260,31 @@ class TestRunCommand:
         assert summary["metrics"]["pair_samples_drawn"] == scan.drawn > 0
         assert "pair_samples_drawn" not in {g["metric"] for g in summary["gates"]}
         header = (tmp_path / "multiplicity-seed0" / "results.csv").read_text().splitlines()[0]
+        assert "drawn" not in header
+
+    def test_clusters_records_its_shell_points_drawn(self, tmp_path):
+        m = 1 << 18
+        argv = ("--samples", m, "--override", "configs=2")
+        assert run_cli("run", "--experiment", "clusters", *argv, "--out", tmp_path) in (0, 1)
+        summary = read_summary(tmp_path / "clusters-seed0")
+        drawn = sum(
+            low_jacobian_cluster(
+                axis=0,
+                t=t,
+                radii=radii,
+                rho=factor * t / 16.0,
+                delta=2.0**-9,
+                m=m,
+                seed=derive_stream("cluster-run", 0, i),
+            ).drawn
+            for factor in (1.0, 0.5)
+            for i, (t, radii) in enumerate(seeded_cluster_configs(0, 2))
+        )
+        # four runs of m requested points draw only those in the tangency cover
+        assert summary["metrics"]["shell_points_drawn"] == drawn > 0
+        assert drawn < 4 * m / 1000
+        assert "shell_points_drawn" not in {g["metric"] for g in summary["gates"]}
+        header = (tmp_path / "clusters-seed0" / "results.csv").read_text().splitlines()[0]
         assert "drawn" not in header
 
     def test_help_exits_zero(self, capsys):

@@ -448,3 +448,14 @@ class TestValidation:
         shell = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(2), np.ones(2)), 0.1)
         with pytest.raises(ValueError):
             geo.RefinedAnnulusSpec(shell, axis=2)
+
+    @pytest.mark.parametrize("axis", [3, -1])
+    def test_shell_membership_rejects_axis_out_of_range(self, axis):
+        columns = np.zeros((3, 4))
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for dimension 3"):
+            geo.shell_membership(np.zeros((1, 3)), np.ones((1, 3)), 0.1, columns, axis=axis)
+
+    @pytest.mark.parametrize("axis", [3, -1])
+    def test_refinement_indicator_rejects_axis_out_of_range(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for dimension 3"):
+            geo.refinement_indicator(np.full((4, 3), 0.9), axis)

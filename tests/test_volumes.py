@@ -7,13 +7,49 @@ import pytest
 
 from homoeoid import geometry as geo
 from homoeoid import volumes as vol
-from homoeoid.mc import derive_stream, rng_stream
+from homoeoid.mc import DEFAULT_CHUNK, derive_stream, rng_stream
 
 SEED = 20240817
 
 
 def unit_shell(n, delta):
     return geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta)
+
+
+def brute_cluster_points(cfg, rho, delta, m, seed):
+    """Accepted points of ``m`` uniform reference-shell draws, in draw order:
+    every draw is made and filtered by the refinement and the Gram norm, in
+    batches of ``DEFAULT_CHUNK`` on the streams ``("cluster", rho, t,
+    batch)``.  This is the route the tangency cover of
+    ``low_jacobian_cluster`` replaces, kept as its oracle."""
+    sampler = vol.reference_shell_sampler(delta, 3)
+    accepted = []
+    for batch in range(math.ceil(m / DEFAULT_CHUNK)):
+        rng = rng_stream(seed, derive_stream("cluster", rho, cfg.t, batch))
+        omega = sampler(rng, min(DEFAULT_CHUNK, m - batch * DEFAULT_CHUNK))
+        ok = geo.refinement_indicator(omega, cfg.axis)
+        ok &= geo.jacobian_gram_norm(cfg, omega) < rho
+        accepted.append(omega[ok])
+    return np.concatenate(accepted)
+
+
+def in_cover(cover, points, axis):
+    """Whether each point's direction lies in a cell of ``cover``."""
+    u = points / np.linalg.norm(points, axis=1, keepdims=True)
+    z = u[:, axis]
+    phi = np.mod(np.arctan2(u[:, (axis + 2) % 3], u[:, (axis + 1) % 3]), 2.0 * np.pi)
+    return np.array(
+        [
+            np.any(
+                (cover.z <= zi)
+                & (zi <= cover.z + cover.dz)
+                & (cover.phi <= fi)
+                & (fi <= cover.phi + cover.dphi)
+            )
+            for zi, fi in zip(z, phi)
+        ],
+        dtype=bool,
+    )
 
 
 class TestClosedForms:
@@ -366,12 +402,20 @@ class TestClusterReport:
             )
 
         m = 3 * (1 << 16) + 123  # four sample batches, the last one short
-        first_batch = run("1", 1 << 16).accepted  # batch 0 has the same stream
+        # batch 0 has the same stream and size at both m, so it draws the
+        # same count in the cover and the same points
+        first_batch = run("1", 1 << 16).accepted
         if max_keep == 10:
             assert max_keep < first_batch
         else:
             assert first_batch < max_keep < run("1", m).accepted
         assert run("1", m) == run("2", m)
+
+    def test_cover_is_specific_to_three_dimensions(self):
+        with pytest.raises(ValueError, match="specific to n=3"):
+            vol.low_jacobian_cluster(
+                axis=0, t=0.3, radii=np.ones(4), rho=0.05, delta=2**-6, m=64, seed=SEED
+            )
 
     def test_refinement_removes_axis_tangency(self):
         # equal radii: the tangency points sit at omega parallel to the centre
@@ -387,6 +431,72 @@ class TestClusterReport:
             seed=SEED,
         )
         assert report.empty
+
+
+class TestTangencyCover:
+    """The cover that ``low_jacobian_cluster`` draws in, against the brute
+    route that draws every shell point."""
+
+    SEEDED = [(i, factor) for i in range(5) for factor in (1.0, 0.5)]
+
+    @pytest.mark.parametrize("index,factor", SEEDED)
+    def test_seeded_configs_accept_only_in_cover(self, index, factor):
+        # the clusters experiment's configs and streams, at its 2^21 draws
+        t, radii = vol.seeded_cluster_configs(0, 5)[index]
+        cfg = geo.TangencyConfig(0, t, radii)
+        rho, delta = factor * t / 16.0, 2.0**-9
+        cover = vol._tangency_cover(cfg, rho, delta)
+        seed = derive_stream("cluster-run", 0, index)
+        pts = brute_cluster_points(cfg, rho, delta, 1 << 21, seed)
+        assert pts.shape[0] > 0
+        assert in_cover(cover, pts, 0).all()
+        assert cover.fraction < 1e-3
+
+    @pytest.mark.parametrize(
+        "axis,rho",
+        [(0, 0.02), (0, 0.05), (0, 1e-12), (1, 0.05)],
+        ids=["0.02", "0.05", "1e-12", "axis1"],
+    )
+    def test_tangency_pair_geometry_accepts_only_in_cover(self, axis, rho):
+        # the geometry of TestClusterReport, rolled so that ``axis`` plays axis 0's part
+        r = np.roll([1.4, 1.0, 0.8], axis)
+        cfg = geo.TangencyConfig(axis, 0.3, r)
+        cover = vol._tangency_cover(cfg, rho, 2**-6)
+        pts = brute_cluster_points(cfg, rho, 2**-6, 1 << 21, SEED)
+        # points within 1e-8 of the exact tangency pair: at rho = 1e-12 the
+        # Gram kernel accepts many of them only through its rounding
+        w1 = 0.3 / (1 - 1.0 / 1.4**2)
+        w2 = 0.3 / (1 - 0.8**2 / 1.4**2)
+        w0 = math.sqrt(1 - w1 * w1 - w2 * w2)
+        pair = np.roll([[w0, w1, w2], [-w0, w1, w2]], axis, axis=1)[:, None, :]
+        near = pair + 1e-8 * np.random.default_rng(0).standard_normal((2, 2048, 3))
+        near = near.reshape(-1, 3)
+        ok = geo.refinement_indicator(near, axis) & (geo.jacobian_gram_norm(cfg, near) < rho)
+        assert ok.sum() > 100
+        pts = np.concatenate([pts, near[ok]])
+        assert in_cover(cover, pts, axis).all()
+
+    def test_same_law_as_brute_route(self):
+        # one configuration, 200 seeds per route (disjoint, so the two routes
+        # are independent) at m = 2^16: mean accepted counts within 3
+        # combined standard errors, and the pooled accepted coordinates not
+        # told apart by a two-sample KS test at 1e-3
+        from scipy.stats import ks_2samp
+
+        cfg = geo.TangencyConfig(0, 0.3, np.array([1.4, 1.0, 0.8]))
+        rho, delta, m = 0.05, 2**-6, 1 << 16
+        brute, cover = [], []
+        for seed in range(200):
+            brute.append(brute_cluster_points(cfg, rho, delta, m, seed))
+            cover.append(vol._low_tangency_points(cfg, rho, delta, m, 1000 + seed, m)[2])
+        counts_b = np.array([p.shape[0] for p in brute], dtype=float)
+        counts_c = np.array([p.shape[0] for p in cover], dtype=float)
+        se = math.hypot(counts_b.std(ddof=1), counts_c.std(ddof=1)) / math.sqrt(200)
+        assert counts_b.mean() > 10
+        assert abs(counts_b.mean() - counts_c.mean()) <= 3.0 * se
+        pooled_b, pooled_c = np.concatenate(brute), np.concatenate(cover)
+        for j in range(3):
+            assert ks_2samp(pooled_b[:, j], pooled_c[:, j]).pvalue > 1e-3
 
 
 class TestSeededClusterConfigs:
