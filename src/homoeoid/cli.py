@@ -242,8 +242,13 @@ def _exp_volume_bound(config: RunConfig, *, axis=0, pairs=10) -> RunResult:
     rows = volume_bound_scan(
         axis=axis, deltas=deltas, ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n
     )
+    drawn = sum(row.pop("drawn") for row in rows)  # a diagnostic, not a CSV column
     worst = {d: max(r["ratio"] for r in rows if r["delta"] == d) for d in deltas}
-    metrics = {"worst_ratio_per_delta": worst, "drift": _drift(list(worst.values()))}
+    metrics = {
+        "worst_ratio_per_delta": worst,
+        "drift": _drift(list(worst.values())),
+        "shell_points_drawn": drawn,
+    }
     return RunResult(config.experiment, tuple(rows), metrics, (Gate("drift", "<=", 4.0),))
 
 
@@ -589,8 +594,9 @@ def _exp_explore_unrefined(config: RunConfig, *, axis=0, pairs=12) -> RunResult:
             axis=axis, deltas=(delta,), ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n,
             refined=False,
         )
+    drawn = sum(row.pop("drawn") for row in rows)  # a diagnostic, not a CSV column
     rows.sort(key=lambda r: (-r["ratio"], r["delta"], r["t"], r["seed"]))
-    metrics = {"max_ratio": rows[0]["ratio"], "exploratory": True}
+    metrics = {"max_ratio": rows[0]["ratio"], "exploratory": True, "shell_points_drawn": drawn}
     return RunResult(config.experiment, tuple(rows), metrics, ())
 
 

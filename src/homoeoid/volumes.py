@@ -19,22 +19,46 @@ each column is then divided by the norm and scaled by the radius in place.
 
 Drawing only where a point can be accepted
 ------------------------------------------
-:func:`low_jacobian_cluster` keeps the law of ``m`` uniform reference-shell
-points filtered by the refinement and ``jacobian_gram_norm < rho``, but
-draws only the points that can pass.  In n = 3 a uniform shell point
-``s*u`` is a uniform point of the box ``(z, phi, v)``: ``z = u[axis]`` is
-uniform on ``[-1, 1]`` and the azimuth ``phi`` on ``[0, 2 pi)`` (Archimedes'
-hat-box theorem), and ``v = s**3`` is uniform on ``[s0**3, s1**3]`` (the
-radial inverse CDF of :func:`_to_shell`).  Of a batch of ``k`` such draws a
-Binomial(k, |K| / 4 pi) number land in ``K x [s0**3, s1**3]``, for any union
-``K`` of ``(z, phi)`` cells, and those are i.i.d. uniform there.  If ``K``
-holds every point that the float kernels accept, the accepted set, its size
-and its first ``max_keep`` points have the law of the full batch.
-:func:`_tangency_cover` builds such a ``K`` with a certificate that carries
-two float margins: ``kappa``, a multiple of ``eps * |a|**2 |b|**2`` that
-bounds the Gram kernel's rounding of ``N**2`` (without it a float-accepted
-point could fall outside ``K`` when ``rho`` is tiny), and a relative
-``1e-12`` below the refinement's edge for the cube test's rounding.
+Two estimators keep the law of a uniform reference-shell sample filtered by
+float tests, but draw only the points that can pass.  A uniform shell point
+``s*u`` has a uniform direction ``u`` and an independent radius ``s`` (the
+radial inverse CDF of :func:`_to_shell`), so of a batch of ``k`` draws a
+Binomial(k, |K| / |S^(n-1)|) number have their direction in a region ``K``,
+and those are i.i.d. uniform there.  If ``K`` holds the direction of every
+point that the float tests accept, the accepted set, its size and its first
+points have the law of the full batch.  Each estimator draws that count and
+then that many points from the batch's own generator.
+
+:func:`intersection_volume` draws in a zone ``{u : z_lo <= u.e <= z_hi}``
+(:func:`_hit_zone`).  In the reference coordinates of ``spec_a`` the second
+shell has centre ``c = (c_b - c_a)/r_a`` and radii ``r_b/r_a``; with ``D =
+diag((r_a/r_b)**2)``, ``w = |Dc|`` and ``e = Dc/w``,
+
+    ``F_B(s*u) = s**2 * u^T D u - 2 s w (u.e) + c^T D c - 1``,
+
+and ``u^T D u`` lies in ``[min D, max D]``.  The ``z = u.e`` for which some
+base-shell radius and some value in that range give ``|F_B| < delta_b``
+form one interval, in closed form.  It is widened by a relative margin
+``_ZONE_ROUNDING`` of the squared sizes of the pulled-back coordinates,
+which covers the float affine map and membership kernel.  ``z`` has density
+proportional to ``(1 - z**2)**((n-3)/2)`` (``(1+z)/2`` is Beta((n-1)/2,
+(n-1)/2): uniform at n = 3, arcsine at n = 2), so the zone's mass is a
+difference of regularised incomplete beta functions and ``z`` is drawn by
+their inverse; the rest of ``u`` is a uniform unit vector of ``e``'s
+orthogonal complement.  The zone ignores both refinements, so a refined and
+a plain ``spec_a`` on one stream draw the same points, and the refined hits
+are a subset of the plain ones.
+
+:func:`low_jacobian_cluster` draws in a union ``K`` of ``(z, phi)`` cells.
+In n = 3 a uniform shell point ``s*u`` is a uniform point of the box ``(z,
+phi, v)``: ``z = u[axis]`` is uniform on ``[-1, 1]`` and the azimuth ``phi``
+on ``[0, 2 pi)`` (Archimedes' hat-box theorem), and ``v = s**3`` is uniform
+on ``[s0**3, s1**3]``.  :func:`_tangency_cover` builds ``K`` with a
+certificate that carries two float margins: ``kappa``, a multiple of ``eps
+* |a|**2 |b|**2`` that bounds the Gram kernel's rounding of ``N**2``
+(without it a float-accepted point could fall outside ``K`` when ``rho`` is
+tiny), and a relative ``1e-12`` below the refinement's edge for the cube
+test's rounding.
 """
 
 from __future__ import annotations
@@ -61,6 +85,7 @@ Array = np.ndarray
 __all__ = [
     "BandDecomposition",
     "ClusterReport",
+    "IntersectionEstimate",
     "ball_volume",
     "sphere_area",
     "shell_volume",
@@ -189,31 +214,161 @@ def sample_surface(
     return x + r * theta, weights
 
 
-def intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0) -> MCEstimate:
+@dataclasses.dataclass(frozen=True)
+class IntersectionEstimate(MCEstimate):
+    """An :func:`intersection_volume` estimate; ``drawn`` is the number of
+    shell points it drew, those of its ``n_samples`` in the hit zone."""
+
+    drawn: int
+
+
+def intersection_volume(
+    spec_a, spec_b, m: int, seed: int, stream: int = 0
+) -> IntersectionEstimate:
     """Monte-Carlo volume of the intersection of two (refined) shells.
 
-    Samples the *base* shell of ``spec_a`` and scores the refined indicator of
-    ``spec_a`` times membership in ``spec_b``; the estimate is unbiased with
+    Has the law of ``m`` uniform points of the *base* shell of ``spec_a``
+    scored by the refined indicator of ``spec_a`` times membership in
+    ``spec_b``, but draws only the points whose direction lies in the hit
+    zone (see the module docstring): in each ``mc_mean`` chunk of ``k``
+    samples, a Binomial(k, zone mass) count, then that many zone points,
+    all from the chunk's generator.  The estimate is unbiased with
     binomial-type error.  ``spec_b == spec_a`` recovers the shell volume.
     """
-    base_a, axis_a = geo._spec_parts(spec_a)
-    ell = base_a.ellipsoid
-    v_base = shell_volume(ell.radii, base_a.delta)
-    sampler = reference_shell_sampler(base_a.delta, base_a.n)
-    # on the unit reference shell the map 0 + 1*omega is the identity
-    unit = not np.any(ell.centre) and bool(np.all(ell.radii == 1.0))
+    base_a = geo._spec_parts(spec_a)[0]
+    zone = _hit_zone(base_a, geo._spec_parts(spec_b)[0])
+    v_base = shell_volume(base_a.ellipsoid.radii, base_a.delta)
+    drawn = []  # one count per chunk; list.append is atomic across worker threads
 
     def values(rng: np.random.Generator, k: int) -> Array:
-        omega = sampler(rng, k)
-        hit = np.ones(k, dtype=bool)
-        if axis_a is not None:
-            hit &= geo.refinement_indicator(omega, axis_a)
-        y = omega if unit else geo.affine_map(ell.centre, ell.radii, omega)
-        hit &= geo.annulus_contains(spec_b, y)
-        return v_base * hit
+        count, hits = _zone_hits(spec_a, spec_b, zone, rng, k)
+        drawn.append(count)
+        out = np.zeros(k)
+        out[: hits.shape[0]] = v_base
+        return out
 
     (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("ivol", stream))
-    return est
+    return IntersectionEstimate(**dataclasses.asdict(est), drawn=sum(drawn))
+
+
+# Relative margin of the hit zone, in units of the squared sizes of the
+# pulled-back coordinates: the float affine map and membership kernel round
+# F_B by a few dozen eps in those units, and the drawn radius by a few eps.
+_ZONE_ROUNDING = 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class _HitZone:
+    """The directions ``u`` of ``S^(n-1)`` with ``z_lo <= u.e <= z_hi``, for
+    a unit ``e`` and ``-1 <= z_lo, z_hi <= 1``; empty when ``z_lo > z_hi``."""
+
+    e: Array
+    z_lo: float
+    z_hi: float
+
+    def _cdf(self) -> tuple[float, float]:
+        """The law of ``u.e`` for a uniform ``u`` at ``z_lo`` and ``z_hi``."""
+        from scipy.special import betainc
+
+        a = 0.5 * (self.e.size - 1)
+        lo, hi = (float(betainc(a, a, 0.5 * (1.0 + z))) for z in (self.z_lo, self.z_hi))
+        return lo, hi
+
+    @property
+    def mass(self) -> float:
+        """Share of the sphere's area that the zone covers."""
+        lo, hi = self._cdf()
+        return max(hi - lo, 0.0)
+
+    def directions(self, rng: np.random.Generator, k: int) -> Array:
+        """``(k, n)`` i.i.d. uniform unit vectors of the zone: ``z`` by the
+        inverse CDF, then ``u = z e + sqrt(1 - z**2) v`` with ``v`` a Gaussian
+        with its ``e`` component removed, normalised."""
+        from scipy.special import betaincinv
+
+        e = self.e
+        a = 0.5 * (e.size - 1)
+        lo, hi = self._cdf()
+        z = 2.0 * betaincinv(a, a, lo + (hi - lo) * rng.random(k)) - 1.0
+        u = rng.standard_normal((k, e.size))
+        # a second pass removes what the first leaves of e, by cancellation,
+        # from the Gaussians that point nearly along e
+        for _ in range(2):
+            along = u @ e
+            for j in range(e.size):
+                u[:, j] -= along * e[j]
+        _normalise(u)
+        ring = np.sqrt(1.0 - z * z)
+        for j in range(e.size):
+            u[:, j] *= ring
+            u[:, j] += z * e[j]
+        return u
+
+
+def _hit_zone(base_a: geo.AnnulusSpec, base_b: geo.AnnulusSpec) -> _HitZone:
+    """Zone outside which no point of ``base_a``'s shell passes the float
+    test of ``base_b``'s (see the module docstring).
+
+    With ``F_B(s*u) = a s**2 - 2 w z s + e0``, ``a`` in ``[min D, max D]``
+    and ``s`` in ``[s0, s1]``: ``F_B < lim`` for some ``(a, s)`` iff ``z >
+    min_s (min D s**2 + e0 - lim) / (2 w s)``, a function of ``s`` whose
+    minimum lies at ``s0``, ``s1`` or ``s* = sqrt((e0 - lim) / min D)``; and
+    ``F_B > -lim`` for some ``(a, s)`` iff ``z < max_s (max D s**2 + e0 +
+    lim) / (2 w s)``, a convex or increasing function of ``s``, so at ``s0``
+    or ``s1``.  ``F_B`` is continuous on the connected ``(a, s)`` box, so
+    both hold iff some ``(a, s)`` gives ``|F_B| < lim``.  ``lim`` is
+    ``delta_b`` plus the rounding margin, and ``s0``, ``s1`` and the ends
+    are widened by it too.  When ``2 w s`` is within the margin of zero (a
+    concentric pair, ``spec_b == spec_a`` among them) the zone is the whole
+    sphere or empty, by the same test with ``|2 w z s| <= 2 w s1`` added
+    to ``lim``.
+    """
+    ell_a, ell_b = base_a.ellipsoid, base_b.ellipsoid
+    mu = _ZONE_ROUNDING
+    c = (ell_b.centre - ell_a.centre) / ell_a.radii
+    d = (ell_a.radii / ell_b.radii) ** 2
+    dc = d * c
+    w = math.sqrt(float(dc @ dc))
+    e0 = float(c @ dc) - 1.0
+    lo_d, hi_d = float(d.min()), float(d.max())
+    s0 = math.sqrt(1.0 - base_a.delta) * (1.0 - mu)
+    s1 = math.sqrt(1.0 + base_a.delta) * (1.0 + mu)
+    size = (np.abs(ell_a.centre) + s1 * ell_a.radii + np.abs(ell_b.centre)) / ell_b.radii
+    lim = base_b.delta + mu * (1.0 + float(size @ size))
+    spread = hi_d * s1 * s1 + abs(e0) + lim
+    if 2.0 * w * s0 <= mu * spread:
+        lim += 2.0 * w * s1
+        whole = lo_d * s0 * s0 + e0 < lim and hi_d * s1 * s1 + e0 > -lim
+        return _HitZone(np.eye(ell_a.n)[0], -1.0 if whole else 1.0, 1.0 if whole else -1.0)
+    radii = [s0, s1]
+    if e0 > lim and s0 < math.sqrt((e0 - lim) / lo_d) < s1:
+        radii.append(math.sqrt((e0 - lim) / lo_d))
+    z_lo = min((lo_d * s * s + e0 - lim) / (2.0 * w * s) for s in radii)
+    z_hi = max((hi_d * s * s + e0 + lim) / (2.0 * w * s) for s in (s0, s1))
+    slack = mu * (1.0 + spread / (2.0 * w * s0))
+    z_lo, z_hi = (min(max(z, -1.0), 1.0) for z in (z_lo - slack, z_hi + slack))
+    return _HitZone(dc / w, z_lo, z_hi)
+
+
+def _zone_hits(
+    spec_a, spec_b, zone: _HitZone, rng: np.random.Generator, k: int
+) -> tuple[int, Array]:
+    """``(drawn, hits)`` of ``k`` uniform points of ``spec_a``'s base shell:
+    how many have their direction in ``zone`` (only those are drawn), and
+    the reference points among them that ``spec_a``'s refinement and
+    ``spec_b`` accept."""
+    base_a, axis_a = geo._spec_parts(spec_a)
+    ell = base_a.ellipsoid
+    drawn = int(rng.binomial(k, zone.mass))
+    omega = zone.directions(rng, drawn)
+    _to_shell(omega, rng.random(drawn), (1.0 - base_a.delta, 1.0 + base_a.delta))
+    # on the unit reference shell the map 0 + 1*omega is the identity
+    unit = not np.any(ell.centre) and bool(np.all(ell.radii == 1.0))
+    y = omega if unit else geo.affine_map(ell.centre, ell.radii, omega)
+    hit = geo.annulus_contains(spec_b, y)
+    if axis_a is not None:
+        hit &= geo.refinement_indicator(omega, axis_a)
+    return drawn, omega[hit]
 
 
 def pair_volume_bound(delta: float, t: float) -> float:
@@ -242,8 +397,9 @@ def volume_bound_scan(
     corresponds to ratios with bounded drift across ``delta``; a row's
     ``seed`` is its trial index, on which its radii and sample streams are
     keyed.  The cells are independent units of :func:`ordered_map`, each on
-    its own keyed streams.  ``refined=False`` measures the plain shells of
-    the same pairs instead, on the streams ``"explore-radii"`` and
+    its own keyed streams.  A row's ``drawn`` is the number of shell points
+    its estimate drew, out of ``m``.  ``refined=False`` measures the plain
+    shells of the same pairs instead, on the streams ``"explore-radii"`` and
     ``"explore"`` in place of ``"volscan-radii"`` and ``"volscan"``.
     """
     key = "volscan" if refined else "explore"
@@ -273,6 +429,7 @@ def volume_bound_scan(
             "std_error": est.std_error,
             "bound": bound,
             "ratio": est.value / bound,
+            "drawn": est.drawn,
         }
 
     return ordered_map(cell, len(cells))
@@ -519,7 +676,7 @@ def _low_tangency_points(
         accepted = omega[ok]
         return drawn, accepted.shape[0], accepted[:keep]
 
-    batches = ordered_map(batch, max(1, math.ceil(m / chunk)))
+    batches = [batch(idx) for idx in range(max(1, math.ceil(m / chunk)))]
     drawn = sum(count for count, _, _ in batches)
     have = sum(count for _, count, _ in batches)
     return drawn, have, np.concatenate([rows for _, _, rows in batches], axis=0)[:keep]
@@ -551,8 +708,8 @@ def low_jacobian_cluster(
     uniform points of the cover (cell, then ``z``, ``phi`` and ``v``) from
     the same stream.  At most ``max_keep`` accepted points (the first ones
     drawn — an unbiased subsample of i.i.d. draws) enter the O(count^2)
-    linkage stage.  The batches are independent units of
-    :func:`ordered_map`.
+    linkage stage.  The batches run in a plain loop, in batch order: each
+    draws a few points, too few to pay for a worker pool.
     """
     radii = np.asarray(radii, dtype=float)
     n = radii.shape[0]

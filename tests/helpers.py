@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from homoeoid import geometry as geo
+from homoeoid import volumes as vol
+from homoeoid.mc import derive_stream, mc_mean
+
 
 def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of ``fn`` at ``x`` (columns = directions)."""
@@ -42,3 +46,27 @@ def grid_area_2d(indicator, lo, hi, cells: int = 4096) -> float:
         pts = np.stack([np.full(cells, x), ys], axis=1)
         total += int(np.count_nonzero(indicator(pts)))
     return total * cell_area
+
+
+def brute_intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0):
+    """``(estimate, hits)`` of ``intersection_volume`` by drawing all ``m``
+    points of ``spec_a``'s base shell and scoring each: the route the hit
+    zone replaces, on the same chunk streams.  ``hits`` holds the accepted
+    reference points, chunk by chunk in completion order."""
+    base_a, axis_a = geo._spec_parts(spec_a)
+    ell = base_a.ellipsoid
+    v_base = vol.shell_volume(ell.radii, base_a.delta)
+    sampler = vol.reference_shell_sampler(base_a.delta, base_a.n)
+    hits = []
+
+    def values(rng: np.random.Generator, k: int) -> np.ndarray:
+        omega = sampler(rng, k)
+        hit = np.ones(k, dtype=bool)
+        if axis_a is not None:
+            hit &= geo.refinement_indicator(omega, axis_a)
+        hit &= geo.annulus_contains(spec_b, geo.affine_map(ell.centre, ell.radii, omega))
+        hits.append(omega[hit])
+        return v_base * hit
+
+    (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("ivol", stream))
+    return est, np.concatenate(hits)

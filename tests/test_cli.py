@@ -14,7 +14,7 @@ import pytest
 from homoeoid import cli, knapp
 from homoeoid.mc import derive_stream
 from homoeoid.multiplicity import multiplicity_scan
-from homoeoid.volumes import low_jacobian_cluster, seeded_cluster_configs
+from homoeoid.volumes import low_jacobian_cluster, seeded_cluster_configs, volume_bound_scan
 
 
 def run_cli(*argv) -> int:
@@ -286,6 +286,32 @@ class TestRunCommand:
         assert "shell_points_drawn" not in {g["metric"] for g in summary["gates"]}
         header = (tmp_path / "clusters-seed0" / "results.csv").read_text().splitlines()[0]
         assert "drawn" not in header
+
+    @pytest.mark.parametrize("experiment", ["volume-bound", "explore-unrefined"])
+    def test_volume_scans_record_their_shell_points_drawn(self, tmp_path, experiment):
+        m, deltas = 5000, (2.0**-5, 2.0**-6)
+        argv = ("--delta-grid", "0.03125,0.015625", "--samples", m, "--override", "pairs=2")
+        assert run_cli("run", "--experiment", experiment, *argv, "--out", tmp_path) == 0
+        summary = read_summary(tmp_path / f"{experiment}-seed0")
+        if experiment == "volume-bound":
+            grid = [(deltas, (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0), True)]
+        else:
+            grid = [((d,), (d / 2.0, d, 4.0 * d, 2.0**-4, 2.0**-2), False) for d in deltas]
+        rows = [
+            row
+            for ds, ts, refined in grid
+            for row in volume_bound_scan(
+                deltas=ds, ts=ts, pairs=2, m=m, seed=0, refined=refined
+            )
+        ]
+        drawn = sum(row["drawn"] for row in rows)
+        # the cells draw only the points whose direction is in their hit zones
+        assert summary["metrics"]["shell_points_drawn"] == drawn
+        assert 0 < drawn < len(rows) * m
+        assert "shell_points_drawn" not in {g["metric"] for g in summary["gates"]}
+        assert summary["columns"] == [
+            "delta", "t", "seed", "measured", "std_error", "bound", "ratio"
+        ]
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import brute_intersection_volume
 from homoeoid import geometry as geo
 from homoeoid import volumes as vol
 from homoeoid.mc import DEFAULT_CHUNK, derive_stream, rng_stream
@@ -241,6 +242,225 @@ class TestIntersectionVolume:
         assert est.value == 0.0
 
 
+def scan_cell(n, delta, t, trial, seed, refined):
+    """The ``(spec_a, spec_b)`` of one ``volume_bound_scan`` cell."""
+    key = "volscan" if refined else "explore"
+    lo, hi = geo.restricted_radii_box(n)
+    rng = rng_stream(seed, derive_stream(f"{key}-radii", delta, t, trial))
+    r1 = lo + (hi - lo) * rng.random(n)
+    r2 = lo + (hi - lo) * rng.random(n)
+    spec_a = unit_shell(n, delta)
+    spec_b = geo.AnnulusSpec(
+        geo.Ellipsoid(t * geo.perturbed_axis_direction(0, r1), r2 / r1), delta
+    )
+    if refined:
+        return geo.RefinedAnnulusSpec(spec_a, 0), geo.RefinedAnnulusSpec(spec_b, 0)
+    return spec_a, spec_b
+
+
+def zone_of(spec_a, spec_b):
+    return vol._hit_zone(geo._spec_parts(spec_a)[0], geo._spec_parts(spec_b)[0])
+
+
+def zone_z(zone, points):
+    """``u.e`` of each point's direction ``u``."""
+    return (points / np.linalg.norm(points, axis=1, keepdims=True)) @ zone.e
+
+
+def edge_points(spec_a, spec_b, rng, circles=64):
+    """Reference points within 1e-9 of both shells' edges: on great circles
+    of directions ``v``, the points ``c + r*sqrt(1 -+ delta_b)*v`` of the
+    second shell's edges where ``|y|**2`` crosses ``1 -+ delta_a`` (bisected
+    to the last bit), each moved by Gaussians of scale 1e-9 and 1e-15 (the
+    latter mostly within rounding of the edges).  ``spec_a`` is a shell
+    about the unit sphere."""
+    ell = spec_b.ellipsoid
+    n = ell.n
+    theta = np.linspace(0.0, 2.0 * np.pi, 4097)
+    found = []
+    for _ in range(circles):
+        v1, v2 = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+        for side_b in (-1.0, 1.0):
+            scale = ell.radii * math.sqrt(1.0 + side_b * spec_b.delta)
+
+            def y(th):
+                th = np.asarray(th)[..., None]
+                return ell.centre + scale * (np.cos(th) * v1 + np.sin(th) * v2)
+
+            for side_a in (-1.0, 1.0):
+                target = 1.0 + side_a * spec_a.delta
+
+                def f(th):
+                    return np.sum(y(th) ** 2, axis=-1) - target
+
+                vals = f(theta)
+                for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:])):
+                    lo, hi = theta[i], theta[i + 1]
+                    for _ in range(80):
+                        mid = 0.5 * (lo + hi)
+                        if np.sign(f(mid)) == np.sign(vals[i]):
+                            lo = mid
+                        else:
+                            hi = mid
+                    found.append(y(lo))
+    return jittered(np.array(found), rng)
+
+
+def jittered(points, rng, copies=8):
+    """``copies`` copies of each point moved by a Gaussian of scale 1e-9 and
+    as many by one of scale 1e-15."""
+    base = np.repeat(points, copies, axis=0)
+    moved = [base + scale * rng.standard_normal(base.shape) for scale in (1e-9, 1e-15)]
+    return np.concatenate(moved)
+
+
+class TestHitZone:
+    """The zone that ``intersection_volume`` draws in, against the brute
+    route that draws every base-shell point."""
+
+    @pytest.mark.parametrize("refined", [True, False], ids=["refined", "plain"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scan_cells_hit_only_in_zone(self, n, refined):
+        # the volume-bound cells at n = 2, 3, 4 and the explore-unrefined
+        # offsets below delta, on their own streams
+        hits, narrow = 0, 0
+        for delta in (2.0**-5, 2.0**-7, 2.0**-9):
+            for t in (delta / 2.0, 4.0 * delta, 2.0**-4, 2.0**-2, 1.0):
+                spec_a, spec_b = scan_cell(n, delta, t, 0, SEED, refined)
+                zone = zone_of(spec_a, spec_b)
+                _, pts = brute_intersection_volume(spec_a, spec_b, 1 << 15, SEED, stream=n)
+                z = zone_z(zone, pts)
+                assert np.all((zone.z_lo <= z) & (z <= zone.z_hi))
+                hits += pts.shape[0]
+                narrow += zone.mass < 0.1
+        assert hits > 1000
+        assert narrow >= 5
+
+    @pytest.mark.parametrize(
+        "n,centre,radii",
+        [
+            (2, [0.3, 0.0], [1.0, 1.0]),
+            (3, [0.3, 0.1, 0.0], [1.0, 1.0, 1.0]),
+            (4, [0.0, 0.2, 0.2, 0.1], [0.9, 0.9, 0.9, 0.9]),
+            (3, [0.0, 0.25, 0.25], [1.0, 0.98, 1.02]),
+            (4, [0.0, 0.6, 0.6, 0.6], [1.01, 1.0, 0.99, 1.02]),
+        ],
+        ids=["n2", "n3", "n4", "n3-aniso", "n4-aniso"],
+    )
+    def test_edge_points_lie_in_zone(self, n, centre, radii):
+        # float-accepted points within 1e-9 of both shells' edges; with equal
+        # radii every edge point at one (|y|, F_B) corner has the same
+        # u.e, so the zone's ends must sit on the extreme corners
+        spec_a = unit_shell(n, 2.0**-5)
+        spec_b = geo.AnnulusSpec(geo.Ellipsoid(np.array(centre), np.array(radii)), 2.0**-6)
+        zone = zone_of(spec_a, spec_b)
+        pts = edge_points(spec_a, spec_b, np.random.default_rng(n))
+        pts = pts[geo.annulus_contains(spec_a, pts) & geo.annulus_contains(spec_b, pts)]
+        assert pts.shape[0] > 500
+        z = zone_z(zone, pts)
+        assert np.all((zone.z_lo <= z) & (z <= zone.z_hi))
+        if len(set(radii)) == 1:
+            assert z.min() - zone.z_lo < 1e-7
+            assert zone.z_hi - z.max() < 1e-7
+
+    def test_interior_extreme_lies_in_zone(self):
+        # a second sphere that meets |y| = 1 at right angles: the zone's lower
+        # end comes from the radius s* = 1 inside the base shell, on the
+        # second shell's outer edge, not from a corner of the two shells
+        delta_b = 2.0**-6
+        e = np.array([0.6, 0.8, 0.0])
+        w = math.sqrt(2.0 + delta_b)
+        spec_a = unit_shell(3, 2.0**-5)
+        spec_b = geo.AnnulusSpec(geo.Ellipsoid(w * e, np.ones(3)), delta_b)
+        zone = zone_of(spec_a, spec_b)
+        z_star = 1.0 / w  # F_B(u) = 1 - 2 w z + w**2 - 1 = delta_b at |u| = 1
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((256, 3))
+        v -= (v @ e)[:, None] * e
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        pts = jittered(z_star * e + math.sqrt(1.0 - z_star * z_star) * v, rng)
+        pts = pts[geo.annulus_contains(spec_a, pts) & geo.annulus_contains(spec_b, pts)]
+        assert pts.shape[0] > 500
+        z = zone_z(zone, pts)
+        assert np.all((zone.z_lo <= z) & (z <= zone.z_hi))
+        assert z.min() - zone.z_lo < 1e-7
+
+    def test_concentric_zone_is_whole_or_empty(self):
+        spec = unit_shell(3, 0.1)
+        assert zone_of(spec, spec).mass == 1.0
+        assert vol.intersection_volume(spec, spec, 1000, SEED).drawn == 1000
+        far = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(3), np.full(3, 2.0)), 0.1)
+        assert zone_of(spec, far).mass == 0.0
+        est = vol.intersection_volume(spec, far, 1000, SEED)
+        assert est.value == 0.0 and est.drawn == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zone_mass_against_closed_forms(self, n):
+        # the share of S^(n-1) with a <= u.e <= b: arcsine, uniform and
+        # semicircle laws of u.e at n = 2, 3, 4
+        cdf = {
+            2: lambda z: math.asin(z) / math.pi,
+            3: lambda z: z / 2.0,
+            4: lambda z: (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi,
+        }[n]
+        e = np.eye(n)[n - 1]
+        for a, b in [(-1.0, 1.0), (-0.3, 0.4), (0.9, 0.99), (-1.0, -0.999), (0.5, 0.5)]:
+            mass = vol._HitZone(e, a, b).mass
+            assert mass == pytest.approx(cdf(b) - cdf(a), rel=1e-12, abs=1e-15)
+        assert vol._HitZone(e, 0.4, -0.3).mass == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zone_directions_follow_the_sphere_law(self, n):
+        # unit vectors of the zone whose u.e follows the conditioned law and
+        # whose remaining component is symmetric about e
+        from scipy.stats import kstest
+
+        e = np.full(n, 1.0 / math.sqrt(n))
+        zone = vol._HitZone(e, -0.2, 0.6)
+        u = zone.directions(rng_stream(SEED, n), 20_000)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-15)
+        z = u @ e
+        assert np.all((zone.z_lo <= z + 1e-15) & (z - 1e-15 <= zone.z_hi))
+        lo = vol._HitZone(e, -1.0, zone.z_lo).mass
+        law = np.vectorize(lambda x: (vol._HitZone(e, -1.0, x).mass - lo) / zone.mass)
+        assert kstest(z, law).pvalue > 1e-3
+        rest = u - z[:, None] * e
+        assert np.all(np.abs(rest.mean(axis=0)) < 5.0 / math.sqrt(20_000))
+
+    def test_same_law_as_brute_route(self):
+        # one refined scan cell, 200 seeds per route (disjoint, so the two
+        # routes are independent): mean hit counts within 3 combined
+        # standard errors, and the hits' u.e and radius not told apart by a
+        # two-sample KS test at 1e-3
+        from scipy.stats import ks_2samp
+
+        spec_a, spec_b = scan_cell(3, 2.0**-5, 2.0**-2, 0, 0, True)
+        zone = zone_of(spec_a, spec_b)
+        m = 1 << 13
+        brute, drawn = [], []
+        for seed in range(200):
+            brute.append(brute_intersection_volume(spec_a, spec_b, m, seed)[1])
+            drawn.append(vol._zone_hits(spec_a, spec_b, zone, rng_stream(1000 + seed), m)[1])
+        counts_b = np.array([p.shape[0] for p in brute], dtype=float)
+        counts_z = np.array([p.shape[0] for p in drawn], dtype=float)
+        se = math.hypot(counts_b.std(ddof=1), counts_z.std(ddof=1)) / math.sqrt(200)
+        assert counts_b.mean() > 100
+        assert abs(counts_b.mean() - counts_z.mean()) <= 3.0 * se
+        pooled_b, pooled_z = np.concatenate(brute), np.concatenate(drawn)
+        assert ks_2samp(zone_z(zone, pooled_b), zone_z(zone, pooled_z)).pvalue > 1e-3
+        radius_b, radius_z = (np.linalg.norm(p, axis=1) for p in (pooled_b, pooled_z))
+        assert ks_2samp(radius_b, radius_z).pvalue > 1e-3
+
+    def test_estimate_counts_its_draws(self):
+        spec_a, spec_b = scan_cell(3, 2.0**-7, 2.0**-2, 0, SEED, True)
+        m = 70_000  # two mc_mean chunks
+        est = vol.intersection_volume(spec_a, spec_b, m, SEED)
+        zone = zone_of(spec_a, spec_b)
+        assert est.n_samples == m
+        assert 0 < est.drawn < m
+        assert abs(est.drawn - m * zone.mass) <= 5.0 * math.sqrt(m * zone.mass)
+
+
 class TestVolumeBoundScan:
     def test_schema_and_sanity(self):
         rows = vol.volume_bound_scan(
@@ -292,6 +512,7 @@ class TestVolumeBoundScan:
                             "std_error": est.std_error,
                             "bound": bound,
                             "ratio": est.value / bound,
+                            "drawn": est.drawn,
                         }
                     )
             rows = vol.volume_bound_scan(
