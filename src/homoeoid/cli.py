@@ -3,7 +3,8 @@
 Each experiment maps a :class:`RunConfig` to a table of rows (the CSV header
 is the first row's keys), metrics and the :class:`Gate` list its pass flag
 rests on, written as ``results.csv`` and ``summary.json`` (which records each
-gate's measured value) under ``<out>/<experiment>-seed<seed>/``.  Overrides
+gate's measured value and its margin to the bound) under
+``<out>/<experiment>-seed<seed>/``.  Overrides
 are an experiment's keyword-only parameters, typed like their defaults.
 CSV bodies are a pure function of the configuration — floats are serialised
 with ``repr`` and all Monte-Carlo reductions are order-fixed — so re-running
@@ -122,6 +123,14 @@ class Gate:
 
     def holds(self, metrics: dict) -> bool:
         return bool(_OPS[self.op](metrics[self.metric], self.bound))
+
+    def margin(self, metrics: dict) -> float | None:
+        """Signed distance from the measured value to the bound, positive on
+        the passing side; ``None`` for ``==`` and a non-finite measurement."""
+        measured = metrics[self.metric]
+        if self.op == "==" or not math.isfinite(measured):
+            return None
+        return float(self.bound - measured if self.op[0] == "<" else measured - self.bound)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -699,6 +708,7 @@ def write_artifacts(config: RunConfig, result: RunResult) -> Path:
             {
                 **dataclasses.asdict(g),
                 "measured": _json_safe(result.metrics[g.metric]),
+                "margin": g.margin(result.metrics),
                 "pass": g.holds(result.metrics),
             }
             for g in result.gates

@@ -30,7 +30,15 @@ import numpy as np
 
 from . import geometry as geo
 from .maximal import Field
-from .mc import DEFAULT_CHUNK, ScalingFit, derive_stream, fit_power_law, ordered_map, rng_stream
+from .mc import (
+    DEFAULT_CHUNK,
+    ScalingFit,
+    derive_stream,
+    fit_power_law,
+    ordered_map,
+    rng_stream,
+    stream_word,
+)
 from .volumes import ball_volume, keyed_shell_points, sample_surface, sphere_area
 
 Array = np.ndarray
@@ -461,10 +469,12 @@ def shell_partial_sums(
     b0 = -2.0 * float(np.sum(normal * x / r_sq))
 
     block = max(1, DEFAULT_CHUNK // m)
+    # the array parts of every shell's stream id, hashed once
+    x_word, r_word = stream_word(x), stream_word(r)
 
     def run_block(idx: int) -> tuple[Array, Array, Array, Array]:
         ells = range(idx * block + 1, min((idx + 1) * block, L) + 1)
-        streams = [derive_stream("shell-series", ell, x, r) for ell in ells]
+        streams = [derive_stream("shell-series", ell, x_word, r_word) for ell in ells]
         # w uniform in the tangential annulus 2**(-1/2) < |w| <= 1 of R^(n-1)
         w, radius = keyed_shell_points(seed, streams, m, n - 1, (0.5, 1.0))
         # the depths 2**(-l/2) and 2**-l through Python's float pow, not numpy's

@@ -30,10 +30,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .mc import MCEstimate, ScalingFit, derive_stream, fit_power_law, mc_mean, rng_stream
+from .mc import (
+    DEFAULT_CHUNK,
+    MCEstimate,
+    ScalingFit,
+    derive_stream,
+    fit_power_law,
+    mc_mean,
+    rng_stream,
+)
 from .volumes import reference_shell_sampler
 
 Array = np.ndarray
+
+# points per field call in the net-sup kernel: large enough to amortise the
+# per-call cost, small enough for the block's temporaries to stay in cache
+_NET_BLOCK = DEFAULT_CHUNK // 4
 
 __all__ = [
     "Field",
@@ -191,9 +203,13 @@ def discretised_maximal(
     samples, keyed ``("scan-shell", delta, stream)``, serves every point,
     every net radius and every row, so a sub-net sup never exceeds the net
     sup and the covering holds sample by sample.  ``f`` is called once per
-    net radius on a ``(len(xs), m, n)`` view of one coordinate-major buffer,
-    refilled in place for each radius, so each coordinate column it reads
-    is contiguous.
+    block of net radii, on a ``(radii, len(xs), m, n)`` view of one
+    coordinate-major buffer of about ``DEFAULT_CHUNK // 4`` points (one
+    radius per call when ``len(xs) * m`` is larger), refilled in place for
+    each block, so each coordinate column it reads is contiguous.  Each
+    radius's averages are means over ``m`` contiguous samples, the bits a
+    per-radius loop gives, and their max over the block and the running max
+    over blocks are exact.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[1]
@@ -208,16 +224,18 @@ def discretised_maximal(
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
-    buffer = np.empty((n, xs.shape[0], m))
-    points = buffer.transpose(1, 2, 0)
+    block = min(len(net), max(1, _NET_BLOCK // (xs.shape[0] * m)))
+    buffer = np.empty((n, block, xs.shape[0], m))
     columns = [omega[:, j].copy() for j in range(n)]
-    for r in net.points:
+    for start in range(0, len(net), block):
+        radii = net.points[start : start + block]
+        points = buffer[:, : len(radii)]
         for j in range(n):
-            np.add(columns[j] * r[j], xs[:, j, None], out=buffer[j])
-        values = np.abs(f(points))
-        np.maximum(best[0], np.mean(values, axis=1), out=best[0])
+            np.add((radii[:, j, None] * columns[j])[:, None, :], xs[:, j, None], out=points[j])
+        values = np.abs(f(points.transpose(1, 2, 3, 0)))
+        np.maximum(best[0], np.mean(values, axis=-1).max(axis=0), out=best[0])
         for row, mask in enumerate(masks, 1):
-            np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])
+            np.maximum(best[row], np.mean(values * mask, axis=-1).max(axis=0), out=best[row])
     return best
 
 
@@ -380,29 +398,39 @@ def bump_mixture_family(
         dist2 = np.sum((centres[:, None, :] - centres[None, :, :]) ** 2, axis=-1)
         gram = (2.0 * np.pi * np.outer(s2, s2) / pair) ** (n / 2.0) * np.exp(-dist2 / (2.0 * pair))
         coeff = amps / math.sqrt(float(amps @ gram @ amps))
-        two_s2 = 2.0 * s2
+        neg_two_s2 = -2.0 * s2
 
         def evaluator(pts: Array) -> Array:
-            # coordinate by coordinate on contiguous columns; component c's
-            # term goes to column c of a C-ordered (m, K) buffer, so the final
-            # trailing-axis sum is numpy's (pairwise from K = 8 on) as before
-            flat = pts.reshape(-1, n)
-            cols = [flat[:, j].copy() for j in range(n)]
-            terms = np.empty((flat.shape[0], components))
+            # coordinate by coordinate on contiguous columns (a coordinate-major
+            # buffer's own, else copies), in place on scratch arrays; x / -t has
+            # the bits of -(x / t).  Below 8 components the terms are added to a
+            # zero total in component order, which is what numpy's trailing-axis
+            # sum does; from 8 on that sum is pairwise in an order that depends
+            # on the batch size, so the terms fill the columns of an (M, K)
+            # buffer that np.sum reduces as it always has
+            cols = [np.asarray(pts[..., j], order="C") for j in range(n)]
+            dist = np.empty(pts.shape[:-1])
+            z = np.empty_like(dist)
+            wide = components >= 8
+            acc = np.empty((dist.size, components)) if wide else np.zeros_like(dist)
             for c in range(components):
-                dist = cols[0] - centres[c, 0]
+                np.subtract(cols[0], centres[c, 0], out=dist)
                 dist *= dist
                 for j in range(1, n):
-                    z = cols[j] - centres[c, j]
+                    np.subtract(cols[j], centres[c, j], out=z)
                     z *= z
                     dist += z
-                dist /= two_s2[c]
-                np.negative(dist, out=dist)
+                dist /= neg_two_s2[c]
                 np.exp(dist, out=dist)
                 dist *= coeff[c]
-                terms[:, c] = dist
+                if wide:
+                    acc[:, c] = dist.reshape(-1)
+                else:
+                    acc += dist
+            if wide:
+                acc = np.sum(acc, axis=-1).reshape(dist.shape)
             # [()] turns a single point's 0-d result into a scalar
-            return np.sum(terms, axis=-1).reshape(pts.shape[:-1])[()]
+            return acc[()]
 
         lo = np.min(centres - 9.0 * scales[:, None], axis=0)
         hi = np.max(centres + 9.0 * scales[:, None], axis=0)

@@ -57,6 +57,7 @@ __all__ = [
     "ordered_map",
     "rng_stream",
     "stream_rekeyer",
+    "stream_word",
     "worker_count",
 ]
 
@@ -73,7 +74,13 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _to_word(part) -> int:
+def stream_word(part) -> int:
+    """The 64-bit word one part of a stream context contributes.
+
+    A word is an int, and an int's word is itself, so
+    ``derive_stream(tag, i, stream_word(x))`` equals ``derive_stream(tag, i,
+    x)``: a loop over ids that share an array part can hash it once.
+    """
     if isinstance(part, (bool, np.bool_)):
         return int(part)
     if isinstance(part, (int, np.integer)):
@@ -94,7 +101,7 @@ def _to_word(part) -> int:
     if isinstance(part, (tuple, list)):
         word = 0
         for p in part:
-            word = _mix64(word ^ _to_word(p) ^ _GOLDEN)
+            word = _mix64(word ^ stream_word(p) ^ _GOLDEN)
         return word
     raise TypeError(f"cannot derive a stream id from {type(part).__name__}")
 
@@ -108,7 +115,7 @@ def derive_stream(*parts) -> int:
     """
     word = 0x8BADF00D
     for part in parts:
-        word = _mix64(word ^ _to_word(part) ^ _GOLDEN)
+        word = _mix64(word ^ stream_word(part) ^ _GOLDEN)
     return word
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from homoeoid import geometry as geo
 from homoeoid import volumes as vol
-from homoeoid.mc import derive_stream, mc_mean
+from homoeoid.mc import derive_stream, mc_mean, rng_stream
 
 
 def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -70,3 +70,26 @@ def brute_intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0
 
     (est,) = mc_mean(values, m, seed=seed, stream=derive_stream("ivol", stream))
     return est, np.concatenate(hits)
+
+
+def per_radius_net_sups(f, xs, delta, net, m, seed, stream, axes=()):
+    """``maximal.discretised_maximal`` with ``f`` called once per net radius,
+    on a ``(len(xs), m, n)`` view of one coordinate-major buffer refilled for
+    each radius: the loop the blocks of net radii replace."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = xs.shape[1]
+    shell = rng_stream(seed, derive_stream("scan-shell", delta, stream))
+    omega = vol.reference_shell_sampler(delta, n)(shell, m)
+    masks = [geo.refinement_indicator(omega, axis) for axis in axes]
+    best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
+    buffer = np.empty((n, xs.shape[0], m))
+    points = buffer.transpose(1, 2, 0)
+    columns = [omega[:, j].copy() for j in range(n)]
+    for r in net.points:
+        for j in range(n):
+            np.add(columns[j] * r[j], xs[:, j, None], out=buffer[j])
+        values = np.abs(f(points))
+        np.maximum(best[0], np.mean(values, axis=1), out=best[0])
+        for row, mask in enumerate(masks, 1):
+            np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])
+    return best

@@ -235,7 +235,14 @@ class TestRunCommand:
         assert summary["metrics"]["empty_reports_per_factor"] == {"1.0": 2, "0.5": 2}
         halving = [g for g in summary["gates"] if g["metric"] == "halving_ratio"]
         assert halving == [
-            {"metric": "halving_ratio", "op": "<=", "bound": 2.0, "measured": "nan", "pass": False}
+            {
+                "metric": "halving_ratio",
+                "op": "<=",
+                "bound": 2.0,
+                "measured": "nan",
+                "margin": None,
+                "pass": False,
+            }
         ]
 
     def test_diagnostics_are_metrics_not_gates(self, tmp_path):
@@ -518,10 +525,45 @@ class TestGates:
         result = cli.RunResult("identities", ({"a": 1},), {"x": math.inf, "y": True}, gates)
         summary = read_summary(cli.write_artifacts(config, result))
         assert summary["gates"] == [
-            {"metric": "x", "op": "<=", "bound": 4.0, "measured": "inf", "pass": False},
-            {"metric": "y", "op": "==", "bound": True, "measured": True, "pass": True},
+            {
+                "metric": "x",
+                "op": "<=",
+                "bound": 4.0,
+                "measured": "inf",
+                "margin": None,
+                "pass": False,
+            },
+            {
+                "metric": "y",
+                "op": "==",
+                "bound": True,
+                "measured": True,
+                "margin": None,
+                "pass": True,
+            },
         ]
         assert summary["pass"] is False
+
+    @pytest.mark.parametrize(
+        "op, measured, margin",
+        [("<", 1.0, 3.0), ("<=", 5.0, -1.0), (">", 4.5, 0.5), (">=", 3.0, -1.0), ("==", 4.0, None)],
+    )
+    def test_margin_is_positive_on_the_passing_side(self, op, measured, margin):
+        assert cli.Gate("x", op, 4.0).margin({"x": measured}) == margin
+        assert cli.Gate("x", op, 4.0).margin({"x": -math.inf}) is None
+
+    def test_run_records_each_gate_margin(self, tmp_path):
+        argv = ("--experiment", "divergence", "--samples", 64, "--override", "L=16")
+        assert run_cli("run", *argv, "--out", tmp_path) in (0, 1)
+        summary = read_summary(tmp_path / "divergence-seed0")
+        slope = summary["metrics"]["slope_dyadic_blocks"]
+        gates = {(g["metric"], g["op"]): g for g in summary["gates"]}
+        assert gates["slope_dyadic_blocks", "<="]["margin"] == 0.30 - slope
+        assert gates["slope_dyadic_blocks", ">="]["margin"] == slope - 0.20
+        assert gates["divergent_at_2_5", "=="]["margin"] is None
+        # the CSV carries no margin
+        header = (tmp_path / "divergence-seed0" / "results.csv").read_text().splitlines()[0]
+        assert "margin" not in header
 
 
 class TestHelpers:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import per_radius_net_sups
 
 from homoeoid import geometry as geo
 from homoeoid import maximal
@@ -321,6 +322,75 @@ class TestSharedBatchKernel:
         assert worst == np.max(plain - sum(refined))
 
 
+def net_of(n, per_axis):
+    lo, hi = geo.restricted_radii_box(n)
+    return maximal.RadiiNet(lo, hi, (hi[0] - lo[0]) / (per_axis - 1))
+
+
+def radius_block(xs, m, net):
+    return min(len(net), max(1, maximal._NET_BLOCK // (np.atleast_2d(xs).shape[0] * m)))
+
+
+@pytest.mark.usefixtures("threads")
+class TestRadiusBlocks:
+    """The blocked net-sup kernel against the per-radius loop, bit for bit."""
+
+    @staticmethod
+    def fields(n):
+        family = maximal.bump_mixture_family(n, seed=5)
+        wide = maximal.bump_mixture_family(n, components=9, seed=5)
+        return [smooth_field(n), family(0), wide(1)]
+
+    def assert_matches(self, n, xs, net, m, axes):
+        for f in self.fields(n):
+            got = maximal.discretised_maximal(
+                f, xs, KERNEL_DELTA, net, m=m, seed=6, stream="blocks", axes=axes
+            )
+            want = per_radius_net_sups(f, xs, KERNEL_DELTA, net, m, 6, "blocks", axes)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n, per_axis", [(2, 5), (3, 5), (4, 3)])
+    def test_net_not_a_multiple_of_the_block(self, n, per_axis):
+        net = net_of(n, per_axis)
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (3, n))
+        block = radius_block(xs, 300, net)
+        assert 1 < block < len(net) and len(net) % block
+        self.assert_matches(n, xs, net, 300, ())
+        self.assert_matches(n, xs, net, 300, tuple(range(n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_radius_per_call_above_the_block(self, n):
+        # criterion 11's shape: more points times samples than one block holds
+        net = small_net(n)
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (70, n))
+        assert radius_block(xs, 256, net) == 1
+        self.assert_matches(n, xs, net, 256, (n - 1, 0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_point(self, n):
+        net = net_of(n, 3)
+        x = np.random.default_rng(n).uniform(-0.4, 0.4, n)
+        assert radius_block(x, 64, net) == len(net)
+        self.assert_matches(n, x, net, 64, (0,))
+        self.assert_matches(n, x, net, 1, ())
+
+    def test_field_called_once_per_block(self):
+        net = maximal.RadiiNet.for_delta(3, 2**-6)
+        xs = np.random.default_rng(0).uniform(-0.4, 0.4, (8, 3))
+        f = maximal.bump_mixture_family(3, seed=0)(0)
+        shapes = []
+
+        def counted(points):
+            shapes.append(points.shape)
+            return f.evaluator(points)
+
+        g = maximal.Field(counted, f.lo, f.hi)
+        got = maximal.discretised_maximal(g, xs, 2**-6, net, m=512, seed=0, stream=0)
+        np.testing.assert_array_equal(got, per_radius_net_sups(f, xs, 2**-6, net, 512, 0, 0))
+        block = radius_block(xs, 512, net)
+        assert shapes == [(block, 8, 512, 3)] * (len(net) // block) + [(len(net) % block, 8, 512, 3)]
+
+
 class TestLpNorm:
     def test_unit_cube_indicator(self):
         f = maximal.Field(
@@ -461,3 +531,22 @@ class TestBumpFieldKernel:
         for point in (pts[0, 1], pts[1, 2]):
             single = f(point)
             assert single.shape == () and single == reference(point)
+
+    @pytest.mark.parametrize("components", [1, 6, 8, 9, 17])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coordinate_major_view_matches_reference(self, n, components):
+        # the net-sup kernel's (radii, points, samples, n) view of an
+        # (n, radii, points, samples) buffer
+        f = maximal.bump_mixture_family(n, components=components, seed=3)(1)
+        reference, lo, hi = reference_bump_field(n, components, 3, 1)
+        rng = np.random.default_rng(components)
+        buffer = rng.uniform(-0.1, 1.1, (n, 3, 4, 5))
+        buffer *= (hi - lo)[:, None, None, None]
+        buffer += lo[:, None, None, None]
+        pts = buffer.transpose(1, 2, 3, 0)
+        values = f(pts)
+        assert values.shape == (3, 4, 5)
+        # the reference runs on a C-ordered copy: its own broadcasts follow
+        # the input's layout, which reorders its pairwise sum from 8 terms on
+        np.testing.assert_array_equal(values, reference(np.ascontiguousarray(pts)))
+        np.testing.assert_array_equal(values, f(np.ascontiguousarray(pts)))

@@ -42,6 +42,18 @@ class TestStreams:
         assert mc.derive_stream(np.array([0.0])) == 5177874090837916900
         assert mc.derive_stream(np.array([-0.0])) == 15465070438398638370
 
+    def test_prehashed_array_words_give_the_same_ids(self):
+        # the shell series hashes its two arrays once and passes their words
+        x, r = np.array([0.1, -0.0, 2.5]), np.array([1.0, 1.25, 1.5])
+        xw, rw = mc.stream_word(x), mc.stream_word(r)
+        assert mc.derive_stream("shell-series", 1, xw, rw) == 1545386841207419812
+        for ell in (2, 17, 1024):
+            assert mc.derive_stream("shell-series", ell, xw, rw) == mc.derive_stream(
+                "shell-series", ell, x, r
+            )
+        for part in ("tag", 3, 0.25, -0.0, (1, np.array([2.0]))):
+            assert mc.derive_stream(mc.stream_word(part)) == mc.derive_stream(part)
+
     def test_derive_stream_distinguishes_types_and_order(self):
         assert mc.derive_stream(1, 2) != mc.derive_stream(2, 1)
         assert mc.derive_stream(1) != mc.derive_stream(1.0)
