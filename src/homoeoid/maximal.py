@@ -204,12 +204,13 @@ def discretised_maximal(
     every net radius and every row, so a sub-net sup never exceeds the net
     sup and the covering holds sample by sample.  ``f`` is called once per
     block of net radii, on a ``(radii, len(xs), m, n)`` view of one
-    coordinate-major buffer of about ``DEFAULT_CHUNK // 4`` points (one
-    radius per call when ``len(xs) * m`` is larger), refilled in place for
-    each block, so each coordinate column it reads is contiguous.  Each
-    radius's averages are means over ``m`` contiguous samples, the bits a
-    per-radius loop gives, and their max over the block and the running max
-    over blocks are exact.
+    coordinate-major buffer of about ``DEFAULT_CHUNK // 4`` points, refilled
+    in place for each block, so each coordinate column it reads is
+    contiguous.  When ``len(xs) * m`` is larger, the points are blocked too:
+    each call takes one radius and ``max(1, DEFAULT_CHUNK // 4 // m)``
+    points.  Each radius's averages are means over ``m`` contiguous samples,
+    the bits a per-radius, per-point loop gives, and their max over the
+    block and the running max over blocks are exact.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[1]
@@ -224,18 +225,24 @@ def discretised_maximal(
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
-    block = min(len(net), max(1, _NET_BLOCK // (xs.shape[0] * m)))
-    buffer = np.empty((n, block, xs.shape[0], m))
+    if xs.shape[0] * m <= _NET_BLOCK:
+        width, block = xs.shape[0], min(len(net), _NET_BLOCK // (xs.shape[0] * m))
+    else:
+        width, block = max(1, _NET_BLOCK // m), 1  # blocks of points, one radius each
+    buffer = np.empty((n, block, width, m))
     columns = [omega[:, j].copy() for j in range(n)]
-    for start in range(0, len(net), block):
-        radii = net.points[start : start + block]
-        points = buffer[:, : len(radii)]
-        for j in range(n):
-            np.add((radii[:, j, None] * columns[j])[:, None, :], xs[:, j, None], out=points[j])
-        values = np.abs(f(points.transpose(1, 2, 3, 0)))
-        np.maximum(best[0], np.mean(values, axis=-1).max(axis=0), out=best[0])
-        for row, mask in enumerate(masks, 1):
-            np.maximum(best[row], np.mean(values * mask, axis=-1).max(axis=0), out=best[row])
+    for first in range(0, xs.shape[0], width):
+        x = xs[first : first + width]
+        top = best[:, first : first + width]
+        for start in range(0, len(net), block):
+            radii = net.points[start : start + block]
+            points = buffer[:, : len(radii), : len(x)]
+            for j in range(n):
+                np.add((radii[:, j, None] * columns[j])[:, None, :], x[:, j, None], out=points[j])
+            values = np.abs(f(points.transpose(1, 2, 3, 0)))
+            np.maximum(top[0], np.mean(values, axis=-1).max(axis=0), out=top[0])
+            for row, mask in enumerate(masks, 1):
+                np.maximum(top[row], np.mean(values * mask, axis=-1).max(axis=0), out=top[row])
     return best
 
 

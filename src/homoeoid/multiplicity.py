@@ -24,19 +24,22 @@ across seeded trials, which is the quantity that must stay bounded as
 :func:`direct_overlap_l2` evaluates the same norm by sampling a bounding box
 in physical space and averaging the squared counting function; it is kept as
 an independent oracle for small families rather than collapsed into the
-pairwise route.
+pairwise route.  It scores with the membership kernel only the box points
+that a certified window around the family line keeps, which changes no
+count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, rng_stream
+from .mc import DEFAULT_CHUNK, MCEstimate, derive_stream, mc_mean, ordered_map, rng_stream
 from .volumes import keyed_shell_points, shell_volume
 
 Array = np.ndarray
@@ -156,7 +159,8 @@ def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
     ``|omega_axis| >= (2*cut)^(1/3)``, i.e. directions with ``|u_axis| >=
     (2*cut)^(1/3) / s``.  The direction fraction at height ``h`` is the
     two-sided cap mass ``I_{1-h^2}((n-1)/2, 1/2)`` of the symmetric Beta law
-    of ``u_axis^2``, leaving a single radial integral; the physical volume
+    of ``u_axis^2``, leaving a single radial integral, which depends on
+    ``(n, delta)`` only and is computed once per pair; the physical volume
     scales by ``prod(radii)``.
     """
 
@@ -164,7 +168,13 @@ def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
     n = r.shape[0]
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
-    d = geo._shell_width(delta)
+    return float(np.prod(r)) * _refined_reference_volume(n, geo._shell_width(delta))
+
+
+@functools.lru_cache(maxsize=None)
+def _refined_reference_volume(n: int, delta: float) -> float:
+    """The radial integral of :func:`refined_shell_volume`, for unit radii."""
+
     c = geo.default_refinement_cut(n)
     from scipy.integrate import quad
     from scipy.special import betainc
@@ -178,8 +188,10 @@ def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
             return 0.0
         return area * s ** (n - 1) * float(betainc((n - 1) / 2.0, 0.5, 1.0 - h * h))
 
-    value, _ = quad(integrand, math.sqrt(1.0 - d), math.sqrt(1.0 + d), epsabs=0.0, epsrel=1e-11, limit=200)
-    return float(np.prod(r)) * value
+    value, _ = quad(
+        integrand, math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), epsabs=0.0, epsrel=1e-11, limit=200
+    )
+    return value
 
 
 def _member_volumes(family: EllipsoidFamily, refined: bool) -> Array:
@@ -205,7 +217,10 @@ def _pair_terms(family: EllipsoidFamily, m: int, seed: int) -> tuple[dict, int]:
     ``(i, j)`` pair of the block is scored in one call of the membership
     kernel; segment sums over each row's pairs give its plain and refined hit
     counts, and the batch mean and standard deviation are taken along the
-    sample axis, which gives the bits of the per-batch 1-d calls.
+    sample axis, which gives the bits of the per-batch 1-d calls.  Each block
+    draws through its own re-keyer, so the blocks are independent units of
+    :func:`~homoeoid.mc.ordered_map`, and their moments are filed in block
+    order: the terms are the same at any worker count.
     Returns ``{refined: [(mean term, variance term), ...]}`` in ``(i, a)``
     order and the number of points drawn.
     """
@@ -223,19 +238,28 @@ def _pair_terms(family: EllipsoidFamily, m: int, seed: int) -> tuple[dict, int]:
             classes.setdefault(int(a), []).append((i, others[level == a]))
             order.append((i, int(a)))
     volumes = [shell_volume(r, family.delta) for r in family.radii]
+    tasks = [
+        (block, a, max(64, m >> a))
+        for a, rows in classes.items()
+        for block in _blocks(rows, max(64, m >> a))
+    ]
+
+    def moments(t: int) -> dict:
+        # each block draws through its own re-keyer, so blocks are independent
+        hits = _block_hits(family, *tasks[t], seed)
+        return {
+            refined: (np.mean(counts, axis=1).tolist(), np.std(counts, axis=1, ddof=1).tolist())
+            for refined, counts in hits.items()
+        }
+
     scored: dict = {}
-    for a, rows in classes.items():
-        batch = max(64, m >> a)
-        for block in _blocks(rows, batch):
-            hits = _block_hits(family, block, a, batch, seed)
-            for refined, counts in hits.items():
-                means = np.mean(counts, axis=1).tolist()
-                stds = np.std(counts, axis=1, ddof=1).tolist()
-                for k, (i, _) in enumerate(block):
-                    scored[i, a, refined] = (
-                        volumes[i] * means[k],
-                        (volumes[i] * stds[k] / math.sqrt(batch)) ** 2,
-                    )
+    for (block, a, batch), block_moments in zip(tasks, ordered_map(moments, len(tasks))):
+        for refined, (means, stds) in block_moments.items():
+            for k, (i, _) in enumerate(block):
+                scored[i, a, refined] = (
+                    volumes[i] * means[k],
+                    (volumes[i] * stds[k] / math.sqrt(batch)) ** 2,
+                )
     terms = {refined: [scored[i, a, refined] for i, a in order] for refined in (True, False)}
     drawn = sum(max(64, m >> a) for _, a in order)
     return terms, drawn
@@ -336,6 +360,95 @@ def overlap_l2(
     return _norm_estimate(family, refined, terms[refined], drawn, seed)
 
 
+# Relative slack of the line window's bounds (see _line_window): far above
+# what rounding moves them by; a looser window only costs kernel work.
+_WINDOW_SLACK = 1e-10
+
+
+def _line_window(family: EllipsoidFamily, refined: bool) -> Callable[[list], Array]:
+    """``keep(columns)``: a boolean mask of points, given as their ``n``
+    coordinate columns, that is true at every point the membership kernel
+    counts for some member of the family (refined or plain).
+
+    Certificate.  The centres are ``c_i = t_i * d`` with ``d =
+    axis_direction(n, axis)``, ``|d| = sqrt(n-1)``.  With ``sigma = y.d /
+    |d|``, ``rho^2 = |y|^2 - sigma^2`` and ``tau_i = t_i * |d|``, exactly
+    ``|y - c_i|^2 = rho^2 + (sigma - tau_i)^2``.
+
+    * The kernel counts ``y`` for member ``i`` only if its float sum ``S``
+      of ``z_j^2``, ``z_j = (y_j - c_ij) / r_ij``, has ``|S - 1| < delta``.
+      For ``delta <= 1/2`` that subtraction is exact (Sterbenz), so ``1 -
+      delta < S < 1 + delta``.
+    * ``S`` is within ``n + 3`` units of roundoff (relative) of the exact
+      ``Q = sum z_j^2``, and ``|y - c_i|^2 = sum r_ij^2 z_j^2`` lies between
+      ``min_j r_ij^2 * Q`` and ``max_j r_ij^2 * Q``.  So ``|y - c_i|^2`` lies
+      in ``((1 - delta) min r_i^2, (1 + delta) max r_i^2)`` up to a few ulps.
+    * The window's float ``rho^2 + (sigma - tau_i)^2`` differs from the
+      exact value by ``O(n)`` ulps of ``|y|^2 + tau_i^2``.  Every box
+      coordinate is within ``reach = max|t| + sqrt(1 + delta) * max r`` of
+      0, so that is at most ``n * reach^2 + max tau^2``.
+    * Both errors are far below the margin ``_WINDOW_SLACK * (n * reach^2 +
+      max tau^2)`` that the window adds on each side of each member's
+      bounds.
+    * For the refined variant the kernel also needs ``|z_axis|^3 >= 2*cut``
+      (its cube test is exact), where ``z_axis = y_axis / r_i,axis`` because
+      the centres' ``axis`` slot is 0.  That needs ``|y_axis| >=
+      (2*cut)^(1/3) * r_i,axis`` up to a few ulps, so the window also asks
+      ``|y_axis| >= (2*cut)^(1/3) * min_i r_i,axis * (1 - _WINDOW_SLACK)``.
+
+    A point with ``rho^2`` at or above every member's outer bound, or below
+    the floor, is dropped first; the rest are tested per member, in blocks of
+    ``DEFAULT_CHUNK // count`` points, so the ``(members, points)`` arrays
+    hold about one chunk.
+    """
+
+    n, axis = family.n, family.axis
+    r = family.radii
+    norm = math.sqrt(n - 1)
+    tau = family.offsets * norm
+    # every box coordinate is within max|t| + sqrt(1 + delta) * max r of 0
+    reach = float(np.max(np.abs(family.offsets))) + math.sqrt(1.0 + family.delta) * float(np.max(r))
+    margin = _WINDOW_SLACK * (n * reach * reach + float(np.max(tau * tau)))
+    inner = ((1.0 - family.delta) * np.min(r, axis=1) ** 2 - margin)[:, None]
+    outer = ((1.0 + family.delta) * np.max(r, axis=1) ** 2 + margin)[:, None]
+    tau = tau[:, None]
+    floor = None
+    if refined:
+        height = (2.0 * geo.default_refinement_cut(n)) ** (1.0 / 3.0)
+        floor = height * float(np.min(r[:, axis])) * (1.0 - _WINDOW_SLACK)
+    tube = float(np.max(outer))  # no member counts a point farther from the line
+    step = max(1, DEFAULT_CHUNK // len(family))
+    line = [j for j in range(n) if j != axis]
+
+    def keep(y: list) -> Array:
+        rho2 = y[0] * y[0]
+        for column in y[1:]:
+            rho2 += column * column
+        sigma = y[line[0]].copy()
+        for j in line[1:]:
+            sigma += y[j]
+        sigma /= norm
+        rho2 -= sigma * sigma
+        near = rho2 < tube
+        if floor is not None:
+            near &= np.abs(y[axis]) >= floor
+        # the members' windows, on the points near the line only
+        index = np.flatnonzero(near)
+        sigma, rho2 = sigma[index], rho2[index]
+        hit = np.empty(len(index), dtype=bool)
+        for start in range(0, len(index), step):
+            gap = sigma[start : start + step] - tau
+            gap *= gap
+            gap += rho2[start : start + step]
+            inside = gap > inner
+            inside &= gap < outer
+            hit[start : start + step] = inside.any(axis=0)
+        near[index] = hit
+        return near
+
+    return keep
+
+
 def direct_overlap_l2(
     family: EllipsoidFamily,
     m: int = 1 << 21,
@@ -349,11 +462,18 @@ def direct_overlap_l2(
     averages the squared counting function.  Every pairwise product is scored
     simultaneously, so the estimate is a genuinely independent cross-check of
     the pairwise route; the cost grows with the box volume over the occupied
-    volume, which keeps this practical only for small families.  The box
-    points are scored against every member in one call of the geometry's
-    membership kernel per sub-block of ``DEFAULT_CHUNK // len(family)``
-    points, so its ``(members, points)`` arrays hold about one chunk of
-    values (smaller and larger sub-blocks both measured slower).
+    volume, which keeps this practical only for small families.
+
+    Most box points lie in no shell.  Each chunk's points first go through
+    :func:`_line_window`, a certified window around the family line (the
+    distance to every centre from the point's projection on the line, and
+    for the refined variant its ``axis`` coordinate): a point the window
+    drops is counted by no member.  The kept points are scored against every
+    member by the geometry's membership kernel, which gives the final
+    verdict, in one call per block of ``DEFAULT_CHUNK // len(family)`` kept
+    points (so its ``(members, points)`` arrays hold about one chunk of
+    values), and their counts are scattered into zeros.  The draws and the
+    counts are those of scoring every box point, and so are the estimates.
     """
 
     count = len(family)
@@ -365,6 +485,7 @@ def direct_overlap_l2(
     hi = np.max(centres + pad, axis=0)
     width = hi - lo
     box_volume = float(np.prod(width))
+    window = _line_window(family, refined)
     step = max(1, DEFAULT_CHUNK // count)
     tally = np.min_scalar_type(count)  # the narrowest integer that holds a count
 
@@ -372,19 +493,20 @@ def direct_overlap_l2(
         u = rng.random((k, n))
         y = [u[:, j] * width[j] + lo[j] for j in range(n)]  # box coordinates, per column
         del u  # the columns are all that is scored
-        counts = np.empty(k)
-        for start in range(0, k, step):
-            stop = min(start + step, k)
+        kept = np.flatnonzero(window(y))
+        y = [column[kept] for column in y]
+        counts = np.zeros(k)
+        for start in range(0, len(kept), step):
             shell, sector = geo.shell_membership(
                 centres,
                 family.radii,
                 family.delta,
-                (column[start:stop] for column in y),
+                (column[start : start + step] for column in y),
                 axis,
             )
             if sector is not None:
                 shell &= sector
-            counts[start:stop] = np.add.reduce(shell, axis=0, dtype=tally)
+            counts[kept[start : start + step]] = np.add.reduce(shell, axis=0, dtype=tally)
         counts *= counts
         counts *= box_volume
         return counts

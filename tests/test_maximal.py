@@ -374,6 +374,37 @@ class TestRadiusBlocks:
         self.assert_matches(n, x, net, 64, (0,))
         self.assert_matches(n, x, net, 1, ())
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_points_blocked_above_the_block(self, n, monkeypatch):
+        # criterion 11's shape: 300 points x 256 samples is more than one
+        # block holds, so each call takes one radius and 64 points, and the
+        # last point block is ragged (300 = 4 * 64 + 44)
+        net = small_net(n)
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (300, n))
+        width = maximal._NET_BLOCK // 256
+        assert len(xs) * 256 > maximal._NET_BLOCK and len(xs) % width
+        for f in self.fields(n):
+            shapes = []
+
+            def counted(points, f=f):
+                shapes.append(points.shape)
+                return f.evaluator(points)
+
+            g = maximal.Field(counted, f.lo, f.hi)
+            axes = tuple(range(n))
+            got = maximal.discretised_maximal(
+                g, xs, KERNEL_DELTA, net, m=256, seed=6, stream="blocks", axes=axes
+            )
+            per_block = [(1, width, 256, n)] * len(net)
+            tail = [(1, len(xs) % width, 256, n)] * len(net)
+            assert shapes == per_block * (len(xs) // width) + tail
+            with monkeypatch.context() as patch:
+                patch.setattr(maximal, "_NET_BLOCK", len(xs) * 256)
+                whole = maximal.discretised_maximal(
+                    f, xs, KERNEL_DELTA, net, m=256, seed=6, stream="blocks", axes=axes
+                )
+            np.testing.assert_array_equal(got, whole)
+
     def test_field_called_once_per_block(self):
         net = maximal.RadiiNet.for_delta(3, 2**-6)
         xs = np.random.default_rng(0).uniform(-0.4, 0.4, (8, 3))

@@ -131,6 +131,36 @@ class TestRefinedShellVolume:
             )
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_cached_integral_has_the_per_call_quadrature_bits(self):
+        from scipy.integrate import quad
+        from scipy.special import betainc
+
+        def per_call(r, delta, n):
+            # one quadrature per call, the form the cached integral replaces
+            height = (2.0 * geo.default_refinement_cut(n)) ** (1.0 / 3.0)
+            area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+            def integrand(s):
+                h = height / s
+                if h >= 1.0:
+                    return 0.0
+                return area * s ** (n - 1) * float(betainc((n - 1) / 2.0, 0.5, 1.0 - h * h))
+
+            lo, hi = math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)
+            value, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)
+            return float(np.prod(r)) * value
+
+        rng = np.random.default_rng(12)
+        multiplicity._refined_reference_volume.cache_clear()
+        for n in (2, 3, 4):
+            lo, hi = geo.restricted_radii_box(n)
+            for delta in (0.5, 2**-4, 0.1, 2**-9):
+                for axis in range(n):
+                    r = lo + (hi - lo) * rng.random(n)
+                    assert refined_shell_volume(r, delta, axis) == per_call(r, delta, n)
+        info = multiplicity._refined_reference_volume.cache_info()
+        assert (info.misses, info.hits) == (12, 24)
+
     def test_matches_monte_carlo_route(self):
         fam = generate_family(0, 2**-5, 1, seed=3)
         spec = fam.spec(0)
@@ -371,15 +401,32 @@ def per_member_direct_overlap_l2(family, m, seed, refined):
 
 class TestDirectOverlapL2:
     @pytest.mark.parametrize("count", [1, 2, 8])
-    @pytest.mark.parametrize("n, axis", [(n, axis) for n in (2, 3) for axis in range(n)])
+    @pytest.mark.parametrize("n, axis", [(n, axis) for n in (2, 3, 4) for axis in range(n)])
     def test_matches_per_member_loop(self, n, axis, count):
-        # 70,001 points: one whole chunk and a ragged one, each cut into
-        # sub-blocks of DEFAULT_CHUNK // count points
+        # 70,001 points: one whole chunk and a ragged one, each window cut
+        # into blocks of DEFAULT_CHUNK // count points
         fam = generate_family(axis, 2**-4, count, seed=n + axis, n=n)
         for refined in (True, False):
             got = direct_overlap_l2(fam, 70_001, seed=3, refined=refined)
             assert got == per_member_direct_overlap_l2(fam, 70_001, 3, refined)
             assert got.value > 0.0
+
+    @pytest.mark.parametrize("n, count", [(2, 5), (3, 8), (4, 3)])
+    def test_matches_per_member_loop_over_several_chunks(self, n, count):
+        # three whole chunks and a ragged fourth
+        m = 3 * multiplicity.DEFAULT_CHUNK + 4321
+        fam = generate_family(n - 1, 2**-5, count, seed=11, n=n)
+        for refined in (True, False):
+            got = direct_overlap_l2(fam, m, seed=8, refined=refined)
+            assert got == per_member_direct_overlap_l2(fam, m, 8, refined)
+
+    def test_a_chunk_with_no_point_near_a_shell(self):
+        fam = generate_family(0, 2**-4, 2, seed=6)
+        for refined in (True, False):
+            for m in (1, 2, 3):
+                got = direct_overlap_l2(fam, m, seed=0, refined=refined)
+                assert got == per_member_direct_overlap_l2(fam, m, 0, refined)
+                assert got.value == 0.0  # the kernel is called on no point
 
     def test_matches_per_member_loop_for_a_large_family(self):
         # 300 members: counts tallied in 16 bits, sub-blocks of 218 points
@@ -415,6 +462,131 @@ class TestDirectOverlapL2:
         fam = generate_family(0, 2**-4, 3, seed=6)
         for refined in (True, False):
             assert direct_overlap_l2(fam, 1 << 16, seed=1, refined=refined).value > 0.0
+
+
+def kernel_counts(family, refined, points):
+    """Per-member verdicts of the membership kernel on ``(k, n)`` points."""
+    axis = family.axis if refined else None
+    shell, sector = geo.shell_membership(
+        family.centres, family.radii, family.delta, points.T, axis
+    )
+    return shell if sector is None else shell & sector
+
+
+def last_counted(accepts, inside, outside, rounds=80):
+    """Bisect each ``(inside, outside)`` parameter pair to the last value
+    ``accepts`` still takes, to within the spacing of the floats there."""
+    inside, outside = np.array(inside, dtype=float), np.array(outside, dtype=float)
+    assert accepts(inside).all() and not accepts(outside).any()
+    for _ in range(rounds):
+        middle = 0.5 * (inside + outside)
+        ok = accepts(middle)
+        inside = np.where(ok, middle, inside)
+        outside = np.where(ok, outside, middle)
+    return inside
+
+
+def round_family(n, axis, delta, count, seed):
+    """A family whose members are balls, so the window's bounds are tight in
+    every direction and its floor is tight for every member."""
+    fam = generate_family(axis, delta, count, seed=seed, n=n)
+    radii = np.repeat(fam.radii[:, :1], n, axis=1)
+    return EllipsoidFamily(axis=axis, delta=fam.delta, offsets=fam.offsets, radii=radii)
+
+
+class TestLineWindow:
+    """The certified window of the direct oracle holds every point the
+    membership kernel counts, and drops the points no shell can hold."""
+
+    @staticmethod
+    def planted(family, rng, rays=64):
+        """Points just inside each member's float shell boundary, inner and
+        outer, on random rays and along the axes of the smallest and the
+        largest radius, found by bisecting the kernel's own verdict."""
+        n, delta = family.n, family.delta
+        points = []
+        for i in range(len(family)):
+            c, r = family.centres[i], family.radii[i]
+            u = rng.standard_normal((rays, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            for j in (np.argmin(r), np.argmax(r)):
+                u = np.vstack([u, np.eye(n)[j], -np.eye(n)[j]])
+
+            def accepts(s, c=c, r=r, u=u, i=i):
+                y = c + r * (s[:, None] * u)
+                return kernel_counts(family, False, y)[i]
+
+            mid = np.ones(len(u))
+            for edge in (math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)):
+                far = np.full(len(u), edge * (1.5 if edge > 1 else 0.5))
+                s = last_counted(accepts, mid, far)
+                points.append(c + r * (s[:, None] * u))
+        return np.vstack(points)
+
+    @staticmethod
+    def planted_on_floor(family, rng, rays=64):
+        """Mid-shell points whose ``axis`` coordinate is the smallest the
+        kernel's refinement still counts, for every member."""
+        n, axis = family.n, family.axis
+        height = (2.0 * geo.default_refinement_cut(n)) ** (1.0 / 3.0)
+        points = []
+        for i in range(len(family)):
+            c, r = family.centres[i], family.radii[i]
+            v = rng.standard_normal((rays, n))
+            v[:, axis] = 0.0
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            sign = np.where(rng.random(rays) < 0.5, -1.0, 1.0)
+
+            def at(a, c=c, r=r, v=v, sign=sign):
+                w = np.sqrt(1.0 - a * a)[:, None] * v
+                w[:, axis] = sign * a
+                return c + r * w
+
+            def accepts(a, i=i, at=at):
+                return kernel_counts(family, True, at(a))[i]
+
+            a = last_counted(accepts, np.full(rays, 1.5 * height), np.full(rays, 0.5 * height))
+            points.append(at(a))
+        return np.vstack(points)
+
+    # at n = 7 the refinement's float threshold sits where the kernel counts
+    # points a hair below (2*cut)^(1/3) * r_axis, so the floor needs its margin
+    @pytest.mark.parametrize("n, axis", [(2, 1), (3, 0), (3, 2), (4, 1), (7, 3)])
+    @pytest.mark.parametrize("round_members", [True, False])
+    def test_keeps_every_point_the_kernel_counts(self, n, axis, round_members):
+        make = round_family if round_members else generate_family
+        fam = make(n=n, axis=axis, delta=2**-4, count=4, seed=n + axis)
+        rng = np.random.default_rng(n + axis)
+        shell_points = self.planted(fam, rng)
+        floor_points = self.planted_on_floor(fam, rng)
+        for refined, points in ((False, shell_points), (True, shell_points), (True, floor_points)):
+            counted = kernel_counts(fam, refined, points).any(axis=0)
+            kept = multiplicity._line_window(fam, refined)(list(points.T))
+            assert counted.any()
+            assert np.all(kept[counted])
+        assert kernel_counts(fam, True, floor_points).any(axis=0).all()
+
+    @pytest.mark.parametrize("refined", [True, False])
+    def test_drops_points_off_every_shell(self, refined):
+        # the pair-scan family: a kept point is within the window's bounds up
+        # to 1e-9 (relative), so the inner bound and the floor both bite
+        fam = generate_family(0, 2.0**-4, 8, seed=0)
+        pad = np.sqrt(1.0 + fam.delta) * fam.radii
+        lo = np.min(fam.centres - pad, axis=0)
+        hi = np.max(fam.centres + pad, axis=0)
+        points = lo + (hi - lo) * np.random.default_rng(1).random((50_000, 3))
+        kept = multiplicity._line_window(fam, refined)(list(points.T))
+        square = np.sum((points[None] - fam.centres[:, None]) ** 2, axis=-1)
+        low = (1.0 - fam.delta) * np.min(fam.radii, axis=1) ** 2
+        high = (1.0 + fam.delta) * np.max(fam.radii, axis=1) ** 2
+        near = (square > low[:, None] * (1.0 - 1e-9)) & (square < high[:, None] * (1.0 + 1e-9))
+        allowed = near.any(axis=0)
+        if refined:
+            height = (2.0 * geo.default_refinement_cut(3)) ** (1.0 / 3.0)
+            allowed &= np.abs(points[:, 0]) >= height * np.min(fam.radii[:, 0]) * (1.0 - 1e-9)
+        assert not np.any(kept & ~allowed)
+        counted = kernel_counts(fam, refined, points).any(axis=0)
+        assert np.all(kept[counted]) and counted.any()
 
 
 class TestMultiplicityScan:
