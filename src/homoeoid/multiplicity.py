@@ -159,9 +159,9 @@ def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
     ``|omega_axis| >= (2*cut)^(1/3)``, i.e. directions with ``|u_axis| >=
     (2*cut)^(1/3) / s``.  The direction fraction at height ``h`` is the
     two-sided cap mass ``I_{1-h^2}((n-1)/2, 1/2)`` of the symmetric Beta law
-    of ``u_axis^2``, leaving a single radial integral, which depends on
-    ``(n, delta)`` only and is computed once per pair; the physical volume
-    scales by ``prod(radii)``.
+    of ``u_axis^2``, leaving a single radial integral; it depends on ``(n,
+    delta)`` only and is cached per pair of them.  The physical volume scales
+    by ``prod(radii)``.
     """
 
     r = np.asarray(radii, dtype=float)
@@ -188,9 +188,8 @@ def _refined_reference_volume(n: int, delta: float) -> float:
             return 0.0
         return area * s ** (n - 1) * float(betainc((n - 1) / 2.0, 0.5, 1.0 - h * h))
 
-    value, _ = quad(
-        integrand, math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), epsabs=0.0, epsrel=1e-11, limit=200
-    )
+    lo, hi = math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)
+    value, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)
     return value
 
 
@@ -379,7 +378,7 @@ def _line_window(family: EllipsoidFamily, refined: bool) -> Callable[[list], Arr
       of ``z_j^2``, ``z_j = (y_j - c_ij) / r_ij``, has ``|S - 1| < delta``.
       For ``delta <= 1/2`` that subtraction is exact (Sterbenz), so ``1 -
       delta < S < 1 + delta``.
-    * ``S`` is within ``n + 3`` units of roundoff (relative) of the exact
+    * ``S`` is within ``n + 4`` units of roundoff (relative) of the exact
       ``Q = sum z_j^2``, and ``|y - c_i|^2 = sum r_ij^2 z_j^2`` lies between
       ``min_j r_ij^2 * Q`` and ``max_j r_ij^2 * Q``.  So ``|y - c_i|^2`` lies
       in ``((1 - delta) min r_i^2, (1 + delta) max r_i^2)`` up to a few ulps.
@@ -406,7 +405,6 @@ def _line_window(family: EllipsoidFamily, refined: bool) -> Callable[[list], Arr
     r = family.radii
     norm = math.sqrt(n - 1)
     tau = family.offsets * norm
-    # every box coordinate is within max|t| + sqrt(1 + delta) * max r of 0
     reach = float(np.max(np.abs(family.offsets))) + math.sqrt(1.0 + family.delta) * float(np.max(r))
     margin = _WINDOW_SLACK * (n * reach * reach + float(np.max(tau * tau)))
     inner = ((1.0 - family.delta) * np.min(r, axis=1) ** 2 - margin)[:, None]
@@ -432,7 +430,6 @@ def _line_window(family: EllipsoidFamily, refined: bool) -> Callable[[list], Arr
         near = rho2 < tube
         if floor is not None:
             near &= np.abs(y[axis]) >= floor
-        # the members' windows, on the points near the line only
         index = np.flatnonzero(near)
         sigma, rho2 = sigma[index], rho2[index]
         hit = np.empty(len(index), dtype=bool)

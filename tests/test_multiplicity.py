@@ -366,7 +366,7 @@ class TestPairTerms:
             fam, 1 << 17, 4
         )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
     def test_scan_is_the_same_at_any_worker_count(self, monkeypatch, workers):
         monkeypatch.setenv("HOMOEOID_THREADS", workers)
         scan = multiplicity_scan(0, [2**-3, 2**-4, 2**-5], trials=2, m=256, seed=1)
