@@ -48,7 +48,7 @@ from homoeoid import (
     multiplicity,
     volumes,
 )
-from homoeoid.geometry import AnnulusSpec, Ellipsoid, RefinedAnnulusSpec
+from homoeoid.geometry import AnnulusSpec, Ellipsoid
 from homoeoid.mc import MCEstimate, derive_stream, fit_power_law, mc_mean, rng_stream
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "volumes",
     "AnnulusSpec",
     "Ellipsoid",
-    "RefinedAnnulusSpec",
     "MCEstimate",
     "derive_stream",
     "fit_power_law",

@@ -52,7 +52,6 @@ Array = np.ndarray
 __all__ = [
     "Ellipsoid",
     "AnnulusSpec",
-    "RefinedAnnulusSpec",
     "TangencyConfig",
     "default_refinement_cut",
     "restricted_radii_box",
@@ -175,43 +174,28 @@ class Ellipsoid:
 
 @dataclasses.dataclass(frozen=True)
 class AnnulusSpec:
-    """Thin shell ``{ |F| < delta }`` around an ellipsoid."""
+    """Thin shell ``{ |F| < delta }`` around an ellipsoid, axis-refined when
+    ``axis`` is given: intersected with the image of ``{ |omega[axis]|**3 >=
+    2*cut }`` under the shell's affine map, with the cut of the shell's
+    dimension.
+
+    The refinement lives in the *reference* coordinates of the shell, so
+    refined membership of a physical point ``y`` first pulls ``y`` back
+    through :func:`affine_map`.
+    """
 
     ellipsoid: Ellipsoid
     delta: float
+    axis: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _shell_width(self.delta))
+        if self.axis is not None:
+            _check_axis(self.axis, self.n)
 
     @property
     def n(self) -> int:
         return self.ellipsoid.n
-
-
-@dataclasses.dataclass(frozen=True)
-class RefinedAnnulusSpec:
-    """Axis-refined shell: the base shell intersected with the image of
-    ``{ |omega[axis]|**3 >= 2*cut }`` under the shell's affine map, with
-    the cut of the shell's dimension.
-
-    Note the refinement lives in the *reference* coordinates of the base
-    shell, so refined membership of a physical point ``y`` first pulls ``y``
-    back through :func:`affine_map`.
-    """
-
-    base: AnnulusSpec
-    axis: int
-
-    def __post_init__(self) -> None:
-        _check_axis(self.axis, self.base.n)
-
-    @property
-    def delta(self) -> float:
-        return self.base.delta
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,15 +271,6 @@ def affine_map(centre: Array, radii: Array, points: Array) -> Array:
     r = np.asarray(radii, dtype=float)
     w = np.asarray(points, dtype=float)
     return x + r * w
-
-
-def _spec_parts(spec):
-    """(base AnnulusSpec, axis or None) for either spec flavour."""
-    if isinstance(spec, RefinedAnnulusSpec):
-        return spec.base, spec.axis
-    if isinstance(spec, AnnulusSpec):
-        return spec, None
-    raise TypeError(f"expected an annulus spec, got {type(spec).__name__}")
 
 
 # Relative half-width of the band around the bound in which ``_cube_at_least``
@@ -379,18 +354,17 @@ def shell_membership(
 
 
 def annulus_contains(spec, points: Array) -> Array:
-    """Membership test for a (possibly refined) shell; batched, boolean.
+    """Membership test for a shell; batched, boolean.
 
-    Physical points are tested against ``|F| < delta``; for refined specs the
-    pullback must additionally satisfy the axis refinement.  This is the
+    Physical points are tested against ``|F| < delta``; when ``spec.axis`` is
+    set the pullback must additionally satisfy the axis refinement.  This is the
     one-shell case of the coordinate-major kernel :func:`shell_membership`,
     which forms each pulled-back coordinate once for both tests.
     """
-    base, axis = _spec_parts(spec)
-    ell = base.ellipsoid
+    ell = spec.ellipsoid
     y = np.asarray(points, dtype=float)
     shell, sector = shell_membership(
-        ell.centre[None], ell.radii[None], base.delta, y.reshape(-1, y.shape[-1]).T, axis
+        ell.centre[None], ell.radii[None], spec.delta, y.reshape(-1, y.shape[-1]).T, spec.axis
     )
     inside = shell if sector is None else shell & sector
     return inside.reshape(y.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar

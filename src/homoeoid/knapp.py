@@ -39,7 +39,7 @@ from .mc import (
     rng_stream,
     stream_word,
 )
-from .volumes import ball_volume, keyed_shell_points, sample_surface, sphere_area
+from .volumes import _HitZone, ball_volume, keyed_shell_points, sample_surface, sphere_area
 
 Array = np.ndarray
 
@@ -148,6 +148,27 @@ class ExponentScan:
     rows: tuple
 
 
+def _slab_cap(slab: KnappSlab, x: Array, r: Array, delta: float) -> _HitZone:
+    """Cap ``u.u0 >= 1 - chord**2/2`` about ``u0``, the unit vector along
+    ``-x/r``, holding the direction of every point of ``E^delta(x, r)`` in ``slab``.
+
+    A slab point ``y`` has ``|y| <= h``, the slab's half-diagonal, so its
+    pullback ``omega = u0 + y/r`` is within ``h/min(r)`` of ``u0``, and the
+    shell keeps ``| |omega| - 1 | <= 1 - sqrt(1 - delta) < 0.6*delta`` for
+    ``delta <= MAX_SHELL_WIDTH``; the chord to ``omega/|omega|`` is below the
+    sum.  Both terms are needed: at n = 2, widths 1/2 and radii 0.57 a slab
+    corner in the shell lies 1.7% beyond ``1.05*h/min(r)``.  The factor 1.05
+    is a float cushion that no test reaches: the two-term chord is an exact
+    bound, and a search over slab points at n = 2..5 found at most 0.995 of it.
+    """
+    u0 = -x / r
+    u0 /= np.linalg.norm(u0)
+    n = x.shape[0]
+    half_diag = 0.5 * math.sqrt((n - 1) * slab.delta + slab.delta**2)
+    chord = 1.05 * (half_diag / float(np.min(r)) + 0.6 * delta)
+    return _HitZone(u0, max(1.0 - 0.5 * chord**2, -1.0), 1.0)
+
+
 def slab_shell_average(
     slab: KnappSlab, x: Array, r: Array, delta: float, m: int, *, seed: int = 0
 ) -> tuple[float, float]:
@@ -155,56 +176,29 @@ def slab_shell_average(
 
     Equal in expectation to ``annulus_average`` of the indicator over
     ``E^delta(x, r)``, but the directions are drawn inside the spherical cap
-    that provably contains the slab's preimage (the indicator vanishes off the
-    cap, so scaling the cap-restricted mean by the exact cap fraction changes
-    nothing but the variance).  Uniform shell sampling would land
-    ``O(delta^{(n-1)/2})`` of its points in the slab — fractions of a hit per
-    batch at small widths, whose noise biases p-th moments upward — whereas
-    the cap keeps the hit rate width-independent.  Returns (value, std_error).
+    of :func:`_slab_cap`, which provably contains the slab's preimage (the
+    indicator vanishes off the cap, so scaling the cap-restricted mean by the
+    exact cap fraction changes nothing but the variance).  The cap is a
+    :class:`~homoeoid.volumes._HitZone` with ``z_hi = 1``, so it draws its
+    points as the hit zone of ``intersection_volume`` does.  Uniform shell
+    sampling would land ``O(delta^{(n-1)/2})`` of its points in the slab —
+    fractions of a hit per batch at small widths, whose noise biases p-th
+    moments upward — whereas the cap keeps the hit rate width-independent.
+    Returns (value, std_error).
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     n = x.shape[0]
+    delta = geo._shell_width(delta)
     if m < 2:
         raise ValueError("m must be at least 2")
     if abs(float(geo.defining_value(x, r, np.zeros(n)))) > 1e-9:
         raise ValueError("(x, r) must be a tangency configuration")
     rng = rng_stream(seed, derive_stream("knapp-cap", delta, x, r))
-    # radial law of the uniform shell measure (independent of direction)
-    lo = (1.0 - delta) ** (n / 2.0)
-    hi = (1.0 + delta) ** (n / 2.0)
-    mags = (lo + rng.random(m) * (hi - lo)) ** (1.0 / n)
-
-    # any shell point landing in the slab has direction within chord_max of
-    # the tangency direction: |omega - u0| <= |y|/min(r) on the slab, plus
-    # the radial slack | |omega| - 1 | < 0.6*delta; 5% safety margin on top.
-    u0 = -x / r
-    u0 /= np.linalg.norm(u0)
-    half_diag = 0.5 * math.sqrt((n - 1) * delta + delta**2)
-    chord = 1.05 * (half_diag / float(np.min(r)) + 0.6 * delta)
-    if chord**2 >= 1.8:
-        dirs = rng.standard_normal((m, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        fraction = 1.0
-    else:
-        from scipy.special import betainc, betaincinv
-
-        cos_cap = 1.0 - 0.5 * chord**2
-        sin_sq = 1.0 - cos_cap**2
-        a = (n - 1) / 2.0
-        mass = float(betainc(a, 0.5, sin_sq))
-        fraction = 0.5 * mass  # P(<u, u0> >= cos_cap) for a uniform direction
-        t = betaincinv(a, 0.5, rng.random(m) * mass)
-        heights = np.sqrt(1.0 - t)
-        g = rng.standard_normal((m, n))
-        g -= (g @ u0)[:, None] * u0
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dirs = heights[:, None] * u0 + np.sqrt(t)[:, None] * g
-    points = x + r * (mags[:, None] * dirs)
-    vals = slab.contains(points).astype(float)
-    value = fraction * float(np.mean(vals))
-    std_error = fraction * float(np.std(vals, ddof=1) / math.sqrt(m))
-    return value, std_error
+    cap = _slab_cap(slab, x, r, delta)
+    points = geo.affine_map(x, r, cap.shell_points(rng, m, delta))
+    fraction, vals = cap.mass, slab.contains(points).astype(float)
+    return fraction * float(np.mean(vals)), fraction * float(np.std(vals, ddof=1) / math.sqrt(m))
 
 
 def knapp_exponent(

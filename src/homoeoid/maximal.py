@@ -163,14 +163,13 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
     """Average of ``|f|`` over the shell, refined pieces zero-extended.
 
     Plain specs give the mean of ``|f|`` over uniform shell samples.  Refined
-    specs keep the *same* sample batch (the stream is derived from the base
-    shell only) and multiply by the refinement indicator of its axis, so the
-    normaliser stays the plain shell volume and a refined average never
-    exceeds the plain one on the same inputs.
+    specs keep the *same* sample batch (the stream ignores ``spec.axis``) and
+    multiply by the refinement indicator of its axis, so the normaliser stays
+    the plain shell volume and a refined average never exceeds the plain one
+    on the same inputs.
     """
-    base, axis = geo._spec_parts(spec)
-    ell = base.ellipsoid
-    sampler = reference_shell_sampler(base.delta, base.n)
+    ell, axis = spec.ellipsoid, spec.axis
+    sampler = reference_shell_sampler(spec.delta, spec.n)
 
     def sample_fn(rng: np.random.Generator, k: int) -> Array:
         omega = sampler(rng, k)
@@ -179,7 +178,7 @@ def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
             values = values * geo.refinement_indicator(omega, axis)
         return values
 
-    stream = derive_stream("annulus-avg", base.delta, ell.centre, ell.radii)
+    stream = derive_stream("annulus-avg", spec.delta, ell.centre, ell.radii)
     (est,) = mc_mean(sample_fn, m, seed=seed, stream=stream)
     return est
 

@@ -109,11 +109,8 @@ class EllipsoidFamily:
     def member(self, i: int) -> geo.Ellipsoid:
         return geo.Ellipsoid(self.centres[i], self.radii[i])
 
-    def spec(self, i: int, refined: bool = True):
-        base = geo.AnnulusSpec(self.member(i), self.delta)
-        if not refined:
-            return base
-        return geo.RefinedAnnulusSpec(base, self.axis)
+    def spec(self, i: int, refined: bool = True) -> geo.AnnulusSpec:
+        return geo.AnnulusSpec(self.member(i), self.delta, self.axis if refined else None)
 
 
 def generate_family(

@@ -43,11 +43,15 @@ form one interval, in closed form.  It is widened by a relative margin
 which covers the float affine map and membership kernel.  ``z`` has density
 proportional to ``(1 - z**2)**((n-3)/2)`` (``(1+z)/2`` is Beta((n-1)/2,
 (n-1)/2): uniform at n = 3, arcsine at n = 2), so the zone's mass is a
-difference of regularised incomplete beta functions and ``z`` is drawn by
-their inverse; the rest of ``u`` is a uniform unit vector of ``e``'s
+difference of regularised incomplete beta functions (upper tails for a zone
+above the equator).  At n = 4, 5 the density is concave and ``z`` is drawn
+by rejection from the uniform on ``[z_lo, z_hi]``, which passes at least
+half of the candidates; at every other n, by the inverse of the incomplete
+beta function.  The rest of ``u`` is a uniform unit vector of ``e``'s
 orthogonal complement.  The zone ignores both refinements, so a refined and
 a plain ``spec_a`` on one stream draw the same points, and the refined hits
-are a subset of the plain ones.
+are a subset of the plain ones.  The Knapp cap of
+:func:`homoeoid.knapp.slab_shell_average` is a zone with ``z_hi = 1``.
 
 :func:`low_jacobian_cluster` draws in a union ``K`` of ``(z, phi)`` cells.
 In n = 3 a uniform shell point ``s*u`` is a uniform point of the box ``(z,
@@ -223,11 +227,11 @@ class IntersectionEstimate(MCEstimate):
 
 
 def intersection_volume(
-    spec_a, spec_b, m: int, seed: int, stream: int = 0
+    spec_a: geo.AnnulusSpec, spec_b: geo.AnnulusSpec, m: int, seed: int, stream: int = 0
 ) -> IntersectionEstimate:
     """Monte-Carlo volume of the intersection of two (refined) shells.
 
-    Has the law of ``m`` uniform points of the *base* shell of ``spec_a``
+    Has the law of ``m`` uniform points of the plain shell of ``spec_a``
     scored by the refined indicator of ``spec_a`` times membership in
     ``spec_b``, but draws only the points whose direction lies in the hit
     zone (see the module docstring): in each ``mc_mean`` chunk of ``k``
@@ -235,9 +239,8 @@ def intersection_volume(
     all from the chunk's generator.  The estimate is unbiased with
     binomial-type error.  ``spec_b == spec_a`` recovers the shell volume.
     """
-    base_a = geo._spec_parts(spec_a)[0]
-    zone = _hit_zone(base_a, geo._spec_parts(spec_b)[0])
-    v_base = shell_volume(base_a.ellipsoid.radii, base_a.delta)
+    zone = _hit_zone(spec_a, spec_b)
+    v_base = shell_volume(spec_a.ellipsoid.radii, spec_a.delta)
     drawn = []  # one count per chunk; list.append is atomic across worker threads
 
     def values(rng: np.random.Generator, k: int) -> Array:
@@ -260,36 +263,66 @@ _ZONE_ROUNDING = 1e-12
 @dataclasses.dataclass(frozen=True)
 class _HitZone:
     """The directions ``u`` of ``S^(n-1)`` with ``z_lo <= u.e <= z_hi``, for
-    a unit ``e`` and ``-1 <= z_lo, z_hi <= 1``; empty when ``z_lo > z_hi``."""
+    a unit ``e`` and ``-1 <= z_lo, z_hi <= 1``; empty when ``z_lo > z_hi``.
+    The hit zone of :func:`intersection_volume` and the Knapp cap of
+    :func:`homoeoid.knapp.slab_shell_average` are both of this kind."""
 
     e: Array
     z_lo: float
     z_hi: float
 
-    def _cdf(self) -> tuple[float, float]:
-        """The law of ``u.e`` for a uniform ``u`` at ``z_lo`` and ``z_hi``."""
+    def _cdf(self, upper: bool = False) -> tuple[float, float]:
+        """The law of ``u.e`` for a uniform ``u`` at ``z_lo`` and ``z_hi``;
+        with ``upper``, its upper tails at ``z_hi`` and ``z_lo`` (the law is
+        even, so these are the law of ``-u.e`` at ``-z_hi`` and ``-z_lo``)."""
         from scipy.special import betainc
 
         a = 0.5 * (self.e.size - 1)
-        lo, hi = (float(betainc(a, a, 0.5 * (1.0 + z))) for z in (self.z_lo, self.z_hi))
+        sign, ends = (-1.0, (self.z_hi, self.z_lo)) if upper else (1.0, (self.z_lo, self.z_hi))
+        lo, hi = (float(betainc(a, a, 0.5 * (1.0 + sign * z))) for z in ends)
         return lo, hi
 
     @property
     def mass(self) -> float:
-        """Share of the sphere's area that the zone covers."""
-        lo, hi = self._cdf()
+        """Share of the sphere's area that the zone covers; a zone above the
+        equator is measured on the upper tails, so that a small cap about
+        ``e`` keeps its relative accuracy."""
+        lo, hi = self._cdf(upper=self.z_lo > 0.0)
         return max(hi - lo, 0.0)
 
-    def directions(self, rng: np.random.Generator, k: int) -> Array:
-        """``(k, n)`` i.i.d. uniform unit vectors of the zone: ``z`` by the
-        inverse CDF, then ``u = z e + sqrt(1 - z**2) v`` with ``v`` a Gaussian
-        with its ``e`` component removed, normalised."""
-        from scipy.special import betaincinv
+    def _z(self, rng: np.random.Generator, k: int) -> Array:
+        """``k`` i.i.d. draws of ``u.e`` for a uniform ``u`` of the zone.
 
+        At n = 4, 5 the density ``(1 - z**2)**((n-3)/2)`` is concave, so a
+        uniform candidate on ``[z_lo, z_hi]`` passes against the density's
+        peak on the zone with chance at least 1/2 (Devroye 1986, ch. II);
+        rounds of ``k - done`` candidates run until ``k`` have passed.  At
+        every other n, ``z`` is drawn by the inverse CDF."""
+        n = self.e.size
+        if n not in (4, 5):
+            from scipy.special import betaincinv
+
+            a = 0.5 * (n - 1)
+            lo, hi = self._cdf()
+            return 2.0 * betaincinv(a, a, lo + (hi - lo) * rng.random(k)) - 1.0
+        power = 0.5 * (n - 3)
+        lo, hi = self.z_lo, self.z_hi
+        peak = (1.0 - min(max(lo, 0.0), hi) ** 2) ** power
+        z = np.empty(k)
+        done = 0
+        while done < k:
+            candidate = lo + (hi - lo) * rng.random(k - done)
+            kept = candidate[peak * rng.random(k - done) <= (1.0 - candidate * candidate) ** power]
+            z[done : done + kept.size] = kept
+            done += kept.size
+        return z
+
+    def directions(self, rng: np.random.Generator, k: int) -> Array:
+        """``(k, n)`` i.i.d. uniform unit vectors of the zone: ``z`` by
+        :meth:`_z`, then ``u = z e + sqrt(1 - z**2) v`` with ``v`` a Gaussian
+        with its ``e`` component removed, normalised."""
         e = self.e
-        a = 0.5 * (e.size - 1)
-        lo, hi = self._cdf()
-        z = 2.0 * betaincinv(a, a, lo + (hi - lo) * rng.random(k)) - 1.0
+        z = self._z(rng, k)
         u = rng.standard_normal((k, e.size))
         # a second pass removes what the first leaves of e, by cancellation,
         # from the Gaussians that point nearly along e
@@ -304,10 +337,17 @@ class _HitZone:
             u[:, j] += z * e[j]
         return u
 
+    def shell_points(self, rng: np.random.Generator, k: int, delta: float) -> Array:
+        """``(k, n)`` i.i.d. uniform points of the reference shell of width
+        ``delta`` with their direction in the zone: :meth:`directions`, then
+        ``k`` radii by the radial inverse CDF of :func:`_to_shell`."""
+        return _to_shell(self.directions(rng, k), rng.random(k), (1.0 - delta, 1.0 + delta))
 
-def _hit_zone(base_a: geo.AnnulusSpec, base_b: geo.AnnulusSpec) -> _HitZone:
-    """Zone outside which no point of ``base_a``'s shell passes the float
-    test of ``base_b``'s (see the module docstring).
+
+def _hit_zone(spec_a: geo.AnnulusSpec, spec_b: geo.AnnulusSpec) -> _HitZone:
+    """Zone outside which no point of ``spec_a``'s plain shell passes the
+    float test of ``spec_b``'s plain shell (see the module docstring); both
+    refinements are ignored.
 
     With ``F_B(s*u) = a s**2 - 2 w z s + e0``, ``a`` in ``[min D, max D]``
     and ``s`` in ``[s0, s1]``: ``F_B < lim`` for some ``(a, s)`` iff ``z >
@@ -323,7 +363,7 @@ def _hit_zone(base_a: geo.AnnulusSpec, base_b: geo.AnnulusSpec) -> _HitZone:
     sphere or empty, by the same test with ``|2 w z s| <= 2 w s1`` added
     to ``lim``.
     """
-    ell_a, ell_b = base_a.ellipsoid, base_b.ellipsoid
+    ell_a, ell_b = spec_a.ellipsoid, spec_b.ellipsoid
     mu = _ZONE_ROUNDING
     c = (ell_b.centre - ell_a.centre) / ell_a.radii
     d = (ell_a.radii / ell_b.radii) ** 2
@@ -331,10 +371,10 @@ def _hit_zone(base_a: geo.AnnulusSpec, base_b: geo.AnnulusSpec) -> _HitZone:
     w = math.sqrt(float(dc @ dc))
     e0 = float(c @ dc) - 1.0
     lo_d, hi_d = float(d.min()), float(d.max())
-    s0 = math.sqrt(1.0 - base_a.delta) * (1.0 - mu)
-    s1 = math.sqrt(1.0 + base_a.delta) * (1.0 + mu)
+    s0 = math.sqrt(1.0 - spec_a.delta) * (1.0 - mu)
+    s1 = math.sqrt(1.0 + spec_a.delta) * (1.0 + mu)
     size = (np.abs(ell_a.centre) + s1 * ell_a.radii + np.abs(ell_b.centre)) / ell_b.radii
-    lim = base_b.delta + mu * (1.0 + float(size @ size))
+    lim = spec_b.delta + mu * (1.0 + float(size @ size))
     spread = hi_d * s1 * s1 + abs(e0) + lim
     if 2.0 * w * s0 <= mu * spread:
         lim += 2.0 * w * s1
@@ -353,21 +393,19 @@ def _hit_zone(base_a: geo.AnnulusSpec, base_b: geo.AnnulusSpec) -> _HitZone:
 def _zone_hits(
     spec_a, spec_b, zone: _HitZone, rng: np.random.Generator, k: int
 ) -> tuple[int, Array]:
-    """``(drawn, hits)`` of ``k`` uniform points of ``spec_a``'s base shell:
+    """``(drawn, hits)`` of ``k`` uniform points of ``spec_a``'s plain shell:
     how many have their direction in ``zone`` (only those are drawn), and
     the reference points among them that ``spec_a``'s refinement and
     ``spec_b`` accept."""
-    base_a, axis_a = geo._spec_parts(spec_a)
-    ell = base_a.ellipsoid
+    ell = spec_a.ellipsoid
     drawn = int(rng.binomial(k, zone.mass))
-    omega = zone.directions(rng, drawn)
-    _to_shell(omega, rng.random(drawn), (1.0 - base_a.delta, 1.0 + base_a.delta))
+    omega = zone.shell_points(rng, drawn, spec_a.delta)
     # on the unit reference shell the map 0 + 1*omega is the identity
     unit = not np.any(ell.centre) and bool(np.all(ell.radii == 1.0))
     y = omega if unit else geo.affine_map(ell.centre, ell.radii, omega)
     hit = geo.annulus_contains(spec_b, y)
-    if axis_a is not None:
-        hit &= geo.refinement_indicator(omega, axis_a)
+    if spec_a.axis is not None:
+        hit &= geo.refinement_indicator(omega, spec_a.axis)
     return drawn, omega[hit]
 
 
@@ -412,11 +450,9 @@ def volume_bound_scan(
         r1 = lo + (hi - lo) * r_rng.random(n)
         r2 = lo + (hi - lo) * r_rng.random(n)
         dtilde = geo.perturbed_axis_direction(axis, r1)
-        spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta)
-        spec_b = geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta)
-        if refined:
-            spec_a = geo.RefinedAnnulusSpec(spec_a, axis)
-            spec_b = geo.RefinedAnnulusSpec(spec_b, axis)
+        refinement = axis if refined else None
+        spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta, refinement)
+        spec_b = geo.AnnulusSpec(geo.Ellipsoid(t * dtilde, r2 / r1), delta, refinement)
         est = intersection_volume(
             spec_a, spec_b, m, seed, stream=derive_stream(key, delta, t, trial)
         )

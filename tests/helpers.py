@@ -50,20 +50,19 @@ def grid_area_2d(indicator, lo, hi, cells: int = 4096) -> float:
 
 def brute_intersection_volume(spec_a, spec_b, m: int, seed: int, stream: int = 0):
     """``(estimate, hits)`` of ``intersection_volume`` by drawing all ``m``
-    points of ``spec_a``'s base shell and scoring each: the route the hit
+    points of ``spec_a``'s plain shell and scoring each: the route the hit
     zone replaces, on the same chunk streams.  ``hits`` holds the accepted
     reference points, chunk by chunk in completion order."""
-    base_a, axis_a = geo._spec_parts(spec_a)
-    ell = base_a.ellipsoid
-    v_base = vol.shell_volume(ell.radii, base_a.delta)
-    sampler = vol.reference_shell_sampler(base_a.delta, base_a.n)
+    ell = spec_a.ellipsoid
+    v_base = vol.shell_volume(ell.radii, spec_a.delta)
+    sampler = vol.reference_shell_sampler(spec_a.delta, spec_a.n)
     hits = []
 
     def values(rng: np.random.Generator, k: int) -> np.ndarray:
         omega = sampler(rng, k)
         hit = np.ones(k, dtype=bool)
-        if axis_a is not None:
-            hit &= geo.refinement_indicator(omega, axis_a)
+        if spec_a.axis is not None:
+            hit &= geo.refinement_indicator(omega, spec_a.axis)
         hit &= geo.annulus_contains(spec_b, geo.affine_map(ell.centre, ell.radii, omega))
         hits.append(omega[hit])
         return v_base * hit

@@ -40,6 +40,9 @@ def test_package_exports_resolve():
         (mc.MCEstimate, "consistent_with"),
         (geometry, "AxisFrame"),
         (geometry, "_resolve_cut"),
+        (geometry, "RefinedAnnulusSpec"),
+        (geometry, "_spec_parts"),
+        (homoeoid, "RefinedAnnulusSpec"),
         (maximal.Field, "from_callable"),
         (knapp.CounterexampleField, "field"),
     ],
@@ -69,7 +72,7 @@ def test_retired_functions_are_gone(owner, name):
         (geometry.shell_membership, ["cut"]),
         (geometry.covering_margin, ["cut"]),
         (geometry.restricted_radii_box, ["cut"]),
-        (geometry.RefinedAnnulusSpec, ["cut"]),
+        (geometry.AnnulusSpec, ["cut"]),
         (geometry.TangencyConfig, ["frame"]),
         (geometry.affine_map, ["inverse"]),
         (multiplicity.EllipsoidFamily, ["cut"]),
@@ -87,7 +90,7 @@ def test_retired_keywords_are_gone(fn, knobs):
 SHARED_PRIVATE = {
     "_shell_width",
     "_width_grid",
-    "_spec_parts",
+    "_HitZone",
     "_minor_core",
     "_axis_minors_core",
     "_system_jacobian_core",

@@ -1,5 +1,6 @@
 """Tests for the slab exponent experiment and the divergent shell series."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,27 @@ EXACT_L2_NORM_SQ = 32.0 * math.pi * math.log(2.0)  # closed form of the n=3 prof
 def tangency_pair(seed=7):
     xs, rs = knapp.sample_tangency_set(1, seed=seed)
     return xs[0], rs[0]
+
+
+def slab_edge_points(slab, x, r, delta):
+    """Points on the edges of ``slab``'s box along its normal: the box
+    corners, and where ``F(y) = sum(((y - x)/r)**2) - 1`` crosses ``-+delta``
+    (shrunk by 1e-9) on each edge, from the quadratic ``F`` along it."""
+    n = slab.n
+    half = 0.5 * math.sqrt(slab.delta)
+    normal = slab.frame[n - 1]
+    found = []
+    for signs in itertools.product((-half, half), repeat=n - 1):
+        base = np.array(signs) @ slab.frame[: n - 1]
+        a, b = (base - x) / r, normal / r  # (y(s) - x)/r = a + s*b
+        ends = [-0.5 * slab.delta, 0.5 * slab.delta]
+        for level in (-delta, delta):
+            c = a @ a - 1.0 - level * (1.0 - 1e-9)
+            disc = (a @ b) ** 2 - (b @ b) * c
+            if disc >= 0.0:
+                ends += [(-(a @ b) + side * math.sqrt(disc)) / (b @ b) for side in (-1.0, 1.0)]
+        found += [base + s * normal for s in ends if abs(s) <= 0.5 * slab.delta]
+    return np.array(found)
 
 
 def series_arrays(series):
@@ -102,18 +124,45 @@ class TestSampleTangencySet:
 
 
 class TestSlabShellAverage:
-    def test_agrees_with_uniform_shell_sampling(self):
+    @pytest.mark.parametrize("slab_width, delta", [(2**-5, 2**-5), (0.25, 2**-8)])
+    def test_agrees_with_uniform_shell_sampling(self, slab_width, delta):
+        # a wide slab against a thin shell: a cap sized from the shell width
+        # would miss most of the slab's preimage and read about 32x low
         x, r = tangency_pair(seed=2)
-        delta = 2**-5
-        slab = knapp.KnappSlab(delta, 3)
+        slab = knapp.KnappSlab(slab_width, 3)
         cap_value, cap_se = knapp.slab_shell_average(slab, x, r, delta, 200_000, seed=5)
         plain = annulus_average(
             slab.indicator(), geo.AnnulusSpec(geo.Ellipsoid(x, r), delta), 400_000, seed=5
         )
+        assert plain.value > 10.0 * plain.std_error
         z = abs(cap_value - plain.value) / math.hypot(cap_se, plain.std_error)
         assert z < 4.0
         # the whole point of the cap restriction: far smaller variance
         assert cap_se < 0.5 * plain.std_error
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cap_holds_planted_slab_points(self, n):
+        # slab points of the shell on the edges of the slab box along its
+        # normal: the box corners and the crossings of the shell's inner and
+        # outer ends; every one must have its direction in the cap.  The
+        # equal radii 0.57 at widths 1/2, n = 2, need the cap's 0.6*delta
+        # term; a thin shell under a wide slab needs the slab's half-diagonal
+        widths = [(0.5, 0.5), (0.5, 2**-8), (2**-8, 0.5), (0.25, 2**-4), (2**-4, 0.25)]
+        radii = [np.full(n, 0.57), np.ones(n), *knapp.sample_tangency_set(2, seed=n, rho=0.4, n=n)[1]]
+        planted = 0
+        for r in radii:
+            x = geo.contact_point(r)
+            for slab_width, delta in widths:
+                slab = knapp.KnappSlab(slab_width, n)
+                cap = knapp._slab_cap(slab, x, r, delta)
+                pts = slab_edge_points(slab, x, r, delta)
+                pts = pts[slab.contains(pts)]
+                pts = pts[geo.annulus_contains(geo.AnnulusSpec(geo.Ellipsoid(x, r), delta), pts)]
+                omega = (pts - x) / r
+                z = (omega / np.linalg.norm(omega, axis=1, keepdims=True)) @ cap.e
+                assert np.all(z >= cap.z_lo)
+                planted += pts.shape[0]
+        assert planted >= 30
 
     def test_deterministic(self):
         x, r = tangency_pair()
@@ -129,6 +178,9 @@ class TestSlabShellAverage:
         x, r = tangency_pair()
         with pytest.raises(ValueError):
             knapp.slab_shell_average(slab, x, r, 0.05, 1, seed=0)
+        for delta in (0.0, 0.75, 2.0):  # the shell width is checked like the slab's
+            with pytest.raises(ValueError):
+                knapp.slab_shell_average(slab, x, r, delta, 100, seed=0)
 
 
 class TestKnappExponent:

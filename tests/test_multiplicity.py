@@ -38,10 +38,11 @@ class TestEllipsoidFamily:
         assert isinstance(ell, geo.Ellipsoid)
         assert np.array_equal(ell.radii, fam.radii[1])
         refined = fam.spec(1)
-        assert isinstance(refined, geo.RefinedAnnulusSpec)
+        assert isinstance(refined, geo.AnnulusSpec)
         assert refined.axis == 2
         plain = fam.spec(1, refined=False)
         assert isinstance(plain, geo.AnnulusSpec)
+        assert plain.axis is None
         assert plain.delta == fam.delta
         assert len(fam) == 4
 

@@ -1,5 +1,6 @@
 """Tests for shell volumes, intersection estimates, bands, and clusters."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestIntersectionVolume:
 
     def test_refined_below_plain(self):
         plain = unit_shell(3, 0.1)
-        refined = geo.RefinedAnnulusSpec(plain, axis=0)
+        refined = dataclasses.replace(plain, axis=0)
         other = geo.AnnulusSpec(geo.Ellipsoid(np.full(3, 0.1), np.ones(3)), 0.1)
         est_plain = vol.intersection_volume(plain, other, 50_000, SEED, stream=1)
         est_ref = vol.intersection_volume(refined, other, 50_000, SEED, stream=1)
@@ -249,17 +250,12 @@ def scan_cell(n, delta, t, trial, seed, refined):
     rng = rng_stream(seed, derive_stream(f"{key}-radii", delta, t, trial))
     r1 = lo + (hi - lo) * rng.random(n)
     r2 = lo + (hi - lo) * rng.random(n)
-    spec_a = unit_shell(n, delta)
+    axis = 0 if refined else None
+    spec_a = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(n), np.ones(n)), delta, axis)
     spec_b = geo.AnnulusSpec(
-        geo.Ellipsoid(t * geo.perturbed_axis_direction(0, r1), r2 / r1), delta
+        geo.Ellipsoid(t * geo.perturbed_axis_direction(0, r1), r2 / r1), delta, axis
     )
-    if refined:
-        return geo.RefinedAnnulusSpec(spec_a, 0), geo.RefinedAnnulusSpec(spec_b, 0)
     return spec_a, spec_b
-
-
-def zone_of(spec_a, spec_b):
-    return vol._hit_zone(geo._spec_parts(spec_a)[0], geo._spec_parts(spec_b)[0])
 
 
 def zone_z(zone, points):
@@ -327,7 +323,7 @@ class TestHitZone:
         for delta in (2.0**-5, 2.0**-7, 2.0**-9):
             for t in (delta / 2.0, 4.0 * delta, 2.0**-4, 2.0**-2, 1.0):
                 spec_a, spec_b = scan_cell(n, delta, t, 0, SEED, refined)
-                zone = zone_of(spec_a, spec_b)
+                zone = vol._hit_zone(spec_a, spec_b)
                 _, pts = brute_intersection_volume(spec_a, spec_b, 1 << 15, SEED, stream=n)
                 z = zone_z(zone, pts)
                 assert np.all((zone.z_lo <= z) & (z <= zone.z_hi))
@@ -353,7 +349,7 @@ class TestHitZone:
         # u.e, so the zone's ends must sit on the extreme corners
         spec_a = unit_shell(n, 2.0**-5)
         spec_b = geo.AnnulusSpec(geo.Ellipsoid(np.array(centre), np.array(radii)), 2.0**-6)
-        zone = zone_of(spec_a, spec_b)
+        zone = vol._hit_zone(spec_a, spec_b)
         pts = edge_points(spec_a, spec_b, np.random.default_rng(n))
         pts = pts[geo.annulus_contains(spec_a, pts) & geo.annulus_contains(spec_b, pts)]
         assert pts.shape[0] > 500
@@ -372,7 +368,7 @@ class TestHitZone:
         w = math.sqrt(2.0 + delta_b)
         spec_a = unit_shell(3, 2.0**-5)
         spec_b = geo.AnnulusSpec(geo.Ellipsoid(w * e, np.ones(3)), delta_b)
-        zone = zone_of(spec_a, spec_b)
+        zone = vol._hit_zone(spec_a, spec_b)
         z_star = 1.0 / w  # F_B(u) = 1 - 2 w z + w**2 - 1 = delta_b at |u| = 1
         rng = np.random.default_rng(3)
         v = rng.standard_normal((256, 3))
@@ -387,21 +383,25 @@ class TestHitZone:
 
     def test_concentric_zone_is_whole_or_empty(self):
         spec = unit_shell(3, 0.1)
-        assert zone_of(spec, spec).mass == 1.0
+        assert vol._hit_zone(spec, spec).mass == 1.0
         assert vol.intersection_volume(spec, spec, 1000, SEED).drawn == 1000
         far = geo.AnnulusSpec(geo.Ellipsoid(np.zeros(3), np.full(3, 2.0)), 0.1)
-        assert zone_of(spec, far).mass == 0.0
+        assert vol._hit_zone(spec, far).mass == 0.0
         est = vol.intersection_volume(spec, far, 1000, SEED)
         assert est.value == 0.0 and est.drawn == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_zone_mass_against_closed_forms(self, n):
-        # the share of S^(n-1) with a <= u.e <= b: arcsine, uniform and
-        # semicircle laws of u.e at n = 2, 3, 4
+        # the share of S^(n-1) with a <= u.e <= b: the law of u.e has density
+        # proportional to (1 - z**2)**((n-3)/2), whose antiderivatives are
+        # below (each up to a constant)
         cdf = {
             2: lambda z: math.asin(z) / math.pi,
             3: lambda z: z / 2.0,
             4: lambda z: (z * math.sqrt(1.0 - z * z) + math.asin(z)) / math.pi,
+            5: lambda z: (3.0 * z - z**3) / 4.0,
+            6: lambda z: (z * (5.0 - 2.0 * z * z) * math.sqrt(1.0 - z * z) + 3.0 * math.asin(z))
+            / (3.0 * math.pi),
         }[n]
         e = np.eye(n)[n - 1]
         for a, b in [(-1.0, 1.0), (-0.3, 0.4), (0.9, 0.99), (-1.0, -0.999), (0.5, 0.5)]:
@@ -409,23 +409,40 @@ class TestHitZone:
             assert mass == pytest.approx(cdf(b) - cdf(a), rel=1e-12, abs=1e-15)
         assert vol._HitZone(e, 0.4, -0.3).mass == 0.0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_zone_directions_follow_the_sphere_law(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_polar_zone_mass_matches_the_cap_formula(self, n):
+        # the share of S^(n-1) with u.e >= c in the closed form the Knapp cap
+        # once used; near the pole the zone mass is taken on the upper tails,
+        # where 1 - betainc(...) would keep only ~1e-6 of it at n = 6
+        from scipy.special import betainc
+
+        e = np.eye(n)[0]
+        for height in (1e-4, 3e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0):
+            c = 1.0 - height
+            cap = 0.5 * float(betainc(0.5 * (n - 1), 0.5, 1.0 - c * c))
+            assert vol._HitZone(e, c, 1.0).mass == pytest.approx(cap, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "ends", [(-0.2, 0.6), (0.9998, 1.0), (-1.0, 1.0)], ids=["band", "polar", "whole"]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_zone_directions_follow_the_sphere_law(self, n, ends):
         # unit vectors of the zone whose u.e follows the conditioned law and
-        # whose remaining component is symmetric about e
+        # whose remaining component is symmetric about e: the inverse CDF at
+        # n = 2, 3, 6 and rejection at n = 4, 5
         from scipy.stats import kstest
 
         e = np.full(n, 1.0 / math.sqrt(n))
-        zone = vol._HitZone(e, -0.2, 0.6)
+        zone = vol._HitZone(e, *ends)
         u = zone.directions(rng_stream(SEED, n), 20_000)
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-15)
         z = u @ e
         assert np.all((zone.z_lo <= z + 1e-15) & (z - 1e-15 <= zone.z_hi))
-        lo = vol._HitZone(e, -1.0, zone.z_lo).mass
-        law = np.vectorize(lambda x: (vol._HitZone(e, -1.0, x).mass - lo) / zone.mass)
+        law = np.vectorize(lambda x: vol._HitZone(e, zone.z_lo, x).mass / zone.mass)
         assert kstest(z, law).pvalue > 1e-3
         rest = u - z[:, None] * e
-        assert np.all(np.abs(rest.mean(axis=0)) < 5.0 / math.sqrt(20_000))
+        scale = math.sqrt(np.mean(np.sum(rest * rest, axis=1)))  # tiny in the polar zone
+        assert np.all(np.abs(rest.mean(axis=0)) < 5.0 * scale / math.sqrt(20_000))
 
     def test_same_law_as_brute_route(self):
         # one refined scan cell, 200 seeds per route (disjoint, so the two
@@ -435,7 +452,7 @@ class TestHitZone:
         from scipy.stats import ks_2samp
 
         spec_a, spec_b = scan_cell(3, 2.0**-5, 2.0**-2, 0, 0, True)
-        zone = zone_of(spec_a, spec_b)
+        zone = vol._hit_zone(spec_a, spec_b)
         m = 1 << 13
         brute, drawn = [], []
         for seed in range(200):
@@ -455,7 +472,7 @@ class TestHitZone:
         spec_a, spec_b = scan_cell(3, 2.0**-7, 2.0**-2, 0, SEED, True)
         m = 70_000  # two mc_mean chunks
         est = vol.intersection_volume(spec_a, spec_b, m, SEED)
-        zone = zone_of(spec_a, spec_b)
+        zone = vol._hit_zone(spec_a, spec_b)
         assert est.n_samples == m
         assert 0 < est.drawn < m
         assert abs(est.drawn - m * zone.mass) <= 5.0 * math.sqrt(m * zone.mass)
@@ -474,15 +491,21 @@ class TestVolumeBoundScan:
             assert row["measured"] >= 0.0
             assert np.isfinite(row["ratio"])
 
-    def test_rows_equal_across_worker_counts(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_equal_across_worker_counts(self, monkeypatch, n):
+        # at n = 4 the zone draws u.e by rejection, so a chunk's uniform count
+        # varies; the chunk's own keyed stream must still fix every row
         def run(workers):
             monkeypatch.setenv("HOMOEOID_THREADS", workers)
             # 70_000 samples span two mc_mean chunks per cell
             return vol.volume_bound_scan(
-                deltas=[2**-5, 2**-6], ts=[0.25, 1.0], pairs=2, m=70_000, seed=SEED
+                deltas=[2**-5, 2**-6], ts=[0.25, 1.0], pairs=2, m=70_000, seed=SEED, n=n
             )
 
-        assert run("1") == run("2")  # bit-identical, not approximately equal
+        rows = run("1")
+        assert all(row["drawn"] > 0 for row in rows)
+        assert run("2") == rows  # bit-identical, not approximately equal
+        assert run("4") == rows
 
     def test_plain_scan_matches_explore_loop(self):
         # reference: the plain pairs built one by one on the "explore" streams
