@@ -43,15 +43,14 @@ form one interval, in closed form.  It is widened by a relative margin
 which covers the float affine map and membership kernel.  ``z`` has density
 proportional to ``(1 - z**2)**((n-3)/2)`` (``(1+z)/2`` is Beta((n-1)/2,
 (n-1)/2): uniform at n = 3, arcsine at n = 2), so the zone's mass is a
-difference of regularised incomplete beta functions (upper tails for a zone
-above the equator).  At n = 4, 5 the density is concave and ``z`` is drawn
-by rejection from the uniform on ``[z_lo, z_hi]``, which passes at least
-half of the candidates; at every other n, by the inverse of the incomplete
-beta function.  The rest of ``u`` is a uniform unit vector of ``e``'s
-orthogonal complement.  The zone ignores both refinements, so a refined and
-a plain ``spec_a`` on one stream draw the same points, and the refined hits
-are a subset of the plain ones.  The Knapp cap of
-:func:`homoeoid.knapp.slab_shell_average` is a zone with ``z_hi = 1``.
+difference of regularised incomplete beta functions (at n >= 4, upper tails
+for a zone above the equator).  ``z`` is drawn by their inverse at n = 2, 3,
+and by rejection from the uniform on ``[z_lo, z_hi]`` at n >= 4.  The rest
+of ``u`` is a uniform unit vector of ``e``'s orthogonal complement.  The zone
+ignores both refinements, so a refined and a plain ``spec_a`` on one stream
+draw the same points, and the refined hits are a subset of the plain ones.
+The Knapp cap of :func:`homoeoid.knapp.slab_shell_average` is a zone with
+``z_hi = 1``.
 
 :func:`low_jacobian_cluster` draws in a union ``K`` of ``(z, phi)`` cells.
 In n = 3 a uniform shell point ``s*u`` is a uniform point of the box ``(z,
@@ -284,22 +283,22 @@ class _HitZone:
 
     @property
     def mass(self) -> float:
-        """Share of the sphere's area that the zone covers; a zone above the
-        equator is measured on the upper tails, so that a small cap about
-        ``e`` keeps its relative accuracy."""
-        lo, hi = self._cdf(upper=self.z_lo > 0.0)
+        """Share of the sphere's area that the zone covers; at n >= 4 a zone
+        above the equator is measured on the upper tails, so a small cap keeps
+        its relative accuracy (n = 2, 3 use the lower tails that _z inverts)."""
+        lo, hi = self._cdf(upper=self.e.size >= 4 and self.z_lo > 0.0)
         return max(hi - lo, 0.0)
 
     def _z(self, rng: np.random.Generator, k: int) -> Array:
-        """``k`` i.i.d. draws of ``u.e`` for a uniform ``u`` of the zone.
-
-        At n = 4, 5 the density ``(1 - z**2)**((n-3)/2)`` is concave, so a
-        uniform candidate on ``[z_lo, z_hi]`` passes against the density's
-        peak on the zone with chance at least 1/2 (Devroye 1986, ch. II);
-        rounds of ``k - done`` candidates run until ``k`` have passed.  At
-        every other n, ``z`` is drawn by the inverse CDF."""
+        """``k`` i.i.d. draws of ``u.e`` for a uniform ``u`` of the zone: by the
+        inverse CDF at n = 2, 3; at n >= 4 by keeping a uniform candidate on
+        ``[z_lo, z_hi]`` when a uniform multiple of the density's peak on the
+        zone falls below its density ``(1 - z**2)**((n-3)/2)`` (Devroye 1986,
+        ch. II).  That is exact at any n and keeps a thin cap's resolution; at
+        least ``2/(n-1)`` of the candidates pass, fewest on a thin polar cap,
+        since ``(1 - z**2)/(1 - a**2) >= (1 - z)/(1 - a)`` for ``0 <= a <= z``."""
         n = self.e.size
-        if n not in (4, 5):
+        if n <= 3:
             from scipy.special import betaincinv
 
             a = 0.5 * (n - 1)
