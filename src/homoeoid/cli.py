@@ -46,6 +46,7 @@ from . import __version__
 from .fibres import trace_fibre
 from .identities import contact_jacobian_check, identity_suite, nondeg_bounds_scan
 from .knapp import (
+    critical_exponent,
     dyadic_block_slope,
     g_lp_norm,
     knapp_exponent,
@@ -59,6 +60,7 @@ from .volumes import (
     banded_intersection_scan,
     low_jacobian_cluster,
     seeded_cluster_configs,
+    sphere_area,
     volume_bound_scan,
 )
 
@@ -437,53 +439,39 @@ def _exp_l2_growth(
     return RunResult(config.experiment, tuple(scan.rows), metrics, (Gate("slope", "<=", 0.15),))
 
 
-_KNAPP_TARGETS = {1.5: (-1.0 / 3.0, 0.1), 2.0: (0.0, 0.05), 3.0: (1.0 / 3.0, 0.1)}
-
-
-def _knapp_target(p: float):
-    """Expected slope and tolerance at the calibrated exponents, else None."""
-
-    for key, target in _KNAPP_TARGETS.items():
-        if abs(p - key) < 1e-12:
-            return target
-    return None
-
-
 def _exp_knapp_exponent(config: RunConfig, *, m_x=64, rho=0.1) -> RunResult:
     deltas = _deltas(config, tuple(2.0**-k for k in range(4, 11)))
     m_s = config.samples or 8192
     scan = knapp_exponent(deltas, config.p, m_x=m_x, m_s=m_s, seed=config.seed, n=config.n, rho=rho)
-    target = _knapp_target(config.p)
+    n, p = config.n, config.p
+    # in one fraction: exactly -1/3, 0 and 1/3 at n = 3, p = 3/2, 2 and 3
+    expected = ((n - 1) * p - (n + 1)) / (2.0 * p)
+    tol = 0.05 if abs(p - critical_exponent(n)) < 1e-12 else 0.1
     # a width whose ratio is 0 leaves no power law to fit: a measured failure
     slope = math.nan if scan.fit is None else scan.fit.slope
-    metrics = {"slope": slope, "p": config.p, "fitted": scan.fit is not None}
-    gates = [Gate("fitted", "==", True)]
-    if target is not None:
-        expected, tol = target
-        metrics["expected_slope"] = expected
-        metrics["tolerance"] = tol
-        metrics["slope_gap"] = abs(slope - expected)
-        gates.append(Gate("slope_gap", "<=", tol))
-    return RunResult(config.experiment, tuple(scan.rows), metrics, tuple(gates))
+    metrics = {"slope": slope, "p": p, "fitted": scan.fit is not None}
+    metrics.update(expected_slope=expected, tolerance=tol, slope_gap=abs(slope - expected))
+    gates = (Gate("fitted", "==", True), Gate("slope_gap", "<=", tol))
+    return RunResult(config.experiment, tuple(scan.rows), metrics, gates)
 
 
-def _radial_l2_oracle(n: int, C: float) -> float:
-    """Midpoint-rule radial quadrature for the squared profile mass.
+def _radial_norm_oracle(n: int, C: float) -> float:
+    """Midpoint-rule radial quadrature for the profile's L^{p_c(n)} norm.
 
-    Substituting ``u = log2(1/|x'|)`` flattens the profile integrand into
-    ``u^(-2n/(n+1))`` on ``[1, inf)``; a fine midpoint rule on ``[1, 1e4]``
+    Substituting ``u = log2(1/|x'|)`` flattens the integrand of ``g**p_c``
+    into ``u^(-n/(n-1))`` on ``[1, inf)``; a fine midpoint rule on ``[1, 1e4]``
     plus the exact power-law tail gives an oracle independent of the
     windowed-quadrature route.
     """
 
-    beta = 2.0 * n / (n + 1.0)
+    beta = n / (n - 1.0)
     u_max = 1e4
     grid = np.linspace(1.0, u_max, 1_000_001)
     mids = 0.5 * (grid[1:] + grid[:-1])
     integral = float(np.sum(mids**-beta) * (grid[1] - grid[0]))
     integral += u_max ** (1.0 - beta) / (beta - 1.0)
     area = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-    return math.sqrt(2.0 * C * area * math.log(2.0) * integral)
+    return (2.0 * C * area * math.log(2.0) * integral) ** (1.0 / critical_exponent(n))
 
 
 def _dyadic_partial_sums(series) -> tuple:
@@ -508,8 +496,9 @@ def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
     fit = fit_power_law([row[0] for row in top], [row[1] for row in top])
     block_fit = dyadic_block_slope(series.partial_sums)
     offset_slope = _offset_power_fit(dyadic)
-    l2 = g_lp_norm(2.0, n=config.n, C=C)
-    oracle = _radial_l2_oracle(config.n, C)
+    # the l2_* keys hold the L^{p_c(n)} norm, the L^2 norm at n = 3
+    l2 = g_lp_norm(critical_exponent(config.n), n=config.n, C=C)
+    oracle = _radial_norm_oracle(config.n, C)
     divergent = math.isinf(g_lp_norm(2.5, n=config.n, C=C))
     sums = series.partial_sums
     errors = series.partial_sum_errors
@@ -535,11 +524,12 @@ def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
         "min_survivors": int(np.min(series.survivors)),
         "max_normal_extent": float(np.max(series.normal_extent)),
     }
+    growth = 1.0 / (config.n + 1)  # the series grows like L**(1/(n+1))
     gates = (
-        Gate("slope_dyadic_blocks", ">=", 0.20),
-        Gate("slope_dyadic_blocks", "<=", 0.30),
+        Gate("slope_dyadic_blocks", ">=", growth - 0.05),
+        Gate("slope_dyadic_blocks", "<=", growth + 0.05),
         Gate("l2_relative_gap", "<=", 0.01),
-        Gate("divergent_at_2_5", "==", True),
+        Gate("divergent_at_2_5", "==", 2.5 > critical_exponent(config.n)),
     )
     return RunResult(config.experiment, rows, metrics, gates)
 
@@ -578,8 +568,10 @@ def _exp_glpnorm(config: RunConfig, *, C=4.0) -> RunResult:
     rows = ({"p": config.p, "norm": norm, "finite": finite},)
     metrics = {"p": config.p, "norm": norm, "finite": finite}
     gates = ()
-    if abs(config.p - 2.0) < 1e-12 and config.n == 3:
-        exact = math.sqrt(8.0 * math.pi * C * math.log(2.0))
+    n, p_c = config.n, critical_exponent(config.n)
+    if abs(config.p - p_c) < 1e-12:
+        # at p_c the radial integral of u**(-n/(n-1)) over [1, inf) is n - 1
+        exact = (2 * (n - 1) * C * sphere_area(n - 1) * math.log(2.0)) ** (1.0 / p_c)
         metrics["exact"] = exact
         metrics["gap"] = abs(norm - exact)
         gates = (Gate("gap", "<=", 0.01 * exact),)

@@ -1,16 +1,18 @@
 """Necessity-side experiments: slab scaling exponents and the divergent series.
 
-Two constructions live here.  The first is the classical slab example — an
-indicator of a ``delta x sqrt(delta) x ... x sqrt(delta)`` box tangent to the
-diagonal direction — whose averages against tangency-configured shells scale
-like ``delta**((n-1)/2)``; comparing with the slab's own L^p norm produces
-scaling exponents that change sign across p = (n+1)/(n-1).  The second is the
-counterexample profile ``g``: a tangentially singular function, finite in L^p
-up to the critical exponent, whose surface integrals over dyadic tangential
-shells of a tangency configuration form a divergent series.  The field's
-opening constant ``C`` must be at least 1 wherever it is taken (the field,
-its L^p norm and the shell series), and the series' growth exponent is read
-from its dyadic block sums (:func:`dyadic_block_slope`).
+Both constructions are predicted through the critical exponent ``p_c(n) =
+(n+1)/(n-1)`` of :func:`critical_exponent`.  The first is the classical slab
+example — an indicator of a ``delta x sqrt(delta) x ... x sqrt(delta)`` box
+tangent to the diagonal direction — whose averages against
+tangency-configured shells scale like ``delta**((n-1)/2)``; against the
+slab's own L^p norm that gives the exponent ``((n-1)p - (n+1)) / (2p)``,
+which changes sign at ``p_c(n)``.  The second is the counterexample profile
+``g``: a tangentially singular function, in L^p up to ``p_c(n)``, whose
+surface integrals over dyadic tangential shells of a tangency configuration
+form a series growing like ``L**(1/(n+1))``.  The field's opening constant
+``C`` must be at least 1 wherever it is taken (the field, its L^p norm and
+the shell series), and the series' growth exponent is read from its dyadic
+block sums (:func:`dyadic_block_slope`).
 
 The shell series needs care at depth: shell ``l`` lives at tangential distance
 ``2**(-l/2)`` from the tangency point, far below float range once ``l`` is in
@@ -48,6 +50,7 @@ __all__ = [
     "ExponentScan",
     "CounterexampleField",
     "ShellSeries",
+    "critical_exponent",
     "diagonal_frame",
     "sample_tangency_set",
     "slab_shell_average",
@@ -57,6 +60,14 @@ __all__ = [
     "shell_partial_sums",
     "dyadic_block_slope",
 ]
+
+
+def critical_exponent(n: int) -> float:
+    """The exponent ``p_c(n) = (n+1)/(n-1)`` at which the slab ratio turns
+    from growth to decay and above which the profile ``g`` leaves L^p."""
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    return (n + 1) / (n - 1)
 
 
 def diagonal_frame(n: int) -> Array:

@@ -218,8 +218,7 @@ def discretised_maximal(
     if len(net.lo) != n:
         raise ValueError(f"net dimension {len(net.lo)} does not match points of dimension {n}")
     for axis in axes:
-        if not 0 <= axis < n:
-            raise ValueError(f"axis {axis} out of range for dimension {n}")
+        geo._check_axis(axis, n)
     sampler = reference_shell_sampler(delta, n)
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]

@@ -79,8 +79,7 @@ class EllipsoidFamily:
         if r.ndim != 2 or r.shape[0] != t.shape[0]:
             raise ValueError("radii must have one row per offset")
         n = r.shape[1]
-        if not 0 <= self.axis < n:
-            raise ValueError(f"axis {self.axis} out of range for dimension {n}")
+        geo._check_axis(self.axis, n)
         d = geo._shell_width(self.delta)
         if t.shape[0] > math.floor(2.0 / d) + 1:
             raise ValueError("too many members for a delta-separated family in [-1, 1]")
@@ -163,8 +162,7 @@ def refined_shell_volume(radii: Array, delta: float, axis: int) -> float:
 
     r = np.asarray(radii, dtype=float)
     n = r.shape[0]
-    if not 0 <= axis < n:
-        raise ValueError(f"axis {axis} out of range for dimension {n}")
+    geo._check_axis(axis, n)
     return float(np.prod(r)) * _refined_reference_volume(n, geo._shell_width(delta))
 
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: the thirteen headline checks, one test per criterion.
+"""Acceptance suite: the fourteen headline checks, one test per criterion.
 
 Each test prints a single ``criterion NN: PASS/FAIL`` line with the measured
 figures (visible with ``pytest -v -rA`` or on failure) and then asserts the
@@ -20,6 +20,7 @@ from homoeoid import cli, geometry as geo, maximal
 from homoeoid.cli import RunConfig, run_experiment
 from homoeoid.fibres import trace_fibre
 from homoeoid.identities import contact_jacobian_check, identity_suite
+from homoeoid.knapp import critical_exponent
 from homoeoid.mc import derive_stream, rng_stream
 from homoeoid.multiplicity import direct_overlap_l2, generate_family, overlap_l2
 from homoeoid.volumes import reference_shell_sampler
@@ -295,6 +296,37 @@ def test_criterion_12_l2_growth():
         "bump-mixture fields: " + _gates(result, {"slope"}),
     )
     assert result.passed, detail
+
+
+def test_criterion_14_dimension_four():
+    # n = 4, where p_c = 5/3: every n-dependent gate comes from critical_exponent
+    start = time.perf_counter()
+    p_c = critical_exponent(4)
+    knapp_gates = {"fitted", "slope_gap"}
+    runs = [(RunConfig("knapp-exponent", n=4, seed=SEED, p=p), knapp_gates) for p in (1.5, p_c, 2.0)]
+    runs += [
+        (
+            RunConfig("divergence", n=4, seed=SEED),
+            {"slope_dyadic_blocks", "l2_relative_gap", "divergent_at_2_5"},
+        ),
+        (RunConfig("glpnorm", n=4, seed=SEED, p=p_c), {"gap"}),
+        (
+            RunConfig("volume-bound", n=4, seed=SEED, samples=100_000, overrides=(("pairs", 50),)),
+            {"drift"},
+        ),
+        (RunConfig("multiplicity", n=4, seed=SEED), {"drift"}),
+    ]
+    parts = []
+    ok = True
+    for config, gated in runs:
+        result = run_experiment(config)
+        ok = ok and result.passed
+        at_p = f" p={config.p:.4g}" if config.experiment in ("knapp-exponent", "glpnorm") else ""
+        parts.append(f"{config.experiment}{at_p}: " + _gates(result, gated))
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed <= 15.0
+    detail = _line(14, ok, " | ".join(parts) + f"; {elapsed:.1f}s (<=15s)")
+    assert ok, detail
 
 
 CHEAP_ARGS = {

@@ -88,6 +88,7 @@ def test_retired_keywords_are_gone(fn, knobs):
 # Private names that modules share on purpose: the validation helpers, and the
 # exact-arithmetic cores that the identity suite runs in both arithmetics.
 SHARED_PRIVATE = {
+    "_check_axis",
     "_shell_width",
     "_width_grid",
     "_HitZone",

@@ -117,7 +117,14 @@ class TestRunCommand:
         assert "bands needs samples >= 2" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_unfittable_knapp_scan_exits_one_with_rows(self, tmp_path, capsys):
+    def test_unfittable_knapp_scan_exits_one_with_rows(self, tmp_path, capsys, monkeypatch):
+        # no shell sample hits the slab at the middle width
+        average = knapp.slab_shell_average
+
+        def missing_middle(slab, x, r, delta, m, *, seed=0):
+            return (0.0, 0.0) if delta == 0.03125 else average(slab, x, r, delta, m, seed=seed)
+
+        monkeypatch.setattr(knapp, "slab_shell_average", missing_middle)
         argv = ("--experiment", "knapp-exponent", "--override", "m_x=2", "--samples", 2)
         argv += ("--delta-grid", "0.0625,0.03125,0.015625", "--out", tmp_path)
         assert run_cli("run", *argv) == 1
@@ -566,6 +573,51 @@ class TestGates:
         assert "margin" not in header
 
 
+class TestPredictions:
+    """Every n-dependent gate is a formula in ``knapp.critical_exponent(n)``;
+    at n = 3 each comes out as the exact n = 3 float."""
+
+    CHEAP = dict(deltas=(0.0625, 0.03125, 0.015625), samples=64, overrides=(("m_x", 2),))
+
+    @pytest.mark.parametrize(
+        "p, slope, tol", [(1.5, -1.0 / 3.0, 0.1), (2.0, 0.0, 0.05), (3.0, 1.0 / 3.0, 0.1)]
+    )
+    def test_knapp_targets_at_n3(self, p, slope, tol):
+        result = cli.run_experiment(cli.RunConfig("knapp-exponent", p=p, **self.CHEAP))
+        assert (result.metrics["expected_slope"], result.metrics["tolerance"]) == (slope, tol)
+        assert result.gates == (cli.Gate("fitted", "==", True), cli.Gate("slope_gap", "<=", tol))
+
+    def test_divergence_window_and_oracle_at_n3(self):
+        config = cli.RunConfig("divergence", samples=64, overrides=(("L", 16),))
+        result = cli.run_experiment(config)
+        assert result.gates == (
+            cli.Gate("slope_dyadic_blocks", ">=", 0.2),
+            cli.Gate("slope_dyadic_blocks", "<=", 0.3),
+            cli.Gate("l2_relative_gap", "<=", 0.01),
+            cli.Gate("divergent_at_2_5", "==", True),
+        )
+        assert result.metrics["l2_oracle"] == 8.347606673784481
+
+    def test_glpnorm_bound_at_n3(self):
+        result = cli.run_experiment(cli.RunConfig("glpnorm", p=2.0))
+        bound = 0.01 * math.sqrt(8 * math.pi * 4 * math.log(2))
+        assert result.gates == (cli.Gate("gap", "<=", bound),)
+
+    # n = 4 runs in acceptance criterion 14
+    @pytest.mark.parametrize("n, p", [(5, 1.5), (5, 2.0), (3, 1.2), (3, 2.5)])
+    def test_knapp_exponent_passes(self, tmp_path, capsys, n, p):
+        argv = ("--experiment", "knapp-exponent", "--n", n, "--p", p, "--out", tmp_path)
+        assert run_cli("run", *argv) == 0
+
+    @pytest.mark.parametrize("experiment", ["divergence", "glpnorm"])
+    def test_norm_experiments_pass_at_n5(self, tmp_path, capsys, experiment):
+        n, p_c = 5, knapp.critical_exponent(5)
+        argv = ("--experiment", experiment, "--n", n, "--p", repr(p_c), "--out", tmp_path)
+        assert run_cli("run", *argv) == 0
+        gates = read_summary(tmp_path / f"{experiment}-seed0")["gates"]
+        assert len(gates) == (4 if experiment == "divergence" else 1)
+
+
 class TestHelpers:
     def test_cell_formats(self):
         assert cli._cell(True) == "true"
@@ -607,12 +659,6 @@ class TestHelpers:
         else:
             value = cli._typed_override(key, raw, default)
             assert value == expected and type(value) is type(default)
-
-    def test_knapp_targets(self):
-        assert cli._knapp_target(1.5) == (-1.0 / 3.0, 0.1)
-        assert cli._knapp_target(2.0) == (0.0, 0.05)
-        assert cli._knapp_target(3.0) == (1.0 / 3.0, 0.1)
-        assert cli._knapp_target(2.5) is None
 
 
 class TestConsoleEntry:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from homoeoid import geometry as geo
+from homoeoid import maximal, multiplicity
 
 from helpers import fd_jacobian_richardson
 
@@ -461,3 +462,28 @@ class TestValidation:
     def test_refinement_indicator_rejects_axis_out_of_range(self, axis):
         with pytest.raises(ValueError, match=f"axis {axis} out of range for dimension 3"):
             geo.refinement_indicator(np.full((4, 3), 0.9), axis)
+
+    @pytest.mark.parametrize("axis", [3, -1])
+    @pytest.mark.parametrize(
+        "caller", ["discretised_maximal", "EllipsoidFamily", "refined_shell_volume"]
+    )
+    def test_callers_share_the_axis_check(self, caller, axis):
+        lo, hi = geo.restricted_radii_box(3)
+        calls = {
+            "discretised_maximal": lambda: maximal.discretised_maximal(
+                maximal.Field(lambda pts: np.ones(pts.shape[:-1]), -np.ones(3), np.ones(3)),
+                np.zeros((1, 3)),
+                0.1,
+                maximal.RadiiNet(lo, hi, hi[0] - lo[0]),
+                m=4,
+                seed=0,
+                stream=0,
+                axes=(axis,),
+            ),
+            "EllipsoidFamily": lambda: multiplicity.EllipsoidFamily(
+                axis, 0.1, np.zeros(1), np.ones((1, 3))
+            ),
+            "refined_shell_volume": lambda: multiplicity.refined_shell_volume(np.ones(3), 0.1, axis),
+        }
+        with pytest.raises(ValueError, match=f"^axis {axis} out of range for dimension 3$"):
+            calls[caller]()

@@ -46,6 +46,12 @@ def series_arrays(series):
     return series.terms, series.std_errors, series.survivors, series.normal_extent
 
 
+def test_critical_exponent():
+    assert [knapp.critical_exponent(n) for n in (2, 3, 4, 5)] == [3.0, 2.0, 5 / 3, 1.5]
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        knapp.critical_exponent(1)
+
+
 class TestDiagonalFrame:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_orthogonal_with_diagonal_last_row(self, n):
@@ -205,7 +211,14 @@ class TestKnappExponent:
         b = knapp.knapp_exponent(self.DELTAS[:3], 2.0, 8, 512, seed=4)
         assert a.fit == b.fit
 
-    def test_zero_ratio_keeps_rows_without_fit(self):
+    def test_zero_ratio_keeps_rows_without_fit(self, monkeypatch):
+        # no shell sample hits the slab at the middle width
+        average = knapp.slab_shell_average
+
+        def missing_middle(slab, x, r, delta, m, *, seed=0):
+            return (0.0, 0.0) if delta == 0.03125 else average(slab, x, r, delta, m, seed=seed)
+
+        monkeypatch.setattr(knapp, "slab_shell_average", missing_middle)
         scan = knapp.knapp_exponent([0.0625, 0.03125, 0.015625], 2.0, 2, 2, seed=0)
         assert scan.fit is None
         assert [row["delta"] for row in scan.rows] == [0.0625, 0.03125, 0.015625]
