@@ -13,9 +13,9 @@ exactly; timestamps and the worker count live only in the summary.  The JSON
 artifacts are strict: a non-finite float is written as the string ``"inf"``,
 ``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 every gate
 holds, 1 a gate failed, 2 the configuration was invalid (an unknown or
-mistyped override, a non-finite ``p`` or delta, a non-positive ``rho`` or an
-opening constant ``C`` below 1) or artifacts could not be written.  Every
-artifact is written to a temporary file and renamed into place.
+mistyped override, a non-finite ``p`` or delta, or an opening constant ``C``
+below 1) or artifacts could not be written.  Every artifact is written to a
+temporary file and renamed into place.
 
 ``report`` merges the summaries under an output directory into a single
 ``report.json`` (ordered by experiment then seed, corrupt or incomplete runs
@@ -37,6 +37,7 @@ import operator
 import os
 import sys
 import uuid
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -213,22 +214,12 @@ def _exp_identities(config: RunConfig, *, rational_trials=50) -> RunResult:
 def _exp_nondeg(config: RunConfig, *, generic_per_n=20, bound_trials=300) -> RunResult:
     n_list = tuple(range(2, max(config.n, 3) + 1))
     report = contact_jacobian_check(n_list=n_list, seed=config.seed, generic_per_n=generic_per_n)
-    rows = []
-    min_abs_det = math.inf
-    for n in n_list:
-        d = report.details[n]
-        min_abs_det = min(min_abs_det, abs(d["det_at_three_halves"]))
-        rows.append(
-            {
-                "n": n,
-                "isotropic_measured": d["isotropic_measured"],
-                "isotropic_closed_form": d["isotropic_closed_form"],
-                "isotropic_spread": d["isotropic_spread"],
-                "det_at_three_halves": d["det_at_three_halves"],
-                "alternate_ratio": d["alternate_ratio"],
-                "variant_diagonal_max_gap": d["variant_diagonal_max_gap"],
-            }
-        )
+    columns = (
+        "isotropic_measured", "isotropic_closed_form", "isotropic_spread",
+        "det_at_three_halves", "alternate_ratio", "variant_diagonal_max_gap",
+    )
+    rows = [{"n": n, **{c: report.details[n][c] for c in columns}} for n in n_list]
+    min_abs_det = min(abs(row["det_at_three_halves"]) for row in rows)
     scan = nondeg_bounds_scan(config.n, trials=bound_trials, seed=config.seed)
     metrics = {
         "max_relative_residual": report.max_relative_residual,
@@ -366,36 +357,32 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
 
 
 def _fibre_config(seed: int, trial: int, n: int):
-    """A seeded level-set configuration whose fibre is non-empty."""
+    """A seeded level-set configuration whose fibre is non-empty, and the
+    radius of the ball its length is measured in, drawn after it."""
 
     for attempt in range(25):
-        rng = rng_stream(seed, derive_stream("fibre-config", trial, attempt))
+        rng = rng_stream(seed, derive_stream("fibre-accept", trial, attempt))
         x = rng.uniform(-0.2, 0.2, n)
         radii = rng.uniform(0.9, 1.35, n)
         levels = rng.uniform(-0.05, 0.05, 2)
+        rho = float(rng.uniform(0.1, 0.4))
         try:
-            return trace_fibre(x, radii, levels, step=0.01, seed=trial)
+            return trace_fibre(x, radii, levels, step=0.01, seed=trial), rho
         except ValueError:
             continue
     raise ValueError("could not find a non-empty fibre configuration")
 
 
-def _exp_fibre(config: RunConfig, *, trials=12, rho=0.2) -> RunResult:
-    if not rho > 0:
-        raise ValueError(f"override rho must be positive, got {rho}")
+def _exp_fibre(config: RunConfig, *, trials=12) -> RunResult:
     if config.n != 3:
         raise ValueError("fibre tracing is implemented for dimension 3")
     calibration = trace_fibre(np.zeros(3), np.array([1.2, 1.0, 1.0]), np.zeros(2), step=0.01, seed=3)
     rows = []
-    ratios = []
     for trial in range(trials):
-        trace = _fibre_config(config.seed, trial, config.n)
-        centre = trace.points[trace.points.shape[0] // 3]
-        for radius in (rho, rho / 2.0):
-            length = trace.length_in_ball(centre, radius)
-            ratio = length / radius
-            ratios.append(ratio)
-            rows.append({"seed": trial, "rho": radius, "length": length, "ratio": ratio})
+        trace, rho = _fibre_config(config.seed, trial, config.n)
+        length = trace.length_in_ball(trace.points[trace.points.shape[0] // 3], rho)
+        rows.append({"seed": trial, "rho": rho, "length": length, "ratio": length / rho})
+    ratios = [row["ratio"] for row in rows]
     metrics = {
         "calibration_length": calibration.length,
         "calibration_gap": abs(calibration.length - 2.0 * math.pi),
@@ -797,6 +784,16 @@ def _parse_delta_grid(raw: Optional[str]) -> Optional[tuple]:
     return tuple(sorted(values, reverse=True))
 
 
+def _parse_p(raw: str) -> float:
+    """``--p`` as a float or an exact fraction: ``5/3`` is p_c(4) bit for bit."""
+    with contextlib.suppress(ValueError):
+        return float(raw)
+    try:
+        return float(Fraction(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"p must be a number or a fraction, got {raw!r}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="homoeoid", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -806,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--delta-grid", default=None, help="comma-separated shell widths")
     run.add_argument("--samples", type=int, default=None)
-    run.add_argument("--p", type=float, default=2.0)
+    run.add_argument("--p", type=_parse_p, default=2.0)
     run.add_argument("--out", default="runs")
     run.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE", help="repeatable"

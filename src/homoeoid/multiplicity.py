@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -538,7 +538,6 @@ class MultiplicityScan:
 def multiplicity_scan(
     axis: int,
     deltas: Sequence[float],
-    count_rule: Optional[Callable[[float], int]] = None,
     trials: int = 4,
     m: int = 4096,
     *,
@@ -547,23 +546,22 @@ def multiplicity_scan(
 ) -> MultiplicityScan:
     """Measure the overlap constant ``C(delta)`` over seeded random families.
 
-    For each ``delta`` the member count is ``count_rule(delta)`` (default
-    ``floor(1/delta)``); every trial draws a fresh family and estimates the
-    counting-function norm both refined and plain, recording ``C = norm /
-    (log(1/delta) * sqrt(delta) * sqrt(N))``.  Each row carries the derived
+    For each ``delta`` the member count is ``N = floor(1/delta)``; every
+    trial draws a fresh family and estimates the counting-function norm both
+    refined and plain, recording ``C = norm / (log(1/delta) * sqrt(delta) *
+    sqrt(N))``.  Each row carries the derived
     ``trial_seed`` that reproduces its family and estimate in isolation.
     """
 
     ds = geo._width_grid(deltas)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rule = count_rule if count_rule is not None else lambda d: int(math.floor(1.0 / d))
     rows = []
     worst: dict = {}
     worst_plain: dict = {}
     total_drawn = 0
     for i_delta, delta in enumerate(ds):
-        count = int(rule(delta))
+        count = math.floor(1.0 / delta)
         bound = math.log(1.0 / delta) * math.sqrt(delta) * math.sqrt(count)
         for trial in range(trials):
             trial_seed = derive_stream("multiplicity-trial", seed, i_delta, trial)

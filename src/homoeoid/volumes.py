@@ -357,10 +357,14 @@ def _hit_zone(spec_a: geo.AnnulusSpec, spec_b: geo.AnnulusSpec) -> _HitZone:
     or ``s1``.  ``F_B`` is continuous on the connected ``(a, s)`` box, so
     both hold iff some ``(a, s)`` gives ``|F_B| < lim``.  ``lim`` is
     ``delta_b`` plus the rounding margin, and ``s0``, ``s1`` and the ends
-    are widened by it too.  When ``2 w s`` is within the margin of zero (a
-    concentric pair, ``spec_b == spec_a`` among them) the zone is the whole
-    sphere or empty, by the same test with ``|2 w z s| <= 2 w s1`` added
-    to ``lim``.
+    are widened by it too.  No float point can reach the end ``slack``: each
+    ``|(D c)_i| <= size_i**2 / s1``, so ``2 w s <= 2 size@size``, and the
+    margin in ``lim`` moves each unclipped end out by nearly ``mu / 2`` more
+    than the float test's rounding needs, far above the few-eps rounding of
+    the end formulas that the slack covers.  When ``2 w s`` is within the
+    margin of zero (a concentric pair, ``spec_b == spec_a`` among them) the
+    zone is the whole sphere or empty, by the same test with ``|2 w z s| <=
+    2 w s1`` added to ``lim``.
     """
     ell_a, ell_b = spec_a.ellipsoid, spec_b.ellipsoid
     mu = _ZONE_ROUNDING

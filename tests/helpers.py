@@ -92,3 +92,16 @@ def per_radius_net_sups(f, xs, delta, net, m, seed, stream, axes=()):
         for row, mask in enumerate(masks, 1):
             np.maximum(best[row], np.mean(values * mask, axis=1), out=best[row])
     return best
+
+
+def last_counted(accepts, inside, outside, rounds=80):
+    """Bisect each ``(inside, outside)`` parameter pair to the last value
+    ``accepts`` still takes, to within the spacing of the floats there."""
+    inside, outside = np.array(inside, dtype=float), np.array(outside, dtype=float)
+    assert accepts(inside).all() and not accepts(outside).any()
+    for _ in range(rounds):
+        middle = 0.5 * (inside + outside)
+        ok = accepts(middle)
+        inside = np.where(ok, middle, inside)
+        outside = np.where(ok, outside, middle)
+    return inside

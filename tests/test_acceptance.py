@@ -18,8 +18,6 @@ import numpy as np
 
 from homoeoid import cli, geometry as geo, maximal
 from homoeoid.cli import RunConfig, run_experiment
-from homoeoid.fibres import trace_fibre
-from homoeoid.identities import contact_jacobian_check, identity_suite
 from homoeoid.knapp import critical_exponent
 from homoeoid.mc import derive_stream, rng_stream
 from homoeoid.multiplicity import direct_overlap_l2, generate_family, overlap_l2
@@ -49,23 +47,42 @@ def _gates(result, gated: set) -> str:
     )
 
 
-def test_criterion_01_identity_suite():
+def _run(runs, label=lambda config, result: ""):
+    """Run each ``(config, gated metrics)`` pair in turn.
+
+    Returns the results, whether every run passed, the runs' gates as text
+    (each after ``label(config, result)``, joined by `` | ``) and the seconds
+    the runs took.
+    """
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 9):
-        for report in identity_suite(n, 1000, seed=SEED):
-            worst = max(worst, report.max_relative_residual)
-    worst_rational = 0.0
-    for n in (2, 3, 4):
-        for report in identity_suite(n, 1000, seed=SEED, rational=True):
-            worst_rational = max(worst_rational, report.max_relative_residual)
+    results, parts = [], []
+    for config, gated in runs:
+        result = run_experiment(config)
+        results.append(result)
+        parts.append(label(config, result) + _gates(result, gated))
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and worst_rational == 0.0 and elapsed < 10.0
+    return results, all(r.passed for r in results), " | ".join(parts), elapsed
+
+
+def test_criterion_01_identity_suite():
+    # the exact-rational mode runs at n <= 4 only
+    runs = [
+        (
+            RunConfig("identities", n=n, seed=SEED, overrides=(("rational_trials", 1000),)),
+            {"max_relative_residual"} | ({"rational_residual"} if n <= 4 else set()),
+        )
+        for n in range(2, 9)
+    ]
+    results, ok, gates, elapsed = _run(runs, lambda config, result: f"n={config.n}: ")
+    worst = max(r.metrics["max_relative_residual"] for r in results)
+    rational = [r.metrics["rational_residual"] for r in results]
+    worst_rational = max(value for value in rational if value is not None)
+    ok = ok and elapsed < 10.0
     detail = _line(
         1,
         ok,
-        f"float residual {worst:.2e} (<1e-9, 1e3 trials, n=2..8), "
-        f"rational residual {worst_rational!r} (==0, n<=4), {elapsed:.1f}s (<10s)",
+        f"float residual {worst:.2e} (1e3 trials, n=2..8), rational residual "
+        f"{worst_rational!r} (n<=4): {gates}; {elapsed:.1f}s (<10s)",
     )
     assert ok, detail
 
@@ -102,114 +119,80 @@ def test_criterion_02_gram_minor_dual_path():
 
 
 def test_criterion_03_contact_jacobian():
-    start = time.perf_counter()
-    report = contact_jacobian_check(seed=SEED)
-    elapsed = time.perf_counter() - start
-    n2 = report.details[2]["isotropic_measured"]
-    min_det = min(abs(report.details[n]["det_at_three_halves"]) for n in range(2, 9))
-    ratios = [report.details[n]["alternate_ratio"] for n in range(2, 9)]
-    recorded = all(
-        "alternate_ratio" in report.details[n] and "alternate_closed_form" in report.details[n]
-        for n in range(2, 9)
+    # n = 2..8, 20 generic radii per n; the residual covers r-constancy and FD
+    gated = {"max_relative_residual", "min_abs_det_at_three_halves", "min_scaled_determinant"}
+    (result,), ok, gates, elapsed = _run([(RunConfig("nondeg", n=8, seed=SEED), gated)])
+    rows = result.rows
+    n2 = rows[0]["isotropic_measured"]
+    ratios = [row["alternate_ratio"] for row in rows]
+    recorded = [row["n"] for row in rows] == list(range(2, 9)) and all(
+        math.isfinite(r) and r > 0.0 for r in ratios
     )
-    ok = (
-        report.max_relative_residual <= 1e-6
-        and abs(n2 - 1.0) <= 1e-6
-        and min_det > 0.01
-        and recorded
-        and elapsed < 5.0
-    )
+    ok = ok and abs(n2 - 1.0) <= 1e-6 and recorded and elapsed < 5.0
     detail = _line(
         3,
         ok,
-        f"residual {report.max_relative_residual:.2e} (<=1e-6 covers r-constancy + FD), "
-        f"n=2 value {n2:.9f} (1 +- 1e-6), min |det| at 3/2 = {min_det:.3f} (>0.01), "
-        f"alternate-form ratios {min(ratios):.3f}..{max(ratios):.3f} recorded, "
-        f"{elapsed:.1f}s (<5s)",
+        f"n=2 value {n2:.9f} (1 +- 1e-6), min |det| at 3/2 = "
+        f"{result.metrics['min_abs_det_at_three_halves']:.3f}, alternate-form ratios "
+        f"{min(ratios):.3f}..{max(ratios):.3f} recorded; {gates}; {elapsed:.1f}s (<5s)",
     )
     assert ok, detail
 
 
 def test_criterion_04_volume_bound():
-    result = run_experiment(
-        RunConfig("volume-bound", seed=SEED, samples=100_000, overrides=(("pairs", 50),))
-    )
+    config = RunConfig("volume-bound", seed=SEED, samples=100_000, overrides=(("pairs", 50),))
+    (result,), ok, gates, _ = _run([(config, {"drift"})])
     worst = result.metrics["worst_ratio_per_delta"].values()
     detail = _line(
         4,
-        result.passed,
+        ok,
         f"per-delta worst measured/envelope in [{min(worst):.3f}, {max(worst):.3f}] over "
-        f"{len(result.rows)} pairs (5 deltas x 5 offsets x 50); "
-        + _gates(result, {"drift"}),
+        f"{len(result.rows)} pairs (5 deltas x 5 offsets x 50); {gates}",
     )
-    assert result.passed, detail
+    assert ok, detail
 
 
 def test_criterion_05_band_decomposition():
-    result = run_experiment(RunConfig("bands", seed=SEED))
+    _, ok, gates, _ = _run([(RunConfig("bands", seed=SEED), {"worst_partition_z", "drift"})])
     detail = _line(
         5,
-        result.passed,
+        ok,
         "all tangential/band/transversal parts <= C*delta^2/t (ratio drift), "
-        "partition vs total (worst z): " + _gates(result, {"worst_partition_z", "drift"}),
+        "partition vs total (worst z): " + gates,
     )
-    assert result.passed, detail
+    assert ok, detail
 
 
 def test_criterion_06_cluster_structure():
-    result = run_experiment(
-        RunConfig("clusters", seed=SEED, samples=1 << 21, overrides=(("configs", 100),))
-    )
+    config = RunConfig("clusters", seed=SEED, samples=1 << 21, overrides=(("configs", 100),))
+    (result,), ok, gates, _ = _run([(config, {"max_cluster_count", "halving_ratio"})])
     detail = _line(
         6,
-        result.passed,
+        ok,
         f"100 seeded configs: scaled-diameter constant "
         f"{result.metrics['diameter_constant']:.3f} -> "
-        f"{result.metrics['halved_constant']:.3f} under rho/2; "
-        + _gates(result, {"max_cluster_count", "halving_ratio"}),
+        f"{result.metrics['halved_constant']:.3f} under rho/2; {gates}",
     )
-    assert result.passed, detail
+    assert ok, detail
 
 
 def test_criterion_07_fibre_length():
-    start = time.perf_counter()
-    calibration = trace_fibre(
-        np.zeros(3), np.array([1.2, 1.0, 1.0]), np.zeros(2), step=0.01, seed=3
-    )
-    ratios = []
-    for trial in range(50):
-        trace = None
-        rho = None
-        for attempt in range(25):
-            rng = rng_stream(SEED, derive_stream("fibre-accept", trial, attempt))
-            x = rng.uniform(-0.2, 0.2, 3)
-            radii = rng.uniform(0.9, 1.35, 3)
-            levels = rng.uniform(-0.05, 0.05, 2)
-            rho = float(rng.uniform(0.1, 0.4))
-            try:
-                trace = trace_fibre(x, radii, levels, step=0.01, seed=trial)
-                break
-            except ValueError:
-                continue
-        assert trace is not None, f"no non-empty fibre for trial {trial}"
-        centre = trace.points[trace.points.shape[0] // 3]
-        ratios.append(trace.length_in_ball(centre, rho) / rho)
-    drift = max(ratios) / min(ratios)
-    gap = abs(calibration.length - 2.0 * math.pi)
-    elapsed = time.perf_counter() - start
-    ok = drift <= 4.0 and gap <= 1e-6 and elapsed < 60.0
+    # one rho per seeded config, drawn after it on the stream "fibre-accept"
+    config = RunConfig("fibre", seed=SEED, overrides=(("trials", 50),))
+    (result,), ok, gates, elapsed = _run([(config, {"calibration_gap", "ratio_drift"})])
+    ratios = [row["ratio"] for row in result.rows]
+    ok = ok and elapsed < 60.0
     detail = _line(
         7,
         ok,
-        f"length/rho in [{min(ratios):.3f}, {max(ratios):.3f}] over 50 configs, "
-        f"drift {drift:.2f} (<=4); calibration |length - 2pi| = {gap:.2e} (<=1e-6); "
-        f"{elapsed:.1f}s (<60s)",
+        f"length/rho in [{min(ratios):.3f}, {max(ratios):.3f}] over {len(ratios)} configs, "
+        f"calibration |length - 2pi| and drift: {gates}; {elapsed:.1f}s (<60s)",
     )
     assert ok, detail
 
 
 def test_criterion_08_multiplicity():
-    result = run_experiment(RunConfig("multiplicity", seed=SEED))
+    (result,), ok, gates, _ = _run([(RunConfig("multiplicity", seed=SEED), {"drift"})])
     constants = result.metrics["worst_refined"].values()
     family = generate_family(0, 2.0**-4, 8, seed=SEED)
     worst_z = 0.0
@@ -220,45 +203,39 @@ def test_criterion_08_multiplicity():
             pairwise.std_error, direct.std_error
         )
         worst_z = max(worst_z, z)
-    ok = result.passed and worst_z <= 3.0
+    ok = ok and worst_z <= 3.0
     detail = _line(
         8,
         ok,
         f"C(delta) in [{min(constants):.3f}, {max(constants):.3f}] for delta=2^-4..2^-8 "
-        f"at N=floor(1/delta), " + _gates(result, {"drift"})
-        + f"; N=8 pairwise-vs-direct worst z {worst_z:.2f} (<=3)",
+        f"at N=floor(1/delta), {gates}; N=8 pairwise-vs-direct worst z {worst_z:.2f} (<=3)",
     )
     assert ok, detail
 
 
 def test_criterion_09_knapp_exponents():
-    parts = []
-    ok = True
-    for p in (1.5, 2.0, 3.0):
-        result = run_experiment(RunConfig("knapp-exponent", seed=SEED, p=p))
+    def label(config, result):
         m = result.metrics
-        ok = ok and result.passed
-        parts.append(
-            f"p={p:g}: slope {m['slope']:+.4f} vs {m['expected_slope']:+.4f}, "
-            + _gates(result, {"fitted", "slope_gap"})
-        )
-    detail = _line(9, ok, " | ".join(parts) + " - sign change brackets the critical exponent 2")
+        return f"p={config.p:g}: slope {m['slope']:+.4f} vs {m['expected_slope']:+.4f}, "
+
+    gated = {"fitted", "slope_gap"}
+    runs = [(RunConfig("knapp-exponent", seed=SEED, p=p), gated) for p in (1.5, 2.0, 3.0)]
+    _, ok, gates, _ = _run(runs, label)
+    detail = _line(9, ok, gates + " - sign change brackets the critical exponent 2")
     assert ok, detail
 
 
 def test_criterion_10_divergence_series():
-    start = time.perf_counter()
-    result = run_experiment(RunConfig("divergence", seed=SEED))
-    elapsed = time.perf_counter() - start
-    m = result.metrics
-    ok = result.passed and elapsed < 60.0
     gated = {"slope_dyadic_blocks", "l2_relative_gap", "divergent_at_2_5"}
+    (result,), ok, gates, elapsed = _run([(RunConfig("divergence", seed=SEED), gated)])
+    m = result.metrics
+    ok = ok and elapsed < 60.0
     detail = _line(
         10,
         ok,
         f"dyadic block-sum slope over blocks j=10..12, L2 norm {m['l2_norm']:.4f} vs "
-        f"oracle {m['l2_oracle']:.4f}: " + _gates(result, gated)
-        + f"; not gated: top-window partial-sum slope {m['slope_top_window']:.4f}, "
+        f"oracle {m['l2_oracle']:.4f}: {gates}; not gated: top-window partial-sum slope "
+        f"{m['slope_top_window']:.4f}, "
         f"offset fit {m['slope_offset_fit']:.4f}; {elapsed:.1f}s (<60s)",
     )
     assert ok, detail
@@ -288,19 +265,18 @@ def test_criterion_11_domination_and_covering():
 
 
 def test_criterion_12_l2_growth():
-    result = run_experiment(RunConfig("l2-growth", seed=SEED))
+    _, ok, gates, _ = _run([(RunConfig("l2-growth", seed=SEED), {"slope"})])
     detail = _line(
         12,
-        result.passed,
+        ok,
         "log ||max-average f||_2 vs log(1/delta) over delta=2^-4..2^-8, seeded "
-        "bump-mixture fields: " + _gates(result, {"slope"}),
+        "bump-mixture fields: " + gates,
     )
-    assert result.passed, detail
+    assert ok, detail
 
 
 def test_criterion_14_dimension_four():
     # n = 4, where p_c = 5/3: every n-dependent gate comes from critical_exponent
-    start = time.perf_counter()
     p_c = critical_exponent(4)
     knapp_gates = {"fitted", "slope_gap"}
     runs = [(RunConfig("knapp-exponent", n=4, seed=SEED, p=p), knapp_gates) for p in (1.5, p_c, 2.0)]
@@ -316,16 +292,14 @@ def test_criterion_14_dimension_four():
         ),
         (RunConfig("multiplicity", n=4, seed=SEED), {"drift"}),
     ]
-    parts = []
-    ok = True
-    for config, gated in runs:
-        result = run_experiment(config)
-        ok = ok and result.passed
+
+    def label(config, result):
         at_p = f" p={config.p:.4g}" if config.experiment in ("knapp-exponent", "glpnorm") else ""
-        parts.append(f"{config.experiment}{at_p}: " + _gates(result, gated))
-    elapsed = time.perf_counter() - start
+        return f"{config.experiment}{at_p}: "
+
+    _, ok, gates, elapsed = _run(runs, label)
     ok = ok and elapsed <= 15.0
-    detail = _line(14, ok, " | ".join(parts) + f"; {elapsed:.1f}s (<=15s)")
+    detail = _line(14, ok, f"{gates}; {elapsed:.1f}s (<=15s)")
     assert ok, detail
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import homoeoid
-from homoeoid import fibres, geometry, identities, knapp, maximal, mc, multiplicity, volumes
+from homoeoid import cli, fibres, geometry, identities, knapp, maximal, mc, multiplicity, volumes
 
 MODULES = ["cli", "fibres", "geometry", "identities", "knapp", "maximal", "mc", "multiplicity", "volumes"]
 
@@ -78,6 +78,8 @@ def test_retired_functions_are_gone(owner, name):
         (multiplicity.EllipsoidFamily, ["cut"]),
         (multiplicity.refined_shell_volume, ["cut"]),
         (knapp.dyadic_block_slope, ["blocks"]),
+        (multiplicity.multiplicity_scan, ["count_rule"]),
+        (cli._exp_fibre, ["rho"]),
     ],
 )
 def test_retired_keywords_are_gone(fn, knobs):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from homoeoid import cli, knapp
-from homoeoid.mc import derive_stream
+from homoeoid.fibres import trace_fibre
+from homoeoid.mc import derive_stream, rng_stream
 from homoeoid.multiplicity import multiplicity_scan
 from homoeoid.volumes import low_jacobian_cluster, seeded_cluster_configs, volume_bound_scan
 
@@ -161,7 +162,7 @@ class TestRunCommand:
         "argv, message",
         [
             (
-                ("--experiment", "fibre", "--override", "rho=nan", "--override", "trials=1"),
+                ("--experiment", "knapp-exponent", "--override", "rho=nan"),
                 "override rho must be finite, got nan",
             ),
             (("--experiment", "glpnorm", "--p", "nan"), "p must be finite, got nan"),
@@ -187,8 +188,6 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "experiment, override, message",
         [
-            ("fibre", "rho=0", "override rho must be positive, got 0.0"),
-            ("fibre", "rho=-0.1", "override rho must be positive, got -0.1"),
             ("glpnorm", "C=-1", "opening constant C must be >= 1, got -1.0"),
             ("divergence", "C=0.5", "opening constant C must be >= 1, got 0.5"),
         ],
@@ -197,11 +196,53 @@ class TestRunCommand:
         self, tmp_path, capsys, experiment, override, message
     ):
         argv = ("--experiment", experiment, "--override", override, "--out", tmp_path)
-        if experiment == "fibre":
-            argv += ("--override", "trials=1")
         assert run_cli("run", *argv) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_p_given_as_a_fraction_is_exact(self, tmp_path, capsys):
+        # 1.6667 is not p_c(4) and runs no gate; 5/3 is p_c(4) bit for bit
+        argv = ("--experiment", "glpnorm", "--n", 4, "--p", "5/3", "--out", tmp_path)
+        assert run_cli("run", *argv) == 0
+        summary = read_summary(tmp_path / "glpnorm-seed0")
+        assert summary["config"]["p"] == knapp.critical_exponent(4)
+        assert [g["metric"] for g in summary["gates"]] == ["gap"]
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("1/0", "p must be a number or a fraction, got '1/0'"),
+            ("five", "p must be a number or a fraction, got 'five'"),
+            ("nan", "p must be finite, got nan"),
+        ],
+    )
+    def test_malformed_p_exits_two(self, tmp_path, capsys, raw, message):
+        assert run_cli("run", "--experiment", "glpnorm", "--p", raw, "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_fibre_rows_follow_the_accept_protocol(self):
+        # criterion 7's inputs, drawn by hand: per trial the first attempt on
+        # "fibre-accept" whose fibre is non-empty gives x, radii, levels and
+        # then rho, and the length is measured in the ball about the point a
+        # third of the way along the trace
+        result = cli.run_experiment(cli.RunConfig("fibre", overrides=(("trials", 2),)))
+        expected = []
+        for trial in range(2):
+            for attempt in range(25):
+                rng = rng_stream(0, derive_stream("fibre-accept", trial, attempt))
+                x = rng.uniform(-0.2, 0.2, 3)
+                radii = rng.uniform(0.9, 1.35, 3)
+                levels = rng.uniform(-0.05, 0.05, 2)
+                rho = float(rng.uniform(0.1, 0.4))
+                try:
+                    trace = trace_fibre(x, radii, levels, step=0.01, seed=trial)
+                    break
+                except ValueError:
+                    continue
+            length = trace.length_in_ball(trace.points[trace.points.shape[0] // 3], rho)
+            expected.append({"seed": trial, "rho": rho, "length": length, "ratio": length / rho})
+        assert result.rows == tuple(expected)
 
     def test_divergent_norm_is_strict_json(self, tmp_path, capsys):
         assert run_cli("run", "--experiment", "glpnorm", "--p", 2.5, "--out", tmp_path) == 0

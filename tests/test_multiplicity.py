@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import last_counted
 from homoeoid import geometry as geo
 from homoeoid import multiplicity
 from homoeoid.mc import MCEstimate, derive_stream, mc_mean, rng_stream
@@ -474,19 +475,6 @@ def kernel_counts(family, refined, points):
     return shell if sector is None else shell & sector
 
 
-def last_counted(accepts, inside, outside, rounds=80):
-    """Bisect each ``(inside, outside)`` parameter pair to the last value
-    ``accepts`` still takes, to within the spacing of the floats there."""
-    inside, outside = np.array(inside, dtype=float), np.array(outside, dtype=float)
-    assert accepts(inside).all() and not accepts(outside).any()
-    for _ in range(rounds):
-        middle = 0.5 * (inside + outside)
-        ok = accepts(middle)
-        inside = np.where(ok, middle, inside)
-        outside = np.where(ok, outside, middle)
-    return inside
-
-
 def round_family(n, axis, delta, count, seed):
     """A family whose members are balls, so the window's bounds are tight in
     every direction and its floor is tight for every member."""
@@ -627,10 +615,6 @@ class TestMultiplicityScan:
             assert est.value / row["bound"] == row["C"]
             drawn += est.n_samples if row["refined"] else 0  # both variants share a batch
         assert scan.drawn == drawn > 0
-
-    def test_custom_count_rule(self):
-        scan = multiplicity_scan(0, self.DELTAS, count_rule=lambda d: 4, trials=1, m=512, seed=0)
-        assert all(row["N"] == 4 for row in scan.rows)
 
     def test_deterministic(self):
         a = multiplicity_scan(0, self.DELTAS, trials=1, m=512, seed=5)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_intersection_volume
+from helpers import brute_intersection_volume, last_counted
 from homoeoid import geometry as geo
 from homoeoid import volumes as vol
 from homoeoid.mc import DEFAULT_CHUNK, derive_stream, rng_stream
@@ -380,6 +380,40 @@ class TestHitZone:
         z = zone_z(zone, pts)
         assert np.all((zone.z_lo <= z) & (z <= zone.z_hi))
         assert z.min() - zone.z_lo < 1e-7
+
+    def test_far_pair_edge_points_lie_in_zone(self):
+        # both shells 2e5 from the origin, off the offset's axis: the affine
+        # map rounds each coordinate by up to 2.9e-11 (half the float spacing
+        # at 2e5), so the float test accepts edge points about 5e-11 beyond
+        # the exact ends, past the end slack (about 1e-11 here).  Only the
+        # lim margin, which grows with the squared coordinate sizes, holds them
+        n, t, delta, rays = 3, 0.25, 2.0**-5, 256
+        e, shift = np.eye(n)[0], 2e5 * np.eye(n)[1]
+        spec_a = geo.AnnulusSpec(geo.Ellipsoid(shift, np.ones(n)), delta)
+        spec_b = geo.AnnulusSpec(geo.Ellipsoid(shift + t * e, np.ones(n)), delta)
+        zone = vol._hit_zone(spec_a, spec_b)
+        v = np.random.default_rng(1).standard_normal((rays, n))
+        v -= (v @ e)[:, None] * e
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        # F_B(s*u) = s**2 - 2 t s (u.e) + t**2 - 1 is delta at u.e = 0 on the
+        # inner edge s0 and -delta at u.e = exact_hi on the outer edge s1;
+        # bisect u.e on rays from inside the intersection out past each end
+        ends = []
+        s0, s1 = math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)
+        for s, inside, outside in ((s0, 0.06, -0.9), (s1, 0.18, 0.9)):
+
+            def omega(z, s=s):
+                return s * (z[:, None] * e + np.sqrt(1.0 - z * z)[:, None] * v)
+
+            def accepts(z, omega=omega):
+                return geo.annulus_contains(spec_b, geo.affine_map(shift, np.ones(n), omega(z)))
+
+            z = last_counted(accepts, np.full(rays, inside), np.full(rays, outside))
+            ends.append(zone_z(zone, omega(z)))
+        low, high = ends
+        exact_hi = (s1 * s1 + t * t - 1.0 + delta) / (2.0 * t * s1)
+        assert low.min() < -2e-11 and high.max() > exact_hi + 2e-11
+        assert np.all(low >= zone.z_lo) and np.all(high <= zone.z_hi)
 
     def test_concentric_zone_is_whole_or_empty(self):
         spec = unit_shell(3, 0.1)
