@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .maximal import Field
 from .mc import (
     DEFAULT_CHUNK,
     ScalingFit,
@@ -119,13 +118,9 @@ class KnappSlab:
         tangential = np.all(np.abs(coords[..., : self.n - 1]) <= half_width, axis=-1)
         return tangential & (np.abs(coords[..., self.n - 1]) <= 0.5 * self.delta)
 
-    def indicator(self) -> Field:
-        half_diag = 0.5 * math.sqrt((self.n - 1) * self.delta + self.delta**2)
-        return Field(
-            lambda pts: self.contains(pts).astype(float),
-            np.full(self.n, -half_diag),
-            np.full(self.n, half_diag),
-        )
+    def indicator(self) -> Callable[[Array], Array]:
+        """The slab's indicator as a field (a rotated box, not a product)."""
+        return lambda pts: self.contains(pts).astype(float)
 
 
 def sample_tangency_set(

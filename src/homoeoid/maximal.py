@@ -19,11 +19,14 @@ domination exact sample by sample, and a sub-net sup never exceeds the net
 sup; each average stays unbiased (common random numbers).
 :func:`annulus_average`, one shell's estimate, keys its own stream by
 ``(delta, centre, radii)``.
+Fields are sums of products of per-axis factors (as Gaussian bumps are), so
+the kernel evaluates axis ``j``'s factors once per net value of ``r_j``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -43,10 +46,6 @@ from .volumes import reference_shell_sampler
 
 Array = np.ndarray
 
-# points per field call in the net-sup kernel: large enough to amortise the
-# per-call cost, small enough for the block's temporaries to stay in cache
-_NET_BLOCK = DEFAULT_CHUNK // 4
-
 __all__ = [
     "Field",
     "RadiiNet",
@@ -65,26 +64,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _box(lo, hi, what: str) -> tuple[Array, Array]:
+    """The corners of a box with positive widths, as float vectors."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape or np.any(hi <= lo):
+        raise ValueError(f"{what} must be a box with positive widths")
+    return lo, hi
+
+
 @dataclasses.dataclass(frozen=True)
 class Field:
-    """A real field on R^n, forced to zero outside an axis-parallel box.
+    """A real product-form field on R^n, forced to zero outside an axis-parallel box.
 
-    ``evaluator`` must accept a ``(..., n)`` array of points and return the
-    matching batch of values; :meth:`__call__` applies the bounding-box mask
-    on top.
+    ``factors(j, t)`` returns a ``(C, *t.shape)`` array: term ``c``'s factor
+    along axis ``j`` at the coordinates ``t``.  The field is
+    ``sum_c prod_j factors(j, y_j)[c]``, with axis ``j``'s factors zeroed
+    where ``y_j`` leaves ``[lo_j, hi_j]``.  :meth:`__call__` multiplies the
+    factors in axis order and adds the terms to a zero total in term order;
+    :func:`discretised_maximal` keeps both orders on its per-axis tables.
     """
 
-    evaluator: Callable[[Array], Array]
+    factors: Callable[[int, Array], Array]
     lo: Array
     hi: Array
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("bounding box corners must be matching vectors")
-        if np.any(hi <= lo):
-            raise ValueError("bounding box must have positive widths")
+        lo, hi = _box(self.lo, self.hi, "bounding box")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -92,14 +97,24 @@ class Field:
     def n(self) -> int:
         return self.lo.shape[0]
 
+    def _tables(self, coords: Sequence[Array]) -> list[Array]:
+        """Axis ``j``'s factors at ``coords[j]``, zero outside the box, one C."""
+        tables: list[Array] = []
+        for j, t in enumerate(coords):
+            values = np.asarray(self.factors(j, t), dtype=float)
+            terms = len(tables[0]) if tables else len(values) if values.ndim else 0
+            if not terms or values.shape != (terms, *t.shape):
+                raise ValueError(f"factors({j}, t) has shape {values.shape}; want (C, *{t.shape})")
+            tables.append(np.where((t >= self.lo[j]) & (t <= self.hi[j]), values, 0.0))
+        return tables
+
     def __call__(self, points: Array) -> Array:
         pts = np.asarray(points, dtype=float)
-        inside = (pts[..., 0] >= self.lo[0]) & (pts[..., 0] <= self.hi[0])
-        for j in range(1, self.n):
-            inside &= pts[..., j] >= self.lo[j]
-            inside &= pts[..., j] <= self.hi[j]
-        values = np.asarray(self.evaluator(pts), dtype=float)
-        return np.where(inside, values, 0.0)
+        tables = self._tables([np.asarray(pts[..., j], order="C") for j in range(self.n)])
+        total = np.zeros(pts.shape[:-1])
+        for term in zip(*tables):
+            total += functools.reduce(np.multiply, term)  # in axis order
+        return total[()]  # a single point's 0-d total as a scalar
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +127,9 @@ class RadiiNet:
     """A finite grid of semi-axis vectors covering an axis-parallel box.
 
     Each axis is subdivided with spacing at most ``step`` (endpoints
-    included), and the net is the Cartesian product.  The net sup is the
-    object under test here; refining the net can only increase it.
+    included), and the net is the Cartesian product of the ``axes`` in C
+    order.  The net sup is the object under test here; refining the net can
+    only increase it.
     """
 
     lo: Array
@@ -121,10 +137,7 @@ class RadiiNet:
     step: float
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValueError("net domain must be a box with positive widths")
+        lo, hi = _box(self.lo, self.hi, "net domain")
         if not self.step > 0:
             raise ValueError("step must be positive")
         object.__setattr__(self, "lo", lo)
@@ -133,9 +146,11 @@ class RadiiNet:
             np.linspace(lo[i], hi[i], int(math.ceil((hi[i] - lo[i]) / self.step)) + 1)
             for i in range(lo.shape[0])
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        object.__setattr__(self, "points", np.stack([m.reshape(-1) for m in mesh], axis=-1))
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        object.__setattr__(self, "axes", tuple(axes))
+        object.__setattr__(self, "points", mesh.reshape(-1, lo.shape[0]))
 
+    axes: tuple[Array, ...] = dataclasses.field(init=False, repr=False)
     points: Array = dataclasses.field(init=False, repr=False)
 
     def __len__(self) -> int:
@@ -159,7 +174,7 @@ class RadiiNet:
 # ---------------------------------------------------------------------------
 
 
-def annulus_average(f: Field, spec, m: int, *, seed: int) -> MCEstimate:
+def annulus_average(f: Callable[[Array], Array], spec, m: int, *, seed: int) -> MCEstimate:
     """Average of ``|f|`` over the shell, refined pieces zero-extended.
 
     Plain specs give the mean of ``|f|`` over uniform shell samples.  Refined
@@ -201,47 +216,61 @@ def discretised_maximal(
     (zero-extended, plain normaliser).  One reference-shell batch of ``m``
     samples, keyed ``("scan-shell", delta, stream)``, serves every point,
     every net radius and every row, so a sub-net sup never exceeds the net
-    sup and the covering holds sample by sample.  ``f`` is called once per
-    block of net radii, on a ``(radii, len(xs), m, n)`` view of one
-    coordinate-major buffer of about ``DEFAULT_CHUNK // 4`` points, refilled
-    in place for each block, so each coordinate column it reads is
-    contiguous.  When ``len(xs) * m`` is larger, the points are blocked too:
-    each call takes one radius and ``max(1, DEFAULT_CHUNK // 4 // m)``
-    points.  Each radius's averages are means over ``m`` contiguous samples,
-    the bits a per-radius, per-point loop gives, and their max over the
-    block and the running max over blocks are exact.
+    sup and the covering holds sample by sample.  Coordinate ``j`` of
+    ``x + r * omega`` depends on ``r_j`` alone, so each block calls
+    ``f.factors`` once per axis on its ``(net.axes[j], points, m)``
+    coordinates and builds the ``(radii..., points, m)`` grid from those
+    tables in :meth:`Field.__call__`'s order: every value has the bits of a
+    pointwise evaluation, and every average is a mean over ``m`` contiguous
+    samples.  A block holds ``DEFAULT_CHUNK // (len(net) * m)`` points, or
+    one point and part of axis 0 when one point's grid is larger.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[1]
     if m < 1:
         raise ValueError("m must be at least 1")
-    if len(net.lo) != n:
-        raise ValueError(f"net dimension {len(net.lo)} does not match points of dimension {n}")
+    if len(net.lo) != n or f.n != n:
+        raise ValueError(f"net dimension {len(net.lo)}, field dimension {f.n}: points have {n}")
     for axis in axes:
         geo._check_axis(axis, n)
     sampler = reference_shell_sampler(delta, n)
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
-    if xs.shape[0] * m <= _NET_BLOCK:
-        width, block = xs.shape[0], min(len(net), _NET_BLOCK // (xs.shape[0] * m))
-    else:
-        width, block = max(1, _NET_BLOCK // m), 1  # blocks of points, one radius each
-    buffer = np.empty((n, block, width, m))
-    columns = [omega[:, j].copy() for j in range(n)]
+    k0 = len(net.axes[0])
+    per_value = len(net) // k0 * m  # one point's grid at one axis-0 value
+    width = max(1, DEFAULT_CHUNK // (per_value * k0))  # points per block
+    span = min(k0, max(1, DEFAULT_CHUNK // per_value))  # axis-0 values per block
+    buffers = np.empty((2, min(width, xs.shape[0]) * span * per_value))
     for first in range(0, xs.shape[0], width):
         x = xs[first : first + width]
         top = best[:, first : first + width]
-        for start in range(0, len(net), block):
-            radii = net.points[start : start + block]
-            points = buffer[:, : len(radii), : len(x)]
-            for j in range(n):
-                np.add((radii[:, j, None] * columns[j])[:, None, :], x[:, j, None], out=points[j])
-            values = np.abs(f(points.transpose(1, 2, 3, 0)))
-            np.maximum(top[0], np.mean(values, axis=-1).max(axis=0), out=top[0])
+        for start in range(0, k0, span):
+            radii = [net.axes[0][start : start + span], *net.axes[1:]]
+            coords = [
+                (r[:, None] * omega[:, j])[:, None, :] + x[:, j, None] for j, r in enumerate(radii)
+            ]
+            shape = (*(len(r) for r in radii), len(x), m)
+            total, scratch = (b[: math.prod(shape)].reshape(shape) for b in buffers)
+            grid = _grid_magnitudes(f, coords, total, scratch).reshape(-1, len(x), m)
+            np.maximum(top[0], np.mean(grid, axis=-1).max(axis=0), out=top[0])
             for row, mask in enumerate(masks, 1):
-                np.maximum(top[row], np.mean(values * mask, axis=-1).max(axis=0), out=top[row])
+                np.maximum(top[row], np.mean(grid * mask, axis=-1).max(axis=0), out=top[row])
     return best
+
+
+def _grid_magnitudes(f: Field, coords: Sequence[Array], total: Array, scratch: Array) -> Array:
+    """``|f|`` on the grid of the per-axis ``(k_j, points, m)`` coordinates,
+    in ``total`` (``(k_0, ..., k_{n-1}, points, m)``, as ``scratch``)."""
+    *heads, last = f._tables(coords)
+    for c in range(len(last)):
+        head = heads[0][c] if heads else np.ones((1, 1))  # n = 1: the empty product
+        for table in heads[1:]:
+            head = head[..., None, :, :] * table[c]
+        np.multiply(head[..., None, :, :], last[c], out=scratch if c else total)
+        if c:
+            total += scratch
+    return np.abs(total, out=total)
 
 
 def domination_check(
@@ -272,7 +301,7 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(f: Field, p: float, region, m: int, *, seed: int) -> MCEstimate:
+def lp_norm(f: Callable[[Array], Array], p: float, region, m: int, *, seed: int) -> MCEstimate:
     """``(|region| * mean |f|^p)**(1/p)`` over uniform samples of a box.
 
     The standard error is propagated through the root by the delta method.
@@ -281,10 +310,7 @@ def lp_norm(f: Field, p: float, region, m: int, *, seed: int) -> MCEstimate:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    lo = np.asarray(region[0], dtype=float)
-    hi = np.asarray(region[1], dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError("region must be a box with positive widths")
+    lo, hi = _box(*region, "region")
     volume = float(np.prod(hi - lo))
 
     def sample_fn(rng: np.random.Generator, k: int) -> Array:
@@ -337,8 +363,7 @@ def l2_growth_scan(
     deltas = geo._width_grid(delta_list)
     if x_samples < 2:
         raise ValueError("x_samples must be at least 2")
-    lo = np.asarray(x_region[0], dtype=float)
-    hi = np.asarray(x_region[1], dtype=float)
+    lo, hi = _box(*x_region, "x region")
     n = lo.shape[0]
     volume = float(np.prod(hi - lo))
 
@@ -381,7 +406,8 @@ def bump_mixture_family(
 
     Each field has ``components`` bumps with centres uniform in
     ``[-1.5, 1.5]**n``, widths uniform in ``[0.08, 0.35]`` and amplitudes
-    uniform in ``[0.5, 1.5]``.
+    uniform in ``[0.5, 1.5]``.  A Gaussian is a product over coordinates, so
+    each bump is one term of the product-form :class:`Field`.
 
     Normalisation uses the closed-form pairwise inner products
     ``(2 pi s1^2 s2^2 / (s1^2 + s2^2))**(n/2) * exp(-|c1-c2|^2 / (2(s1^2+s2^2)))``
@@ -390,12 +416,10 @@ def bump_mixture_family(
     """
     if components < 1:
         raise ValueError("components must be at least 1")
-    c_lo = np.full(n, -1.5)
-    c_hi = np.full(n, 1.5)
 
     def make(index: int) -> Field:
         rng = rng_stream(seed, derive_stream("bumps", n, components, index))
-        centres = c_lo + rng.random((components, n)) * (c_hi - c_lo)
+        centres = -1.5 + rng.random((components, n)) * 3.0
         scales = rng.uniform(0.08, 0.35, components)
         amps = rng.uniform(0.5, 1.5, components)
         s2 = scales**2
@@ -405,40 +429,21 @@ def bump_mixture_family(
         coeff = amps / math.sqrt(float(amps @ gram @ amps))
         neg_two_s2 = -2.0 * s2
 
-        def evaluator(pts: Array) -> Array:
-            # coordinate by coordinate on contiguous columns (a coordinate-major
-            # buffer's own, else copies), in place on scratch arrays; x / -t has
-            # the bits of -(x / t).  Below 8 components the terms are added to a
-            # zero total in component order, which is what numpy's trailing-axis
-            # sum does; from 8 on that sum is pairwise in an order that depends
-            # on the batch size, so the terms fill the columns of an (M, K)
-            # buffer that np.sum reduces as it always has
-            cols = [np.asarray(pts[..., j], order="C") for j in range(n)]
-            dist = np.empty(pts.shape[:-1])
-            z = np.empty_like(dist)
-            wide = components >= 8
-            acc = np.empty((dist.size, components)) if wide else np.zeros_like(dist)
-            for c in range(components):
-                np.subtract(cols[0], centres[c, 0], out=dist)
-                dist *= dist
-                for j in range(1, n):
-                    np.subtract(cols[j], centres[c, j], out=z)
-                    z *= z
-                    dist += z
-                dist /= neg_two_s2[c]
-                np.exp(dist, out=dist)
-                dist *= coeff[c]
-                if wide:
-                    acc[:, c] = dist.reshape(-1)
-                else:
-                    acc += dist
-            if wide:
-                acc = np.sum(acc, axis=-1).reshape(dist.shape)
-            # [()] turns a single point's 0-d result into a scalar
-            return acc[()]
+        def factors(j: int, t: Array) -> Array:
+            # term c's Gaussian along axis j, its coefficient folded into axis
+            # 0, in place on one (C, *t.shape) array; x / -t has the bits of
+            # -(x / t)
+            shape = (components,) + (1,) * t.ndim
+            z = t - centres[:, j].reshape(shape)
+            z *= z
+            z /= neg_two_s2.reshape(shape)
+            np.exp(z, out=z)
+            if j == 0:
+                z *= coeff.reshape(shape)
+            return z
 
         lo = np.min(centres - 9.0 * scales[:, None], axis=0)
         hi = np.max(centres + 9.0 * scales[:, None], axis=0)
-        return Field(evaluator, lo, hi)
+        return Field(factors, lo, hi)
 
     return make

@@ -80,6 +80,7 @@ def test_retired_functions_are_gone(owner, name):
         (knapp.dyadic_block_slope, ["blocks"]),
         (multiplicity.multiplicity_scan, ["count_rule"]),
         (cli._exp_fibre, ["rho"]),
+        (maximal.Field, ["evaluator"]),
     ],
 )
 def test_retired_keywords_are_gone(fn, knobs):

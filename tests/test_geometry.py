@@ -471,7 +471,7 @@ class TestValidation:
         lo, hi = geo.restricted_radii_box(3)
         calls = {
             "discretised_maximal": lambda: maximal.discretised_maximal(
-                maximal.Field(lambda pts: np.ones(pts.shape[:-1]), -np.ones(3), np.ones(3)),
+                maximal.Field(lambda j, t: np.ones((1, *t.shape)), -np.ones(3), np.ones(3)),
                 np.zeros((1, 3)),
                 0.1,
                 maximal.RadiiNet(lo, hi, hi[0] - lo[0]),
