@@ -105,7 +105,8 @@ class Field:
             terms = len(tables[0]) if tables else len(values) if values.ndim else 0
             if not terms or values.shape != (terms, *t.shape):
                 raise ValueError(f"factors({j}, t) has shape {values.shape}; want (C, *{t.shape})")
-            tables.append(np.where((t >= self.lo[j]) & (t <= self.hi[j]), values, 0.0))
+            inside = (t >= self.lo[j]) & (t <= self.hi[j])
+            tables.append(values if inside.all() else np.where(inside, values, 0.0))
         return tables
 
     def __call__(self, points: Array) -> Array:
@@ -260,9 +261,9 @@ def discretised_maximal(
 
 
 def _grid_magnitudes(f: Field, coords: Sequence[Array], total: Array, scratch: Array) -> Array:
-    """``|f|`` on the grid of the per-axis ``(k_j, points, m)`` coordinates,
-    in ``total`` (``(k_0, ..., k_{n-1}, points, m)``, as ``scratch``)."""
-    *heads, last = f._tables(coords)
+    """``|f|`` on the grid of the ``(k_j, points, m)`` coordinates, in ``total`` of shape
+    ``(k_0, ..., k_{n-1}, points, m)``; the first term is stored: 0 + x is x up to a zero's sign."""
+    *heads, last = f._tables(coords)  # freed on return, before the next block's tables
     for c in range(len(last)):
         head = heads[0][c] if heads else np.ones((1, 1))  # n = 1: the empty product
         for table in heads[1:]:

@@ -778,6 +778,26 @@ class TestTangencyCover:
         for j in range(3):
             assert ks_2samp(pooled_b[:, j], pooled_c[:, j]).pvalue > 1e-3
 
+    def test_draws_are_uniform_inside_their_cells(self):
+        # rho far above every Gram norm: the cover keeps every cell (65,536
+        # after six quarterings), and only the refinement's edge, a sliver
+        # of one z row in each band, rejects a draw; each accepted point's
+        # position inside its cell is then uniform in z and in phi (KS at 1e-3)
+        from scipy.stats import kstest
+
+        cfg = geo.TangencyConfig(0, 0.3, np.array([1.4, 1.0, 0.8]))
+        rho, delta, m = 1e6, 2**-9, 1 << 17
+        cover = vol._tangency_cover(cfg, rho, delta)
+        z_lo = cover.z[cover.z > 0].min()
+        assert cover.z.size == 65536 and cover.fraction == pytest.approx(1.0 - z_lo)
+        drawn, accepted, pts = vol._low_tangency_points(cfg, rho, delta, m, SEED, m)
+        assert accepted > 0.999 * drawn > 0.6 * m
+        u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        phi = np.mod(np.arctan2(u[:, 2], u[:, 1]), 2.0 * np.pi)
+        origin = np.where(u[:, 0] > 0, z_lo, -1.0)  # the two bands' lower ends
+        for position in ((u[:, 0] - origin) / cover.dz, phi / cover.dphi):
+            assert kstest(np.mod(position, 1.0), "uniform").pvalue > 1e-3
+
 
 class TestSeededClusterConfigs:
     def test_deterministic_and_prefix_stable(self):
