@@ -42,6 +42,7 @@ time, so for ``n < 8`` they match the trailing-axis formulas bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np

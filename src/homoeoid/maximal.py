@@ -26,7 +26,6 @@ the kernel evaluates axis ``j``'s factors once per net value of ``r_j``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -64,24 +63,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _box(lo, hi, what: str) -> tuple[Array, Array]:
-    """The corners of a box with positive widths, as float vectors."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError(f"{what} must be a box with positive widths")
-    return lo, hi
-
-
 @dataclasses.dataclass(frozen=True)
 class Field:
-    """A real product-form field on R^n, forced to zero outside an axis-parallel box.
+    """The field ``sum_c prod_j factors(j, y_j)[c]`` on R^n, zero outside a box.
 
-    ``factors(j, t)`` returns a ``(C, *t.shape)`` array: term ``c``'s factor
-    along axis ``j`` at the coordinates ``t``.  The field is
-    ``sum_c prod_j factors(j, y_j)[c]``, with axis ``j``'s factors zeroed
-    where ``y_j`` leaves ``[lo_j, hi_j]``.  :meth:`__call__` multiplies the
-    factors in axis order and adds the terms to a zero total in term order;
-    :func:`discretised_maximal` keeps both orders on its per-axis tables.
+    ``factors(j, t)`` returns a ``(C, *t.shape)`` array, term ``c``'s factor
+    along axis ``j``; the field zeroes it where ``t`` leaves ``[lo_j, hi_j]``.
+    :meth:`__call__` multiplies in axis order and adds the terms to a zero
+    total in term order, as :func:`discretised_maximal` does on its tables.
     """
 
     factors: Callable[[int, Array], Array]
@@ -89,7 +78,12 @@ class Field:
     hi: Array
 
     def __post_init__(self) -> None:
-        lo, hi = _box(self.lo, self.hi, "bounding box")
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("bounding box corners must be matching vectors")
+        if np.any(hi <= lo):
+            raise ValueError("bounding box must have positive widths")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -112,10 +106,8 @@ class Field:
     def __call__(self, points: Array) -> Array:
         pts = np.asarray(points, dtype=float)
         tables = self._tables([np.asarray(pts[..., j], order="C") for j in range(self.n)])
-        total = np.zeros(pts.shape[:-1])
-        for term in zip(*tables):
-            total += functools.reduce(np.multiply, term)  # in axis order
-        return total[()]  # a single point's 0-d total as a scalar
+        # np.prod multiplies in axis order; [()] gives a single point a scalar
+        return sum(np.prod(term, axis=0) for term in zip(*tables))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,10 @@ class RadiiNet:
     step: float
 
     def __post_init__(self) -> None:
-        lo, hi = _box(self.lo, self.hi, "net domain")
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape or np.any(hi <= lo):
+            raise ValueError("net domain must be a box with positive widths")
         if not self.step > 0:
             raise ValueError("step must be positive")
         object.__setattr__(self, "lo", lo)
@@ -147,9 +142,9 @@ class RadiiNet:
             np.linspace(lo[i], hi[i], int(math.ceil((hi[i] - lo[i]) / self.step)) + 1)
             for i in range(lo.shape[0])
         ]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        mesh = np.meshgrid(*axes, indexing="ij")
         object.__setattr__(self, "axes", tuple(axes))
-        object.__setattr__(self, "points", mesh.reshape(-1, lo.shape[0]))
+        object.__setattr__(self, "points", np.stack([m.reshape(-1) for m in mesh], axis=-1))
 
     axes: tuple[Array, ...] = dataclasses.field(init=False, repr=False)
     points: Array = dataclasses.field(init=False, repr=False)
@@ -218,13 +213,12 @@ def discretised_maximal(
     samples, keyed ``("scan-shell", delta, stream)``, serves every point,
     every net radius and every row, so a sub-net sup never exceeds the net
     sup and the covering holds sample by sample.  Coordinate ``j`` of
-    ``x + r * omega`` depends on ``r_j`` alone, so each block calls
-    ``f.factors`` once per axis on its ``(net.axes[j], points, m)``
-    coordinates and builds the ``(radii..., points, m)`` grid from those
-    tables in :meth:`Field.__call__`'s order: every value has the bits of a
-    pointwise evaluation, and every average is a mean over ``m`` contiguous
-    samples.  A block holds ``DEFAULT_CHUNK // (len(net) * m)`` points, or
-    one point and part of axis 0 when one point's grid is larger.
+    ``x + r * omega`` depends on ``r_j`` alone, so a block calls
+    ``f.factors`` once per axis, on ``(net.axes[j], points, m)``
+    coordinates, and multiplies the tables out in :meth:`Field.__call__`'s
+    order: each value has a pointwise evaluation's bits.  A block takes as
+    many points, or as much of axis 0, as keeps its two grid buffers, and
+    its ``C * sum(k_j)`` table values, within ``2 * DEFAULT_CHUNK`` floats.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[1]
@@ -238,31 +232,31 @@ def discretised_maximal(
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
-    k0 = len(net.axes[0])
-    per_value = len(net) // k0 * m  # one point's grid at one axis-0 value
-    width = max(1, DEFAULT_CHUNK // (per_value * k0))  # points per block
-    span = min(k0, max(1, DEFAULT_CHUNK // per_value))  # axis-0 values per block
-    buffers = np.empty((2, min(width, xs.shape[0]) * span * per_value))
+    rest = len(net) // len(net.axes[0])  # one point's grid at one axis-0 value, per sample
+    others = sum(map(len, net.axes[1:]))  # the other axes' table values
+    terms = len(f._tables([net.axes[0][:0]])[0])  # C, from an empty axis-0 table
+    budget = 2 * DEFAULT_CHUNK // m  # two grids' or the tables' values per point and sample
+    span = min(len(net.axes[0]), max(1, min(budget // (2 * rest), budget // terms - others)))
+    width = max(1, budget // max(2 * span * rest, terms * (span + others)))  # points per block
+    buffers = np.empty((2, min(width, xs.shape[0]) * span * rest * m))
     for first in range(0, xs.shape[0], width):
         x = xs[first : first + width]
         top = best[:, first : first + width]
-        for start in range(0, k0, span):
+        for start in range(0, len(net.axes[0]), span):
             radii = [net.axes[0][start : start + span], *net.axes[1:]]
-            coords = [
-                (r[:, None] * omega[:, j])[:, None, :] + x[:, j, None] for j, r in enumerate(radii)
-            ]
+            coords = [r[:, None, None] * omega[:, j] + x[:, j, None] for j, r in enumerate(radii)]
             shape = (*(len(r) for r in radii), len(x), m)
             total, scratch = (b[: math.prod(shape)].reshape(shape) for b in buffers)
             grid = _grid_magnitudes(f, coords, total, scratch).reshape(-1, len(x), m)
             np.maximum(top[0], np.mean(grid, axis=-1).max(axis=0), out=top[0])
             for row, mask in enumerate(masks, 1):
-                np.maximum(top[row], np.mean(grid * mask, axis=-1).max(axis=0), out=top[row])
+                masked = np.multiply(grid, mask, out=scratch.reshape(grid.shape))
+                np.maximum(top[row], np.mean(masked, axis=-1).max(axis=0), out=top[row])
     return best
 
 
 def _grid_magnitudes(f: Field, coords: Sequence[Array], total: Array, scratch: Array) -> Array:
-    """``|f|`` on the grid of the ``(k_j, points, m)`` coordinates, in ``total`` of shape
-    ``(k_0, ..., k_{n-1}, points, m)``; the first term is stored: 0 + x is x up to a zero's sign."""
+    """``|f|`` on the coordinates' full grid, in ``total``; term 0 is stored, not added to 0."""
     *heads, last = f._tables(coords)  # freed on return, before the next block's tables
     for c in range(len(last)):
         head = heads[0][c] if heads else np.ones((1, 1))  # n = 1: the empty product
@@ -311,7 +305,10 @@ def lp_norm(f: Callable[[Array], Array], p: float, region, m: int, *, seed: int)
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    lo, hi = _box(*region, "region")
+    lo = np.asarray(region[0], dtype=float)
+    hi = np.asarray(region[1], dtype=float)
+    if lo.shape != hi.shape or np.any(hi <= lo):
+        raise ValueError("region must be a box with positive widths")
     volume = float(np.prod(hi - lo))
 
     def sample_fn(rng: np.random.Generator, k: int) -> Array:
@@ -364,7 +361,8 @@ def l2_growth_scan(
     deltas = geo._width_grid(delta_list)
     if x_samples < 2:
         raise ValueError("x_samples must be at least 2")
-    lo, hi = _box(*x_region, "x region")
+    lo = np.asarray(x_region[0], dtype=float)
+    hi = np.asarray(x_region[1], dtype=float)
     n = lo.shape[0]
     volume = float(np.prod(hi - lo))
 
@@ -417,10 +415,12 @@ def bump_mixture_family(
     """
     if components < 1:
         raise ValueError("components must be at least 1")
+    c_lo = np.full(n, -1.5)
+    c_hi = np.full(n, 1.5)
 
     def make(index: int) -> Field:
         rng = rng_stream(seed, derive_stream("bumps", n, components, index))
-        centres = -1.5 + rng.random((components, n)) * 3.0
+        centres = c_lo + rng.random((components, n)) * (c_hi - c_lo)
         scales = rng.uniform(0.08, 0.35, components)
         amps = rng.uniform(0.5, 1.5, components)
         s2 = scales**2
@@ -431,9 +431,8 @@ def bump_mixture_family(
         neg_two_s2 = -2.0 * s2
 
         def factors(j: int, t: Array) -> Array:
-            # term c's Gaussian along axis j, its coefficient folded into axis
-            # 0, in place on one (C, *t.shape) array; x / -t has the bits of
-            # -(x / t)
+            # term c's Gaussian along axis j (its coefficient on axis 0), in place
+            # on one (C, *t.shape) array; x / -t has the bits of -(x / t)
             shape = (components,) + (1,) * t.ndim
             z = t - centres[:, j].reshape(shape)
             z *= z

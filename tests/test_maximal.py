@@ -35,7 +35,9 @@ def slab_field(n, height=1.0, width=0.1):
 
 def doubled(f):
     """``2 f``, with the 2 on axis 0's factors."""
-    return maximal.Field(lambda j, t: 2.0 * f.factors(j, t) if j == 0 else f.factors(j, t), f.lo, f.hi)
+    return maximal.Field(
+        lambda j, t: 2.0 * f.factors(j, t) if j == 0 else f.factors(j, t), f.lo, f.hi
+    )
 
 
 class TestField:
@@ -377,13 +379,20 @@ def net_of(n, per_axis):
     return maximal.RadiiNet(lo, hi, (hi[0] - lo[0]) / (per_axis - 1))
 
 
-def kernel_blocks(net, m):
-    """``(points, axis-0 values)`` per block of the net-sup kernel: full-grid
-    temporaries of about ``DEFAULT_CHUNK`` floats."""
-    per_point = len(net) * m
-    if per_point <= DEFAULT_CHUNK:
-        return DEFAULT_CHUNK // per_point, len(net.axes[0])
-    return 1, max(1, DEFAULT_CHUNK // (per_point // len(net.axes[0])))
+def kernel_blocks(net, m, terms):
+    """``(points, axis-0 values)`` per block of the net-sup kernel: its two
+    full-grid buffers, and its ``terms * sum(k_j)`` per-axis table values,
+    each in about ``2 * DEFAULT_CHUNK`` floats."""
+    k0 = len(net.axes[0])
+    rest, others = len(net) // k0, sum(map(len, net.axes[1:]))
+    budget = 2 * DEFAULT_CHUNK // m
+    span = min(k0, max(1, min(budget // (2 * rest), budget // terms - others)))
+    return max(1, budget // max(2 * span * rest, terms * (span + others))), span
+
+
+def terms(f):
+    """The number of terms ``C`` of a product-form field."""
+    return len(f.factors(0, np.zeros(0)))
 
 
 def counting(f):
@@ -407,40 +416,51 @@ class TestRadiusBlocks:
         wide = maximal.bump_mixture_family(n, components=9, seed=5)
         return [smooth_field(n), family(0), wide(1)]
 
-    def assert_matches(self, n, xs, net, m, axes):
+    def assert_matches(self, n, xs, net, m, axes, ragged=lambda width, span: True):
         for f in self.fields(n):
+            assert ragged(*kernel_blocks(net, m, terms(f)))
             got = maximal.discretised_maximal(
                 f, xs, KERNEL_DELTA, net, m=m, seed=6, stream="blocks", axes=axes
             )
             want = per_radius_net_sups(f, xs, KERNEL_DELTA, net, m, 6, "blocks", axes)
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("n, per_axis, m", [(2, 5, 5000), (3, 5, 1000), (4, 3, 1000)])
+    @pytest.mark.parametrize("n, per_axis, m", [(2, 7, 1350), (3, 5, 550), (4, 3, 850)])
     def test_net_not_a_multiple_of_the_block(self, n, per_axis, m):
-        # one point's grid is more than a block, so axis 0 is blocked too,
-        # and its last block is ragged
+        # one point's grid or tables are more than a block holds, so axis 0
+        # is blocked too, and its last block is ragged, for C = 3, 6 and 9
         net = net_of(n, per_axis)
         xs = np.random.default_rng(n).uniform(-0.4, 0.4, (3, n))
-        width, span = kernel_blocks(net, m)
-        assert width == 1 and 1 < span < per_axis and per_axis % span
-        self.assert_matches(n, xs, net, m, ())
-        self.assert_matches(n, xs, net, m, tuple(range(n)))
+
+        def ragged(width, span):
+            return width == 1 and 1 < span < per_axis and per_axis % span
+
+        self.assert_matches(n, xs, net, m, (), ragged)
+        self.assert_matches(n, xs, net, m, tuple(range(n)), ragged)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ragged_point_blocks(self, n):
         # criterion 11's shape: more points times samples than one block
         # holds, so the points are blocked, the last block ragged
         net = small_net(n)
-        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (70, n))
-        width, span = kernel_blocks(net, 256)
-        assert width < len(xs) and len(xs) % width and span == 2
-        self.assert_matches(n, xs, net, 256, (n - 1, 0))
+        xs = np.random.default_rng(n).uniform(-0.4, 0.4, (71, n))
+
+        def ragged(width, span):
+            return width < len(xs) and len(xs) % width and span == 2
+
+        self.assert_matches(n, xs, net, 256, (n - 1, 0), ragged)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_single_point(self, n):
+        # one point's grid is one block: factors is called once per axis on
+        # all of each axis's values (after the kernel's empty axis-0 call)
         net = net_of(n, 3)
         x = np.random.default_rng(n).uniform(-0.4, 0.4, n)
-        assert kernel_blocks(net, 64)[0] >= 1
+        for f in self.fields(n):
+            assert kernel_blocks(net, 64, terms(f))[1] == len(net.axes[0])
+            g, calls = counting(f)
+            maximal.discretised_maximal(g, x, KERNEL_DELTA, net, m=64, seed=6, stream="blocks")
+            assert calls == [(0, (0,))] + [(j, (3, 1, 64)) for j in range(n)]
         self.assert_matches(n, x, net, 64, (0,))
         self.assert_matches(n, x, net, 1, ())
 
@@ -448,32 +468,35 @@ class TestRadiusBlocks:
         # a for_delta net at n = 4: one point's grid is five blocks
         net = maximal.RadiiNet.for_delta(4, KERNEL_DELTA)
         xs = np.random.default_rng(4).uniform(-0.4, 0.4, (2, 4))
-        assert kernel_blocks(net, 512) == (1, 1)
-        self.assert_matches(4, xs, net, 512, (3,))
+        self.assert_matches(4, xs, net, 512, (3,), lambda width, span: (width, span) == (1, 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_points_blocked_above_the_block(self, n, monkeypatch):
         # criterion 11's shape: 300 points x 2**n radii x 256 samples is more
-        # than one block holds, so each block takes DEFAULT_CHUNK // (2**n * 256)
-        # points and calls factors once per axis; the last point block is
-        # ragged (300 = 4 * 64 + 44 at n = 2, 9 * 32 + 12 at n = 3)
+        # than one block holds, so each block takes as many points as its
+        # tables fit in (42, 21 and 14 at n = 2 for C = 3, 6 and 9; 28, 14
+        # and 9 at n = 3) and calls factors once per axis; the last point
+        # block is ragged
         net = small_net(n)
         xs = np.random.default_rng(n).uniform(-0.4, 0.4, (300, n))
-        width, span = kernel_blocks(net, 256)
-        assert span == 2 and len(xs) % width
         for f in self.fields(n):
+            width, span = kernel_blocks(net, 256, terms(f))
+            assert span == 2 and len(xs) % width
             g, calls = counting(f)
             axes = tuple(range(n))
             got = maximal.discretised_maximal(
                 g, xs, KERNEL_DELTA, net, m=256, seed=6, stream="blocks", axes=axes
             )
             sizes = [width] * (len(xs) // width) + [len(xs) % width]
-            assert calls == [(j, (2, size, 256)) for size in sizes for j in range(n)]
+            assert calls == [(0, (0,))] + [(j, (2, size, 256)) for size in sizes for j in range(n)]
             with monkeypatch.context() as patch:
-                patch.setattr(maximal, "DEFAULT_CHUNK", len(xs) * len(net) * 256)
+                # room for all 300 points' tables of up to 9 terms: one block
+                patch.setattr(maximal, "DEFAULT_CHUNK", len(xs) * 256 * 9 * n)
+                h, one_block = counting(f)
                 whole = maximal.discretised_maximal(
-                    f, xs, KERNEL_DELTA, net, m=256, seed=6, stream="blocks", axes=axes
+                    h, xs, KERNEL_DELTA, net, m=256, seed=6, stream="blocks", axes=axes
                 )
+            assert len(one_block) == 1 + n
             np.testing.assert_array_equal(got, whole)
 
     def test_factors_called_once_per_axis_and_block(self):
@@ -485,14 +508,15 @@ class TestRadiusBlocks:
         g, calls = counting(f)
         got = maximal.discretised_maximal(g, xs, 2**-6, net, m=512, seed=0, stream=0)
         np.testing.assert_array_equal(got, per_radius_net_sups(f, xs, 2**-6, net, 512, 0, 0))
-        assert kernel_blocks(net, 512) == (1, 5)
-        assert calls == [(j, (5, 1, 512)) for _ in xs for j in range(3)]
+        assert kernel_blocks(net, 512, 6) == (1, 5)
+        assert calls == [(0, (0,))] + [(j, (5, 1, 512)) for _ in xs for j in range(3)]
 
 
 class TestKernelMemory:
     """``tracemalloc`` peaks of one kernel call, which pin the blocking: an
     unblocked call would hold every point's (or axis 0's every value's)
-    full grid at once."""
+    full grid and per-axis tables at once.  Blocks are sized by the tables
+    too, so the bound holds at 17 terms as at 6."""
 
     @staticmethod
     def peak(call):
@@ -503,18 +527,22 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
 
-    def test_criterion_11_shape(self):
-        # 3.9 MiB blocked, 121 MiB with every point in one block
-        f = maximal.bump_mixture_family(3, seed=0)(0)
+    @pytest.mark.parametrize("components", [6, 17])
+    def test_criterion_11_shape(self, components):
+        # 1.8 MiB (C = 6) and 1.4 MiB (C = 17) blocked; 121 and 250 MiB with
+        # every point in one block
+        f = maximal.bump_mixture_family(3, components=components, seed=0)(0)
         xs = np.random.default_rng(0).uniform(-0.4, 0.4, (1000, 3))
         peak = self.peak(
             lambda: maximal.domination_check(f, xs, 2**-5, small_net(3), m=256, seed=0)
         )
-        assert peak < 6 * 2**20
+        assert peak < 3 * 2**20
 
-    def test_for_delta_net_at_n4(self):
-        # 1.7 MiB blocked, 12.1 MiB with all of axis 0 in one block
-        f = maximal.bump_mixture_family(4, seed=0)(0)
+    @pytest.mark.parametrize("components", [6, 17])
+    def test_for_delta_net_at_n4(self, components):
+        # 1.8 MiB (C = 6) and 2.4 MiB (C = 17) blocked; 12.2 and 13.9 MiB with
+        # all of axis 0 in one block
+        f = maximal.bump_mixture_family(4, components=components, seed=0)(0)
         net = maximal.RadiiNet.for_delta(4, 2**-5)
         xs = np.random.default_rng(0).uniform(-0.4, 0.4, (2, 4))
         peak = self.peak(
