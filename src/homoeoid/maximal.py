@@ -238,7 +238,7 @@ def discretised_maximal(
     budget = 2 * DEFAULT_CHUNK // m  # two grids' or the tables' values per point and sample
     span = min(len(net.axes[0]), max(1, min(budget // (2 * rest), budget // terms - others)))
     width = max(1, budget // max(2 * span * rest, terms * (span + others)))  # points per block
-    buffers = np.empty((2, min(width, xs.shape[0]) * span * rest * m))
+    buffers = [np.empty(min(width, xs.shape[0]) * span * rest * m) for _ in range(2)]
     for first in range(0, xs.shape[0], width):
         x = xs[first : first + width]
         top = best[:, first : first + width]
