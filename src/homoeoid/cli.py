@@ -4,8 +4,10 @@ Each experiment maps a :class:`RunConfig` to a table of rows (the CSV header
 is the first row's keys), metrics and the :class:`Gate` list its pass flag
 rests on, written as ``results.csv`` and ``summary.json`` (which records each
 gate's measured value and its margin to the bound) under
-``<out>/<experiment>-seed<seed>/``.  Overrides
-are an experiment's keyword-only parameters, typed like their defaults.
+``<out>/<experiment>-seed<seed>/``.  An experiment's keyword-only
+parameters declare every input it reads: ``deltas``, ``samples`` and ``p``
+come only from ``--delta-grid``, ``--samples`` and ``--p``, the others only
+from overrides, typed like their defaults.
 CSV bodies are a pure function of the configuration — floats are serialised
 with ``repr`` and all Monte-Carlo reductions are order-fixed — so re-running
 a configuration (under any ``HOMOEOID_THREADS`` setting) reproduces the bytes
@@ -13,9 +15,10 @@ exactly; timestamps and the worker count live only in the summary.  The JSON
 artifacts are strict: a non-finite float is written as the string ``"inf"``,
 ``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 every gate
 holds, 1 a gate failed, 2 the configuration was invalid (an unknown or
-mistyped override, a non-finite ``p`` or delta, or an opening constant ``C``
-below 1) or artifacts could not be written.  Every artifact is written to a
-temporary file and renamed into place.
+mistyped override, a ``--delta-grid``, ``--samples`` or ``--p`` that the
+experiment does not declare, a non-finite ``p`` or delta, or an opening
+constant ``C`` below 1) or artifacts could not be written.  Every artifact
+is written to a temporary file and renamed into place.
 
 ``report`` merges the summaries under an output directory into a single
 ``report.json`` (ordered by experiment then seed, corrupt or incomplete runs
@@ -70,14 +73,16 @@ __all__ = ["Gate", "RunConfig", "RunResult", "run_experiment", "emit_report", "m
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Inputs an experiment is a deterministic function of."""
+    """Inputs an experiment is a deterministic function of.  ``deltas``,
+    ``samples`` and ``p`` are ``None`` unless given; a given one must be a
+    keyword that the experiment declares."""
 
     experiment: str
     n: int = 3
     seed: int = 0
     deltas: Optional[tuple] = None
     samples: Optional[int] = None
-    p: float = 2.0
+    p: Optional[float] = None
     out: str = "runs"
     overrides: tuple = ()
 
@@ -86,7 +91,7 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if not math.isfinite(self.p):
+        if self.p is not None and not math.isfinite(self.p):
             raise ValueError(f"p must be finite, got {self.p}")
         if self.deltas is not None:
             ds = tuple(float(d) for d in self.deltas)
@@ -141,7 +146,6 @@ class RunResult:
     """An experiment's rows (at least one; the CSV header is the first row's
     keys, in order), metrics and gates; it passes when every gate holds."""
 
-    experiment: str
     rows: tuple
     metrics: dict
     gates: tuple
@@ -152,23 +156,19 @@ class RunResult:
 
 
 def _typed_override(key: str, raw, default):
-    """``raw`` typed like ``default``: an integer must be a whole number, and
-    at least 1 unless it names an axis; a float must be finite."""
+    """``raw`` typed like ``default``: an integer must be a whole number of at
+    least 1; a float must be finite."""
     if isinstance(default, int):
         if not float(raw).is_integer():
             raise ValueError(f"override {key} must be an integer, got {raw!r}")
         value = int(raw)
-        if value < 1 and key != "axis":
+        if value < 1:
             raise ValueError(f"override {key} must be at least 1, got {value}")
         return value
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"override {key} must be finite, got {value!r}")
     return value
-
-
-def _deltas(config: RunConfig, default: Sequence[float]) -> tuple:
-    return config.deltas if config.deltas is not None else tuple(default)
 
 
 def _drift(values: Sequence[float]) -> float:
@@ -180,13 +180,12 @@ def _drift(values: Sequence[float]) -> float:
 # experiments
 
 
-def _exp_identities(config: RunConfig, *, rational_trials=50) -> RunResult:
-    trials = config.samples or 1000
+def _exp_identities(config: RunConfig, *, samples=1000, rational_trials=50) -> RunResult:
     # (mode, reports, threshold written to the CSV: None keeps the report's)
-    suites = [("float", identity_suite(config.n, trials, seed=config.seed), None)]
+    suites = [("float", identity_suite(config.n, samples, seed=config.seed), None)]
     if config.n <= 4:
         rational = identity_suite(
-            config.n, min(trials, rational_trials), seed=config.seed, rational=True
+            config.n, min(samples, rational_trials), seed=config.seed, rational=True
         )
         suites.append(("rational", rational, 0.0))
     rows = []
@@ -208,7 +207,7 @@ def _exp_identities(config: RunConfig, *, rational_trials=50) -> RunResult:
     gates = [Gate("max_relative_residual", "<", 1e-9)]
     if "rational" in worst:
         gates.append(Gate("rational_residual", "==", 0.0))
-    return RunResult(config.experiment, tuple(rows), metrics, tuple(gates))
+    return RunResult(tuple(rows), metrics, tuple(gates))
 
 
 def _exp_nondeg(config: RunConfig, *, generic_per_n=20, bound_trials=300) -> RunResult:
@@ -228,21 +227,22 @@ def _exp_nondeg(config: RunConfig, *, generic_per_n=20, bound_trials=300) -> Run
         "max_scaled_inverse_norm": scan.max_scaled_inverse_norm,
         "bound_accepted": scan.accepted,
         "bound_requested": scan.requested,
+        "max_scaled_minor": scan.max_scaled_minor,
     }
     gates = (
         Gate("max_relative_residual", "<=", report.threshold),
         Gate("min_abs_det_at_three_halves", ">", 0.01),
         Gate("min_scaled_determinant", ">", 0.0),
     )
-    return RunResult(config.experiment, tuple(rows), metrics, gates)
+    return RunResult(tuple(rows), metrics, gates)
 
 
-def _exp_volume_bound(config: RunConfig, *, axis=0, pairs=10) -> RunResult:
-    deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9))
+def _exp_volume_bound(
+    config: RunConfig, *, deltas=tuple(2.0**-k for k in range(5, 10)), samples=20_000, pairs=10
+) -> RunResult:
     ts = (2.0**-4, 2.0**-3, 2.0**-2, 2.0**-1, 1.0)
-    m = config.samples or 20_000
     rows = volume_bound_scan(
-        axis=axis, deltas=deltas, ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n
+        deltas=deltas, ts=ts, pairs=pairs, m=samples, seed=config.seed, n=config.n
     )
     drawn = sum(row.pop("drawn") for row in rows)  # a diagnostic, not a CSV column
     worst = {d: max(r["ratio"] for r in rows if r["delta"] == d) for d in deltas}
@@ -251,14 +251,14 @@ def _exp_volume_bound(config: RunConfig, *, axis=0, pairs=10) -> RunResult:
         "drift": _drift(list(worst.values())),
         "shell_points_drawn": drawn,
     }
-    return RunResult(config.experiment, tuple(rows), metrics, (Gate("drift", "<=", 4.0),))
+    return RunResult(tuple(rows), metrics, (Gate("drift", "<=", 4.0),))
 
 
-def _exp_bands(config: RunConfig, *, axis=0, t_lo=0.5, t_hi=1.0) -> RunResult:
-    deltas = _deltas(config, (2.0**-5, 2.0**-6, 2.0**-7))
-    m = config.samples or (1 << 16)
-    if m < 2:
-        raise ValueError(f"bands needs samples >= 2 to measure a standard error, got {m}")
+def _exp_bands(
+    config: RunConfig, *, deltas=(2.0**-5, 2.0**-6, 2.0**-7), samples=1 << 16, t_lo=0.5, t_hi=1.0
+) -> RunResult:
+    if samples < 2:
+        raise ValueError(f"bands needs samples >= 2 to measure a standard error, got {samples}")
     rows = []
     worst_z = 0.0
     per_delta_max = {}
@@ -267,7 +267,7 @@ def _exp_bands(config: RunConfig, *, axis=0, t_lo=0.5, t_hi=1.0) -> RunResult:
             rng = rng_stream(config.seed, derive_stream("bands-radii", delta, t))
             radii = 0.8 + 0.5 * rng.random(config.n)
             band = banded_intersection_scan(
-                axis=axis, t=t, radii=radii, delta=delta, m=m, seed=config.seed
+                axis=0, t=t, radii=radii, delta=delta, m=samples, seed=config.seed
             )
             envelope = delta * delta / t
             parts = [("tang", band.tang)] + [
@@ -298,13 +298,12 @@ def _exp_bands(config: RunConfig, *, axis=0, t_lo=0.5, t_hi=1.0) -> RunResult:
         "drift": _drift(list(per_delta_max.values())),
     }
     gates = (Gate("worst_partition_z", "<=", 3.0), Gate("drift", "<=", 4.0))
-    return RunResult(config.experiment, tuple(rows), metrics, gates)
+    return RunResult(tuple(rows), metrics, gates)
 
 
-def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
+def _exp_clusters(config: RunConfig, *, samples=1 << 20, configs=20, delta=2.0**-9) -> RunResult:
     if config.n != 3:
         raise ValueError("the clusters experiment is specific to n=3")
-    m = config.samples or (1 << 20)
     rows = []
     max_count = 0
     constants = {}
@@ -321,7 +320,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
                 radii=radii,
                 rho=rho,
                 delta=delta,
-                m=m,
+                m=samples,
                 seed=derive_stream("cluster-run", config.seed, i),
             )
             max_diam = max(report.diameters) if report.diameters else 0.0
@@ -353,7 +352,7 @@ def _exp_clusters(config: RunConfig, *, configs=20, delta=2.0**-9) -> RunResult:
         "shell_points_drawn": drawn,
     }
     gates = (Gate("max_cluster_count", "<=", 16), Gate("halving_ratio", "<=", 2.0))
-    return RunResult(config.experiment, tuple(rows), metrics, gates)
+    return RunResult(tuple(rows), metrics, gates)
 
 
 def _fibre_config(seed: int, trial: int, n: int):
@@ -390,27 +389,26 @@ def _exp_fibre(config: RunConfig, *, trials=12) -> RunResult:
         "max_ratio": max(ratios),
     }
     gates = (Gate("calibration_gap", "<=", 1e-6), Gate("ratio_drift", "<=", 4.0))
-    return RunResult(config.experiment, tuple(rows), metrics, gates)
+    return RunResult(tuple(rows), metrics, gates)
 
 
-def _exp_multiplicity(config: RunConfig, *, axis=0, trials=3) -> RunResult:
-    deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
-    m = config.samples or 4096
-    scan = multiplicity_scan(axis, deltas, trials=trials, m=m, seed=config.seed, n=config.n)
+def _exp_multiplicity(
+    config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 9)), samples=4096, trials=3
+) -> RunResult:
+    scan = multiplicity_scan(0, deltas, trials=trials, m=samples, seed=config.seed, n=config.n)
     metrics = {
         "worst_refined": scan.worst,
         "worst_plain": scan.worst_plain,
         "drift": scan.drift,
         "pair_samples_drawn": scan.drawn,
     }
-    return RunResult(config.experiment, scan.rows, metrics, (Gate("drift", "<=", 4.0),))
+    return RunResult(scan.rows, metrics, (Gate("drift", "<=", 4.0),))
 
 
 def _exp_l2_growth(
-    config: RunConfig, *, family_size=2, x_samples=16, components=6
+    config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 9)), samples=512,
+    family_size=2, x_samples=16, components=6,
 ) -> RunResult:
-    deltas = _deltas(config, (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8))
-    m = config.samples or 512
     family = bump_mixture_family(config.n, components=components, seed=config.seed)
     region = (np.full(config.n, -0.5), np.full(config.n, 0.5))
     scan = l2_growth_scan(
@@ -419,18 +417,19 @@ def _exp_l2_growth(
         x_region=region,
         family_size=family_size,
         x_samples=x_samples,
-        m=m,
+        m=samples,
         seed=config.seed,
     )
     metrics = {"slope": scan.fit.slope, "intercept": scan.fit.intercept}
-    return RunResult(config.experiment, tuple(scan.rows), metrics, (Gate("slope", "<=", 0.15),))
+    return RunResult(tuple(scan.rows), metrics, (Gate("slope", "<=", 0.15),))
 
 
-def _exp_knapp_exponent(config: RunConfig, *, m_x=64, rho=0.1) -> RunResult:
-    deltas = _deltas(config, tuple(2.0**-k for k in range(4, 11)))
-    m_s = config.samples or 8192
-    scan = knapp_exponent(deltas, config.p, m_x=m_x, m_s=m_s, seed=config.seed, n=config.n, rho=rho)
-    n, p = config.n, config.p
+def _exp_knapp_exponent(
+    config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 11)), samples=8192, p=2.0,
+    m_x=64, rho=0.1,
+) -> RunResult:
+    scan = knapp_exponent(deltas, p, m_x=m_x, m_s=samples, seed=config.seed, n=config.n, rho=rho)
+    n = config.n
     # in one fraction: exactly -1/3, 0 and 1/3 at n = 3, p = 3/2, 2 and 3
     expected = ((n - 1) * p - (n + 1)) / (2.0 * p)
     tol = 0.05 if abs(p - critical_exponent(n)) < 1e-12 else 0.1
@@ -439,7 +438,7 @@ def _exp_knapp_exponent(config: RunConfig, *, m_x=64, rho=0.1) -> RunResult:
     metrics = {"slope": slope, "p": p, "fitted": scan.fit is not None}
     metrics.update(expected_slope=expected, tolerance=tol, slope_gap=abs(slope - expected))
     gates = (Gate("fitted", "==", True), Gate("slope_gap", "<=", tol))
-    return RunResult(config.experiment, tuple(scan.rows), metrics, gates)
+    return RunResult(tuple(scan.rows), metrics, gates)
 
 
 def _radial_norm_oracle(n: int, C: float) -> float:
@@ -472,12 +471,11 @@ def _dyadic_partial_sums(series) -> tuple:
 _MIN_SHELLS = 16
 
 
-def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
+def _exp_divergence(config: RunConfig, *, samples=256, L=4096, C=4.0) -> RunResult:
     if L < _MIN_SHELLS:
         raise ValueError(f"L must be at least {_MIN_SHELLS} shells, got {L}")
-    m = config.samples or 256
     xs, rs = sample_tangency_set(1, seed=config.seed, n=config.n)
-    series = shell_partial_sums(xs[0], rs[0], L, m, seed=config.seed, C=C)
+    series = shell_partial_sums(xs[0], rs[0], L, samples, seed=config.seed, C=C)
     dyadic = _dyadic_partial_sums(series)
     top = dyadic[-3:]
     fit = fit_power_law([row[0] for row in top], [row[1] for row in top])
@@ -518,7 +516,7 @@ def _exp_divergence(config: RunConfig, *, L=4096, C=4.0) -> RunResult:
         Gate("l2_relative_gap", "<=", 0.01),
         Gate("divergent_at_2_5", "==", 2.5 > critical_exponent(config.n)),
     )
-    return RunResult(config.experiment, rows, metrics, gates)
+    return RunResult(rows, metrics, gates)
 
 
 def _offset_power_fit(dyadic: tuple) -> Optional[float]:
@@ -548,24 +546,25 @@ def _offset_power_fit(dyadic: tuple) -> Optional[float]:
     return float(params[1])
 
 
-def _exp_glpnorm(config: RunConfig, *, C=4.0) -> RunResult:
-    quad_points = config.samples or 20_000
-    norm = g_lp_norm(config.p, quad_points, n=config.n, C=C)
+def _exp_glpnorm(config: RunConfig, *, samples=20_000, p=2.0, C=4.0) -> RunResult:
+    norm = g_lp_norm(p, samples, n=config.n, C=C)
     finite = math.isfinite(norm)
-    rows = ({"p": config.p, "norm": norm, "finite": finite},)
-    metrics = {"p": config.p, "norm": norm, "finite": finite}
+    rows = ({"p": p, "norm": norm, "finite": finite},)
+    metrics = {"p": p, "norm": norm, "finite": finite}
     gates = ()
     n, p_c = config.n, critical_exponent(config.n)
-    if abs(config.p - p_c) < 1e-12:
+    if abs(p - p_c) < 1e-12:
         # at p_c the radial integral of u**(-n/(n-1)) over [1, inf) is n - 1
         exact = (2 * (n - 1) * C * sphere_area(n - 1) * math.log(2.0)) ** (1.0 / p_c)
         metrics["exact"] = exact
         metrics["gap"] = abs(norm - exact)
         gates = (Gate("gap", "<=", 0.01 * exact),)
-    return RunResult(config.experiment, rows, metrics, gates)
+    return RunResult(rows, metrics, gates)
 
 
-def _exp_explore_unrefined(config: RunConfig, *, axis=0, pairs=12) -> RunResult:
+def _exp_explore_unrefined(
+    config: RunConfig, *, deltas=(2.0**-5, 2.0**-6), samples=1 << 16, pairs=12
+) -> RunResult:
     """Search for plain-shell pairs that overflow the refined envelope.
 
     Exploratory by design: removing the axis refinement allows internal
@@ -574,18 +573,17 @@ def _exp_explore_unrefined(config: RunConfig, *, axis=0, pairs=12) -> RunResult:
     declares no gate, so it always passes.
     """
 
-    m = config.samples or (1 << 16)
     rows = []
-    for delta in _deltas(config, (2.0**-5, 2.0**-6)):
+    for delta in deltas:
         ts = (delta / 2.0, delta, 4.0 * delta, 2.0**-4, 2.0**-2)
         rows += volume_bound_scan(
-            axis=axis, deltas=(delta,), ts=ts, pairs=pairs, m=m, seed=config.seed, n=config.n,
+            deltas=(delta,), ts=ts, pairs=pairs, m=samples, seed=config.seed, n=config.n,
             refined=False,
         )
     drawn = sum(row.pop("drawn") for row in rows)  # a diagnostic, not a CSV column
     rows.sort(key=lambda r: (-r["ratio"], r["delta"], r["t"], r["seed"]))
     metrics = {"max_ratio": rows[0]["ratio"], "exploratory": True, "shell_points_drawn": drawn}
-    return RunResult(config.experiment, tuple(rows), metrics, ())
+    return RunResult(tuple(rows), metrics, ())
 
 
 EXPERIMENTS: dict = {
@@ -604,16 +602,27 @@ EXPERIMENTS: dict = {
 }
 
 
+# the RunConfig fields an experiment takes only by declaring them, and their flags
+_INPUTS = {"deltas": "--delta-grid", "samples": "--samples", "p": "--p"}
+
+
 def run_experiment(config: RunConfig) -> RunResult:
-    """Run ``config``'s experiment with its overrides passed as the keyword
-    arguments they name, each typed like the keyword's default."""
+    """Run ``config``'s experiment.  Each set ``deltas``, ``samples`` or ``p``
+    is passed as the keyword of that name, which the experiment must declare;
+    each override as the keyword it names, typed like its default.  An
+    undeclared input or an unknown override raises ``ValueError`` before any
+    work."""
     experiment = EXPERIMENTS[config.experiment]
+    declared = experiment.__kwdefaults__ or {}
+    kwargs = {}
+    for key, flag in _INPUTS.items():
+        if getattr(config, key) is not None:
+            if key not in declared:
+                raise ValueError(f"{config.experiment} takes no {flag}")
+            kwargs[key] = getattr(config, key)
     given = dict(config.overrides)
-    kwargs = {
-        key: _typed_override(key, given.pop(key), default)
-        for key, default in (experiment.__kwdefaults__ or {}).items()
-        if key in given
-    }
+    overridable = [key for key in declared if key not in _INPUTS and key in given]
+    kwargs.update((key, _typed_override(key, given.pop(key), declared[key])) for key in overridable)
     if given:
         raise ValueError(f"unknown overrides: {sorted(given)}")
     return experiment(config, **kwargs)
@@ -803,7 +812,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--delta-grid", default=None, help="comma-separated shell widths")
     run.add_argument("--samples", type=int, default=None)
-    run.add_argument("--p", type=_parse_p, default=2.0)
+    run.add_argument("--p", type=_parse_p, default=None)
     run.add_argument("--out", default="runs")
     run.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE", help="repeatable"

@@ -115,15 +115,13 @@ def _segment_length(p: Array, q: Array, tp: Array, tq: Array) -> float:
 class FibreTrace:
     """A traced fibre: vertices on the curve with unit tangents.
 
-    For closed traces the start vertex is repeated at the end, so segments
-    ``(points[i], points[i+1])`` tile the whole curve exactly once.
+    The walk closes (or raises), and the start vertex is repeated at the end,
+    so segments ``(points[i], points[i+1])`` tile the whole curve exactly once.
     """
 
     points: Array
     tangents: Array
-    closed: bool
     length: float
-    step: float
 
     def segment_lengths(self) -> Array:
         out = np.empty(self.points.shape[0] - 1)
@@ -169,28 +167,15 @@ def _ball_fraction(p: Array, q: Array, centre: Array, radius: float) -> float:
     return max(hi - lo, 0.0)
 
 
-def _find_start(
-    x: Array,
-    radii: Array,
-    levels: Array,
-    seed: int,
-    near: Optional[Array] = None,
-) -> Array:
+def _find_start(x: Array, radii: Array, levels: Array, seed: int) -> Array:
     """A point on the fibre, via Newton from seeded initial guesses."""
     sphere_radius = math.sqrt(max(1.0 + levels[0], 0.0))
     if sphere_radius == 0.0:
         raise ValueError("first level set degenerates to a point")
-    guesses = []
-    if near is not None:
-        direction = np.asarray(near, dtype=float)
-        nrm = np.linalg.norm(direction)
-        if nrm > 0:
-            guesses.append(sphere_radius * direction / nrm)
     rng = rng_stream(seed, derive_stream("fibre-start", x, radii, levels))
     for _ in range(64):
         v = rng.standard_normal(3)
-        guesses.append(sphere_radius * v / np.linalg.norm(v))
-    for guess in guesses:
+        guess = sphere_radius * v / np.linalg.norm(v)
         try:
             w = _newton(x, radii, levels, guess, 4 * _MAX_NEWTON)
         except RuntimeError:
@@ -207,12 +192,11 @@ def trace_fibre(
     step: float = 0.01,
     seed: int = 0,
     start: Optional[Array] = None,
-    near: Optional[Array] = None,
 ) -> FibreTrace:
     """Trace one connected component of the fibre.
 
-    ``start`` (a point already on the curve) or ``near`` (a hint; the start
-    is found by Newton seeded towards it) select the component.  The walk
+    ``start`` (a point already on the curve) selects the component; without
+    it the start is found by Newton from seeded guesses.  The walk
     stops when it re-enters a ``1.5*step`` ball around the start after first
     leaving a ``2*step`` ball, and the start vertex is appended to close the
     polygon exactly.
@@ -226,7 +210,7 @@ def trace_fibre(
         raise ValueError("step must be positive")
 
     if start is None:
-        w = _find_start(x, radii, levels, seed, near)
+        w = _find_start(x, radii, levels, seed)
     else:
         w = _newton(x, radii, levels, np.asarray(start, dtype=float))
 
@@ -257,6 +241,6 @@ def trace_fibre(
 
     pts = np.array(points)
     tans = np.array(tangents)
-    trace = FibreTrace(points=pts, tangents=tans, closed=True, length=0.0, step=step)
+    trace = FibreTrace(points=pts, tangents=tans, length=0.0)
     total = float(np.sum(trace.segment_lengths()))
     return dataclasses.replace(trace, length=total)

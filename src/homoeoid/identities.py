@@ -70,10 +70,6 @@ class IdentityReport:
     threshold: float = 1e-9
     details: dict | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_residual < self.threshold
-
 
 def _report_from_residuals(
     name: str,

@@ -51,7 +51,6 @@ __all__ = [
     "annulus_average",
     "discretised_maximal",
     "domination_check",
-    "lp_norm",
     "GrowthScan",
     "l2_growth_scan",
     "bump_mixture_family",
@@ -232,12 +231,8 @@ def discretised_maximal(
     omega = sampler(rng_stream(seed, derive_stream("scan-shell", delta, stream)), m)
     masks = [geo.refinement_indicator(omega, axis) for axis in axes]
     best = np.full((1 + len(masks), xs.shape[0]), -np.inf)
-    rest = len(net) // len(net.axes[0])  # one point's grid at one axis-0 value, per sample
-    others = sum(map(len, net.axes[1:]))  # the other axes' table values
-    terms = len(f._tables([net.axes[0][:0]])[0])  # C, from an empty axis-0 table
-    budget = 2 * DEFAULT_CHUNK // m  # two grids' or the tables' values per point and sample
-    span = min(len(net.axes[0]), max(1, min(budget // (2 * rest), budget // terms - others)))
-    width = max(1, budget // max(2 * span * rest, terms * (span + others)))  # points per block
+    width, span = _block_plan(f, net, m)
+    rest = len(net) // len(net.axes[0])
     buffers = [np.empty(min(width, xs.shape[0]) * span * rest * m) for _ in range(2)]
     for first in range(0, xs.shape[0], width):
         x = xs[first : first + width]
@@ -253,6 +248,18 @@ def discretised_maximal(
                 masked = np.multiply(grid, mask, out=scratch.reshape(grid.shape))
                 np.maximum(top[row], np.mean(masked, axis=-1).max(axis=0), out=top[row])
     return best
+
+
+def _block_plan(f: Field, net: RadiiNet, m: int) -> tuple[int, int]:
+    """``(points, axis-0 values)`` per block of :func:`discretised_maximal`:
+    as many as keep its two full-grid buffers, and its ``C * sum(k_j)``
+    per-axis table values, each within about ``2 * DEFAULT_CHUNK`` floats."""
+    rest = len(net) // len(net.axes[0])  # one point's grid at one axis-0 value, per sample
+    others = sum(map(len, net.axes[1:]))  # the other axes' table values
+    terms = len(f._tables([net.axes[0][:0]])[0])  # C, from an empty axis-0 table
+    budget = 2 * DEFAULT_CHUNK // m  # two grids' or the tables' values per point and sample
+    span = min(len(net.axes[0]), max(1, min(budget // (2 * rest), budget // terms - others)))
+    return max(1, budget // max(2 * span * rest, terms * (span + others))), span
 
 
 def _grid_magnitudes(f: Field, coords: Sequence[Array], total: Array, scratch: Array) -> Array:
@@ -289,40 +296,6 @@ def domination_check(
         f, xs, delta, net, m=m, seed=seed, stream="domination", axes=range(xs.shape[1])
     )
     return float(np.max(plain - sum(refined)))
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def lp_norm(f: Callable[[Array], Array], p: float, region, m: int, *, seed: int) -> MCEstimate:
-    """``(|region| * mean |f|^p)**(1/p)`` over uniform samples of a box.
-
-    The standard error is propagated through the root by the delta method.
-    The stream is derived from ``(p, region)`` only, so rescaling the field
-    reuses identical samples and the norm scales exactly.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    lo = np.asarray(region[0], dtype=float)
-    hi = np.asarray(region[1], dtype=float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError("region must be a box with positive widths")
-    volume = float(np.prod(hi - lo))
-
-    def sample_fn(rng: np.random.Generator, k: int) -> Array:
-        pts = lo + rng.random((k, lo.shape[0])) * (hi - lo)
-        return np.abs(f(pts)) ** p
-
-    (est,) = mc_mean(sample_fn, m, seed=seed, stream=derive_stream("lp-norm", p, lo, hi))
-    integral = volume * est.value
-    se_integral = volume * est.std_error
-    if integral <= 0.0:
-        # values are non-negative, so a zero mean forces zero variance too
-        return MCEstimate(0.0, 0.0, m, seed)
-    norm = integral ** (1.0 / p)
-    return MCEstimate(norm, (norm / (p * integral)) * se_integral, m, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ def test_package_exports_resolve():
         (homoeoid, "RefinedAnnulusSpec"),
         (maximal.Field, "from_callable"),
         (knapp.CounterexampleField, "field"),
+        (maximal, "lp_norm"),
+        (identities.IdentityReport, "passed"),
     ],
 )
 def test_retired_functions_are_gone(owner, name):
@@ -56,7 +58,8 @@ def test_retired_functions_are_gone(owner, name):
     "fn, knobs",
     [
         (mc.mc_mean, ["chunk"]),
-        (fibres.trace_fibre, ["newton_tol", "max_newton", "max_steps"]),
+        (fibres.trace_fibre, ["newton_tol", "max_newton", "max_steps", "near"]),
+        (fibres.FibreTrace, ["closed", "step"]),
         (knapp.shell_partial_sums, ["min_survivors"]),
         (maximal.discretised_maximal, ["axis"]),
         (maximal.l2_growth_scan, ["net_policy"]),
@@ -80,6 +83,11 @@ def test_retired_functions_are_gone(owner, name):
         (knapp.dyadic_block_slope, ["blocks"]),
         (multiplicity.multiplicity_scan, ["count_rule"]),
         (cli._exp_fibre, ["rho"]),
+        (cli._exp_volume_bound, ["axis"]),
+        (cli._exp_bands, ["axis"]),
+        (cli._exp_multiplicity, ["axis"]),
+        (cli._exp_explore_unrefined, ["axis"]),
+        (cli.RunResult, ["experiment"]),
         (maximal.Field, ["evaluator"]),
     ],
 )
@@ -186,3 +194,44 @@ def test_cut_option_check_sees_each_form():
         ]
     )
     assert sorted(cut_options(source)) == ["<lambda>(cut)", "Spec.cut", "f(cut)", "g(cut)"]
+
+
+# the RunConfig fields that an experiment takes only as the keywords it declares
+CONFIG_INPUTS = {"deltas", "samples", "p"}
+
+
+def config_input_reads(source):
+    """The ``config.deltas``, ``config.samples`` and ``config.p`` reads inside
+    a module's ``_exp_*`` functions, nested functions included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_exp_"):
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Attribute)
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id == "config"
+                    and inner.attr in CONFIG_INPUTS
+                ):
+                    found.append(f"{node.name}(config.{inner.attr})")
+    return found
+
+
+def test_no_experiment_reads_its_inputs_off_the_config():
+    assert config_input_reads(Path(cli.__file__).read_text()) == []
+
+
+def test_config_input_check_sees_each_form():
+    source = "\n".join(
+        [
+            "def _exp_a(config, *, samples=1):",
+            "    return config.samples + config.n",
+            "def _exp_b(config):",
+            "    return (lambda: config.p)(), [d for d in config.deltas]",
+            "def helper(config):",
+            "    return config.samples",
+        ]
+    )
+    assert config_input_reads(source) == [
+        "_exp_a(config.samples)", "_exp_b(config.p)", "_exp_b(config.deltas)"
+    ]

@@ -373,6 +373,76 @@ class TestRunCommand:
         capsys.readouterr()
 
 
+# the flags whose values each experiment declares as keywords: 18 pairs of 36
+DECLARED_FLAGS = {
+    "identities": {"--samples"},
+    "nondeg": set(),
+    "volume-bound": {"--delta-grid", "--samples"},
+    "bands": {"--delta-grid", "--samples"},
+    "clusters": {"--samples"},
+    "fibre": set(),
+    "multiplicity": {"--delta-grid", "--samples"},
+    "l2-growth": {"--delta-grid", "--samples"},
+    "knapp-exponent": {"--delta-grid", "--samples", "--p"},
+    "divergence": {"--samples"},
+    "glpnorm": {"--samples", "--p"},
+    "explore-unrefined": {"--delta-grid", "--samples"},
+}
+# each flag's value on the command line, its keyword and the value passed
+FLAG_INPUTS = {
+    "--delta-grid": ("0.03125,0.0625", "deltas", (0.0625, 0.03125)),
+    "--samples": ("64", "samples", 64),
+    "--p": ("5/2", "p", 2.5),
+}
+
+
+class TestDeclaredInputs:
+    """``--delta-grid``, ``--samples`` and ``--p`` reach an experiment only as
+    keywords it declares; any other pair exits 2 before the experiment runs."""
+
+    def test_table_covers_every_experiment(self):
+        assert set(DECLARED_FLAGS) == set(cli.EXPERIMENTS)
+        assert sum(map(len, DECLARED_FLAGS.values())) == 18
+
+    @pytest.mark.parametrize("flag", list(FLAG_INPUTS))
+    @pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+    def test_flag_reaches_only_a_declaring_experiment(
+        self, tmp_path, capsys, monkeypatch, experiment, flag
+    ):
+        raw, key, value = FLAG_INPUTS[flag]
+        declared = flag in DECLARED_FLAGS[experiment]
+        real = cli.EXPERIMENTS[experiment]
+        assert (key in real.__kwdefaults__) == declared
+        calls = []
+
+        def stand_in(config, **kwargs):
+            calls.append(kwargs)
+            return cli.RunResult(({"a": 1},), {}, ())
+
+        stand_in.__kwdefaults__ = real.__kwdefaults__
+        monkeypatch.setitem(cli.EXPERIMENTS, experiment, stand_in)
+        rc = run_cli("run", "--experiment", experiment, flag, raw, "--out", tmp_path)
+        err = capsys.readouterr().err
+        if declared:
+            assert (rc, calls) == (0, [{key: value}])
+        else:
+            assert (rc, calls) == (2, [])
+            assert f"error: {experiment} takes no {flag}" in err
+            assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["deltas", "samples", "p"])
+    def test_input_named_by_an_override_is_unknown(self, tmp_path, capsys, key):
+        argv = ("--experiment", "knapp-exponent", "--override", f"{key}=1", "--out", tmp_path)
+        assert run_cli("run", *argv) == 2
+        assert f"unknown overrides: [{key!r}]" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_summary_config_holds_the_inputs_given(self, tmp_path, capsys):
+        assert run_cli("run", "--experiment", "identities", "--samples", 20, "--out", tmp_path) == 0
+        config = read_summary(tmp_path / "identities-seed0")["config"]
+        assert (config["samples"], config["deltas"], config["p"]) == (20, None, None)
+
+
 VOLUME_ARGS = (
     "run",
     "--experiment",
@@ -508,7 +578,7 @@ class TestAtomicArtifacts:
 
     @staticmethod
     def result(rows):
-        return cli.RunResult("identities", tuple(rows), {"worst": 0.5}, ())
+        return cli.RunResult(tuple(rows), {"worst": 0.5}, ())
 
     def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path):
         config = dataclasses.replace(self.CONFIG, out=str(tmp_path))
@@ -562,15 +632,15 @@ class TestGates:
     def test_nan_fails_every_comparison(self, op):
         gate = cli.Gate("x", op, 1.0)
         assert not gate.holds({"x": math.nan})
-        assert not cli.RunResult("demo", ({"a": 1},), {"x": math.nan}, (gate,)).passed
+        assert not cli.RunResult(({"a": 1},), {"x": math.nan}, (gate,)).passed
 
     def test_no_gate_passes(self):
-        assert cli.RunResult("demo", ({"a": 1},), {}, ()).passed
+        assert cli.RunResult(({"a": 1},), {}, ()).passed
 
     def test_summary_records_each_gate(self, tmp_path):
         config = cli.RunConfig("identities", out=str(tmp_path))
         gates = (cli.Gate("x", "<=", 4.0), cli.Gate("y", "==", True))
-        result = cli.RunResult("identities", ({"a": 1},), {"x": math.inf, "y": True}, gates)
+        result = cli.RunResult(({"a": 1},), {"x": math.inf, "y": True}, gates)
         summary = read_summary(cli.write_artifacts(config, result))
         assert summary["gates"] == [
             {
@@ -653,7 +723,8 @@ class TestPredictions:
     @pytest.mark.parametrize("experiment", ["divergence", "glpnorm"])
     def test_norm_experiments_pass_at_n5(self, tmp_path, capsys, experiment):
         n, p_c = 5, knapp.critical_exponent(5)
-        argv = ("--experiment", experiment, "--n", n, "--p", repr(p_c), "--out", tmp_path)
+        at_p = ("--p", repr(p_c)) if experiment == "glpnorm" else ()
+        argv = ("--experiment", experiment, "--n", n, *at_p, "--out", tmp_path)
         assert run_cli("run", *argv) == 0
         gates = read_summary(tmp_path / f"{experiment}-seed0")["gates"]
         assert len(gates) == (4 if experiment == "divergence" else 1)
@@ -685,7 +756,6 @@ class TestHelpers:
     @pytest.mark.parametrize(
         "key, raw, default, expected",
         [
-            ("axis", 0.0, 0, 0),
             ("pairs", 3.0, 10, 3),
             ("rho", 0.5, 0.2, 0.5),
             ("pairs", 0.0, 10, "override pairs must be at least 1, got 0"),

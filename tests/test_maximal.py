@@ -10,7 +10,7 @@ from helpers import per_radius_net_sups
 
 from homoeoid import geometry as geo
 from homoeoid import maximal
-from homoeoid.mc import DEFAULT_CHUNK, derive_stream, mc_mean, rng_stream
+from homoeoid.mc import derive_stream, mc_mean, rng_stream
 from homoeoid.volumes import reference_shell_sampler
 
 
@@ -379,20 +379,7 @@ def net_of(n, per_axis):
     return maximal.RadiiNet(lo, hi, (hi[0] - lo[0]) / (per_axis - 1))
 
 
-def kernel_blocks(net, m, terms):
-    """``(points, axis-0 values)`` per block of the net-sup kernel: its two
-    full-grid buffers, and its ``terms * sum(k_j)`` per-axis table values,
-    each in about ``2 * DEFAULT_CHUNK`` floats."""
-    k0 = len(net.axes[0])
-    rest, others = len(net) // k0, sum(map(len, net.axes[1:]))
-    budget = 2 * DEFAULT_CHUNK // m
-    span = min(k0, max(1, min(budget // (2 * rest), budget // terms - others)))
-    return max(1, budget // max(2 * span * rest, terms * (span + others))), span
-
-
-def terms(f):
-    """The number of terms ``C`` of a product-form field."""
-    return len(f.factors(0, np.zeros(0)))
+kernel_blocks = maximal._block_plan  # (points, axis-0 values) per block
 
 
 def counting(f):
@@ -418,7 +405,7 @@ class TestRadiusBlocks:
 
     def assert_matches(self, n, xs, net, m, axes, ragged=lambda width, span: True):
         for f in self.fields(n):
-            assert ragged(*kernel_blocks(net, m, terms(f)))
+            assert ragged(*kernel_blocks(f, net, m))
             got = maximal.discretised_maximal(
                 f, xs, KERNEL_DELTA, net, m=m, seed=6, stream="blocks", axes=axes
             )
@@ -457,7 +444,7 @@ class TestRadiusBlocks:
         net = net_of(n, 3)
         x = np.random.default_rng(n).uniform(-0.4, 0.4, n)
         for f in self.fields(n):
-            assert kernel_blocks(net, 64, terms(f))[1] == len(net.axes[0])
+            assert kernel_blocks(f, net, 64)[1] == len(net.axes[0])
             g, calls = counting(f)
             maximal.discretised_maximal(g, x, KERNEL_DELTA, net, m=64, seed=6, stream="blocks")
             assert calls == [(0, (0,))] + [(j, (3, 1, 64)) for j in range(n)]
@@ -480,7 +467,7 @@ class TestRadiusBlocks:
         net = small_net(n)
         xs = np.random.default_rng(n).uniform(-0.4, 0.4, (300, n))
         for f in self.fields(n):
-            width, span = kernel_blocks(net, 256, terms(f))
+            width, span = kernel_blocks(f, net, 256)
             assert span == 2 and len(xs) % width
             g, calls = counting(f)
             axes = tuple(range(n))
@@ -508,7 +495,7 @@ class TestRadiusBlocks:
         g, calls = counting(f)
         got = maximal.discretised_maximal(g, xs, 2**-6, net, m=512, seed=0, stream=0)
         np.testing.assert_array_equal(got, per_radius_net_sups(f, xs, 2**-6, net, 512, 0, 0))
-        assert kernel_blocks(net, 512, 6) == (1, 5)
+        assert kernel_blocks(f, net, 512) == (1, 5)  # C = 6
         assert calls == [(0, (0,))] + [(j, (5, 1, 512)) for _ in xs for j in range(3)]
 
 
@@ -549,35 +536,6 @@ class TestKernelMemory:
             lambda: maximal.discretised_maximal(f, xs, 2**-5, net, m=512, seed=0, stream=0)
         )
         assert peak < 3 * 2**20
-
-
-class TestLpNorm:
-    def test_unit_cube_indicator(self):
-        f = maximal.Field(ones, np.zeros(3), np.ones(3))
-        for p in (1.0, 2.0, 3.5):
-            est = maximal.lp_norm(f, p, (np.zeros(3), np.ones(3)), 500, seed=0)
-            assert est.value == pytest.approx(1.0, rel=1e-15)
-            assert est.std_error < 1e-12
-
-    def test_scaling_homogeneity_is_exact(self):
-        fam = maximal.bump_mixture_family(2, components=3, seed=9)
-        f = fam(0)
-        region = (f.lo, f.hi)
-        a = maximal.lp_norm(f, 2.0, region, 2000, seed=1)
-        b = maximal.lp_norm(lambda p: 2.0 * f(p), 2.0, region, 2000, seed=1)
-        assert b.value == pytest.approx(2.0 * a.value, rel=1e-14)
-
-    def test_zero_field(self):
-        f = maximal.Field(lambda j, t: np.zeros((1, *t.shape)), [0.0], [1.0])
-        est = maximal.lp_norm(f, 2.0, ([0.0], [1.0]), 100, seed=0)
-        assert est.value == 0.0 and est.std_error == 0.0
-
-    def test_validation(self):
-        f = constant_field(2)
-        with pytest.raises(ValueError):
-            maximal.lp_norm(f, 0.5, (np.zeros(2), np.ones(2)), 10, seed=0)
-        with pytest.raises(ValueError):
-            maximal.lp_norm(f, 2.0, (np.zeros(2), np.zeros(2)), 10, seed=0)
 
 
 class TestGrowthScan:
@@ -622,8 +580,14 @@ class TestGrowthScan:
 class TestBumpFamily:
     def test_closed_form_normalisation_matches_monte_carlo(self):
         f = maximal.bump_mixture_family(3, seed=4)(0)
-        est = maximal.lp_norm(f, 2.0, (f.lo, f.hi), 400_000, seed=1)
-        assert abs(est.value - 1.0) < 4 * est.std_error
+        volume = float(np.prod(f.hi - f.lo))
+
+        def squares(rng, k):
+            return f(f.lo + rng.random((k, 3)) * (f.hi - f.lo)) ** 2
+
+        (est,) = mc_mean(squares, 400_000, seed=1, stream=derive_stream("lp-norm", 2.0, f.lo, f.hi))
+        # ||f||^2 = volume * mean f^2, whose standard error is volume * est's
+        assert abs(volume * est.value - 1.0) < 4 * volume * est.std_error
 
     def test_deterministic_and_distinct(self):
         fam = maximal.bump_mixture_family(3, seed=7)
