@@ -453,8 +453,11 @@ def _radial_norm_oracle(n: int, C: float) -> float:
     beta = n / (n - 1.0)
     u_max = 1e4
     grid = np.linspace(1.0, u_max, 1_000_001)
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    integral = float(np.sum(mids**-beta) * (grid[1] - grid[0]))
+    step = grid[1] - grid[0]
+    mids = np.add(grid[1:], grid[:-1])
+    del grid  # one grid-sized array at a time
+    mids *= 0.5
+    integral = float(np.sum(np.power(mids, -beta, out=mids)) * step)
     integral += u_max ** (1.0 - beta) / (beta - 1.0)
     area = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
     return (2.0 * C * area * math.log(2.0) * integral) ** (1.0 / critical_exponent(n))

@@ -47,6 +47,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from homoeoid.mc import DEFAULT_CHUNK
+
 Array = np.ndarray
 
 __all__ = [
@@ -377,18 +379,22 @@ def covering_margin(omega: Array) -> Array:
     admissible reference shell satisfies; nonnegativity is what makes the
     axis refinements a covering of the plain shell.
 
-    The maximum is a running one over the coordinates of the flattened batch.
+    The maximum is a running one over the coordinates of the flattened batch,
+    taken in blocks of ``DEFAULT_CHUNK`` points.
     """
     w = np.asarray(omega, dtype=float)
     n = w.shape[-1]
     c = default_refinement_cut(n)
     flat = w.reshape(-1, n)
-    top = np.abs(flat[:, 0])
-    for j in range(1, n):
-        np.maximum(top, np.abs(flat[:, j]), out=top)
-    top **= 3
-    top -= 2.0 * c
-    return top.reshape(w.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar
+    out = np.empty(flat.shape[0])
+    for i in range(0, flat.shape[0], DEFAULT_CHUNK):
+        block = flat[i : i + DEFAULT_CHUNK]
+        top = np.abs(block[:, 0], out=out[i : i + DEFAULT_CHUNK])
+        for j in range(1, n):
+            np.maximum(top, np.abs(block[:, j]), out=top)
+        top **= 3
+        top -= 2.0 * c
+    return out.reshape(w.shape[:-1])[()]  # [()] turns a single point's 0-d result into a scalar
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ which covers the float affine map and membership kernel.  ``z`` has density
 proportional to ``(1 - z**2)**((n-3)/2)`` (``(1+z)/2`` is Beta((n-1)/2,
 (n-1)/2): uniform at n = 3, arcsine at n = 2), so the zone's mass is a
 difference of regularised incomplete beta functions (at n >= 4, upper tails
-for a zone above the equator).  ``z`` is drawn by their inverse at n = 2, 3,
-and by rejection from the uniform on ``[z_lo, z_hi]`` at n >= 4.  The rest
+for a zone above the equator), which at n = 3 is ``(z_hi - z_lo) / 2``.
+``z`` is drawn in closed form at n = 3, by the inverse CDF at n = 2, and by
+rejection from the uniform on ``[z_lo, z_hi]`` at n >= 4.  The rest
 of ``u`` is a uniform unit vector of ``e``'s orthogonal complement.  The zone
 ignores both refinements, so a refined and a plain ``spec_a`` on one stream
 draw the same points, and the refined hits are a subset of the plain ones.
@@ -163,13 +164,20 @@ def reference_shell_sampler(delta: float, n: int) -> Callable[[np.random.Generat
 
     Returns ``fn(rng, m) -> omega`` with ``| |omega|^2 - 1 | < delta``.  The
     radial coordinate uses the exact inverse CDF of ``s^{n-1} ds`` between
-    ``sqrt(1-delta)`` and ``sqrt(1+delta)``.
+    ``sqrt(1-delta)`` and ``sqrt(1+delta)``.  All ``(m, n)`` normals are drawn
+    first and then all ``m`` uniforms; they are mapped to the shell in blocks
+    of ``DEFAULT_CHUNK`` rows.
     """
     delta = geo._shell_width(delta)
 
     def sample(rng: np.random.Generator, m: int) -> Array:
-        omega = _normalise(rng.standard_normal((m, n)))
-        return _to_shell(omega, rng.random(m), (1.0 - delta, 1.0 + delta))
+        omega = rng.standard_normal((m, n))
+        s = rng.random(m)
+        # row by row arithmetic, in blocks to keep its temporaries small
+        for i in range(0, m, DEFAULT_CHUNK):
+            rows = slice(i, i + DEFAULT_CHUNK)
+            _to_shell(_normalise(omega[rows]), s[rows], (1.0 - delta, 1.0 + delta))
+        return omega
 
     return sample
 
@@ -274,11 +282,15 @@ class _HitZone:
         """The law of ``u.e`` for a uniform ``u`` at ``z_lo`` and ``z_hi``;
         with ``upper``, its upper tails at ``z_hi`` and ``z_lo`` (the law is
         even, so these are the law of ``-u.e`` at ``-z_hi`` and ``-z_lo``)."""
-        from scipy.special import betainc
-
-        a = 0.5 * (self.e.size - 1)
+        n = self.e.size
         sign, ends = (-1.0, (self.z_hi, self.z_lo)) if upper else (1.0, (self.z_lo, self.z_hi))
-        lo, hi = (float(betainc(a, a, 0.5 * (1.0 + sign * z))) for z in ends)
+        x = [0.5 * (1.0 + sign * z) for z in ends]
+        if n != 3:  # at n = 3 the law is Beta(1, 1), whose CDF is the identity
+            from scipy.special import betainc
+
+            a = 0.5 * (n - 1)
+            x = [betainc(a, a, v) for v in x]
+        lo, hi = (float(v) for v in x)
         return lo, hi
 
     @property
@@ -290,8 +302,9 @@ class _HitZone:
         return max(hi - lo, 0.0)
 
     def _z(self, rng: np.random.Generator, k: int) -> Array:
-        """``k`` i.i.d. draws of ``u.e`` for a uniform ``u`` of the zone: by the
-        inverse CDF at n = 2, 3; at n >= 4 by keeping a uniform candidate on
+        """``k`` i.i.d. draws of ``u.e`` for a uniform ``u`` of the zone: in
+        closed form at n = 3, where ``u.e`` is uniform on ``[-1, 1]``; by the
+        inverse CDF at n = 2; at n >= 4 by keeping a uniform candidate on
         ``[z_lo, z_hi]`` when a uniform multiple of the density's peak on the
         zone falls below its density ``(1 - z**2)**((n-3)/2)`` (Devroye 1986,
         ch. II).  That is exact at any n and keeps a thin cap's resolution; at
@@ -299,11 +312,13 @@ class _HitZone:
         since ``(1 - z**2)/(1 - a**2) >= (1 - z)/(1 - a)`` for ``0 <= a <= z``."""
         n = self.e.size
         if n <= 3:
-            from scipy.special import betaincinv
-
-            a = 0.5 * (n - 1)
             lo, hi = self._cdf()
-            return 2.0 * betaincinv(a, a, lo + (hi - lo) * rng.random(k)) - 1.0
+            x = lo + (hi - lo) * rng.random(k)
+            if n == 2:
+                from scipy.special import betaincinv
+
+                x = betaincinv(0.5, 0.5, x)
+            return 2.0 * x - 1.0
         power = 0.5 * (n - 3)
         lo, hi = self.z_lo, self.z_hi
         peak = (1.0 - min(max(lo, 0.0), hi) ** 2) ** power
@@ -649,7 +664,10 @@ def _tangency_cover(cfg: geo.TangencyConfig, rho: float, delta: float) -> _Tange
     lower bound exceeds ``sqrt(rho**2 + kappa)``, where ``kappa`` bounds the
     Gram kernel's rounding of ``N**2``.  The z range starts at the
     refinement's edge ``(2 cut)**(1/3) / s1``, less a relative ``1e-12`` for
-    the rounding of the cube test.
+    the rounding of the cube test.  At ``_COVER_DEPTH`` a cell's own slack
+    (about 1e-3 in ``N``) dwarfs ``kappa``; ``kappa`` keeps cells only in a
+    cover refined far deeper, as on a shell of width 1e-10 at a tiny ``rho``,
+    whose kept cells then shrink around the tangency pair.
     """
     s0, s1 = math.sqrt(1.0 - delta), math.sqrt(1.0 + delta)
     inv2 = 1.0 / (cfg.radii * cfg.radii)
@@ -721,6 +739,51 @@ def _low_tangency_points(
     return drawn, have, np.concatenate([rows for _, _, rows in batches], axis=0)[:keep]
 
 
+def _pair_distances(pts: Array) -> Array:
+    """``(k, k)`` Euclidean distances between the rows of ``pts``, with the
+    squared differences summed in coordinate order (the bits of
+    ``squareform(pdist(pts))``), filled in blocks of rows."""
+    k, d = pts.shape
+    dist = np.empty((k, k))
+    step = max(1, DEFAULT_CHUNK // k)
+    for i in range(0, k, step):
+        block = dist[i : i + step]
+        np.subtract.outer(pts[i : i + step, 0], pts[:, 0], out=block)
+        np.square(block, out=block)
+        for j in range(1, d):
+            diff = np.subtract.outer(pts[i : i + step, j], pts[:, j])
+            block += np.square(diff, out=diff)
+        np.sqrt(block, out=block)
+    return dist
+
+
+def _single_linkage(pts: Array, scale: float) -> tuple[Array, Array]:
+    """Single-linkage clusters of the rows of ``pts`` at distance ``scale``:
+    ``(labels, diameters)``, the label ``0, 1, ...`` of each point and the
+    largest distance within each cluster.  The clusters are the connected
+    components of the graph with an edge wherever the distance is ``<=
+    scale``, numbered by their first point: ``fcluster(linkage(pdist(pts),
+    "single"), scale, "distance")`` up to numbering."""
+    dist = _pair_distances(pts)
+    labels = np.full(pts.shape[0], -1)
+    count = 0
+    while (rest := np.flatnonzero(labels < 0)).size:
+        frontier = rest[:1]
+        while frontier.size:
+            labels[frontier] = count
+            near = (dist[frontier] <= scale).any(axis=0)
+            frontier = np.flatnonzero(near & (labels < 0))
+        count += 1
+    # each row's largest distance within its cluster, in blocks of rows
+    diameters = np.zeros(count)
+    step = max(1, DEFAULT_CHUNK // labels.size)
+    for i in range(0, labels.size, step):
+        rows = labels[i : i + step]
+        within = np.where(rows[:, None] == labels, dist[i : i + step], 0.0)
+        np.maximum.at(diameters, rows, within.max(axis=1))
+    return labels, diameters
+
+
 def low_jacobian_cluster(
     *,
     axis: int,
@@ -747,8 +810,10 @@ def low_jacobian_cluster(
     uniform points of the cover (cell, then ``z``, ``phi`` and ``v``) from
     the same stream.  At most ``max_keep`` accepted points (the first ones
     drawn — an unbiased subsample of i.i.d. draws) enter the O(count^2)
-    linkage stage.  The batches run in a plain loop, in batch order: each
-    draws a few points, too few to pay for a worker pool.
+    linkage stage, which finds the clusters as the connected components of
+    the graph with an edge wherever the distance is ``<= scale``.  The
+    batches run in a plain loop, in batch order: each draws a few points,
+    too few to pay for a worker pool.
     """
     radii = np.asarray(radii, dtype=float)
     n = radii.shape[0]
@@ -762,25 +827,12 @@ def low_jacobian_cluster(
     scale = 16.0 * rho / t
     if pts.shape[0] == 0:
         return ClusterReport(rho, t, scale, 0, (), 0, m, drawn, empty=True)
-    if pts.shape[0] == 1:
-        return ClusterReport(rho, t, scale, 1, (0.0,), have, m, drawn, empty=False)
-
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import pdist, squareform
-
-    dist = pdist(pts)
-    labels = fcluster(linkage(dist, method="single"), t=scale, criterion="distance")
-    square = squareform(dist)
-    diameters = []
-    for lab in np.unique(labels):
-        idx = np.flatnonzero(labels == lab)
-        diameters.append(0.0 if idx.size == 1 else float(np.max(square[np.ix_(idx, idx)])))
-    diameters.sort(reverse=True)
+    diameters = sorted(map(float, _single_linkage(pts, scale)[1]), reverse=True)
     return ClusterReport(
         rho=rho,
         t=t,
         scale=scale,
-        cluster_count=int(labels.max()),
+        cluster_count=len(diameters),
         diameters=tuple(diameters),
         accepted=have,
         requested=m,

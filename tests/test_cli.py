@@ -818,6 +818,29 @@ class TestConsoleEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_three_dimensional_shell_experiments_load_no_scipy(self):
+        # at n = 3 the zone law is uniform and the linkage is numpy's; the
+        # clusters run keeps several points, so its linkage stage runs
+        code = (
+            "import sys\n"
+            "from homoeoid.cli import RunConfig, run_experiment\n"
+            "runs = [\n"
+            "    RunConfig('volume-bound', deltas=(2.0**-5, 2.0**-6, 2.0**-7), samples=2000,\n"
+            "              overrides=(('pairs', 1),)),\n"
+            "    RunConfig('clusters', samples=1 << 20, overrides=(('configs', 1),)),\n"
+            "    RunConfig('knapp-exponent', deltas=(2.0**-4, 2.0**-5, 2.0**-6), samples=64,\n"
+            "              overrides=(('m_x', 2),)),\n"
+            "    RunConfig('explore-unrefined', samples=2000, overrides=(('pairs', 1),)),\n"
+            "]\n"
+            "results = [run_experiment(config) for config in runs]\n"
+            "assert min(row['accepted'] for row in results[1].rows) >= 2\n"
+            "loaded = [m for m in ('scipy.special', 'scipy.cluster', 'scipy.spatial')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_short_divergence_fits_no_offset_and_warns_nothing(self, tmp_path):
         # L=16 gives three dyadic sums for the three-parameter offset fit
         proc = subprocess.run(

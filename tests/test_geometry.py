@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from homoeoid import geometry as geo
 from homoeoid import maximal, multiplicity
+from homoeoid.mc import DEFAULT_CHUNK
 
 from helpers import fd_jacobian_richardson
 
@@ -379,6 +380,10 @@ class TestCoordinateKernels:
         np.testing.assert_array_equal(geo.covering_margin(w.reshape(20, n)), want.reshape(20))
         single = geo.covering_margin(w[2, 3])
         assert type(single) is type(want[2, 3]) and single == want[2, 3]
+        # a batch of three blocks, the last one short
+        w = np.random.default_rng(n).normal(size=(2, DEFAULT_CHUNK + 5, n))
+        want = reference_covering_margin(w, geo.default_refinement_cut(n))
+        np.testing.assert_array_equal(geo.covering_margin(w), want)
 
 
 class TestTangencySystem:

@@ -443,6 +443,28 @@ class TestHitZone:
             assert mass == pytest.approx(cdf(b) - cdf(a), rel=1e-12, abs=1e-15)
         assert vol._HitZone(e, 0.4, -0.3).mass == 0.0
 
+    @pytest.mark.parametrize(
+        "ends",
+        [(0.4, -0.3), (-1.0, 1.0), (0.7, 1.0), (-0.3, 0.4), (-1.0, -0.2), (1.0, 1.0), (-1.0, -1.0)],
+        ids=["empty", "whole", "polar", "band", "south-end", "north-pole", "south-pole"],
+    )
+    def test_three_dimensional_law_keeps_scipy_bits(self, ends):
+        # at n = 3, (1 + u.e)/2 is Beta(1, 1), whose CDF and its inverse are
+        # the identity: the closed forms give scipy's betainc and betaincinv
+        # values bit for bit
+        from scipy.special import betainc, betaincinv
+
+        zone = vol._HitZone(np.full(3, 1.0 / math.sqrt(3.0)), *ends)
+        lo, hi = (float(betainc(1.0, 1.0, 0.5 * (1.0 + z))) for z in ends)
+        assert zone._cdf() == (lo, hi)
+        assert zone._cdf(upper=True) == tuple(
+            float(betainc(1.0, 1.0, 0.5 * (1.0 - z))) for z in ends[::-1]
+        )
+        assert zone.mass == max(hi - lo, 0.0)
+        got = zone._z(rng_stream(SEED, 3), 4096)
+        want = 2.0 * betaincinv(1.0, 1.0, lo + (hi - lo) * rng_stream(SEED, 3).random(4096)) - 1.0
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
     def test_polar_zone_mass_matches_the_cap_formula(self, n):
         # the share of S^(n-1) with u.e >= c in the closed form the Knapp cap
@@ -713,6 +735,93 @@ class TestClusterReport:
         assert report.empty
 
 
+def scipy_single_linkage(pts, scale):
+    """``(distances, labels, diameters)`` by scipy's ``pdist``, ``linkage``
+    and ``fcluster``: the route ``volumes._single_linkage`` replaces, kept as
+    its oracle.  Labels run from 1; ``diameters[i]`` is label ``i + 1``'s."""
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist, squareform
+
+    dist = pdist(pts)
+    labels = fcluster(linkage(dist, method="single"), t=scale, criterion="distance")
+    square = squareform(dist)
+    diameters = [float(square[np.ix_(labels == lab, labels == lab)].max()) for lab in np.unique(labels)]
+    return square, labels, diameters
+
+
+class TestSingleLinkage:
+    """``low_jacobian_cluster``'s numpy single linkage against scipy's."""
+
+    @staticmethod
+    def check(pts, scale):
+        square, want_labels, want_diameters = scipy_single_linkage(pts, scale)
+        np.testing.assert_array_equal(vol._pair_distances(pts), square)
+        labels, diameters = vol._single_linkage(pts, scale)
+        # one partition: each label meets one scipy label, and the counts agree
+        pairs = set(zip(labels.tolist(), want_labels.tolist()))
+        assert len(pairs) == diameters.size == want_labels.max()
+        # numbered by first point, each with its scipy cluster's diameter
+        first = np.unique(labels, return_index=True)[1]
+        np.testing.assert_array_equal(labels[first], np.arange(diameters.size))
+        assert diameters.tolist() == [want_diameters[want_labels[i] - 1] for i in first]
+        return diameters.size
+
+    def test_random_sets_match_scipy(self):
+        # half the scales are distances of the set itself, so ties occur
+        rng = np.random.default_rng(SEED)
+        for trial in range(300):
+            k = int(rng.integers(2, 80))
+            pts = rng.standard_normal((k, 3)) * rng.uniform(0.01, 2.0)
+            if trial % 5 == 0:
+                pts[rng.integers(k, size=k // 3)] = pts[-1]  # duplicate points
+            dist = vol._pair_distances(pts)[np.triu_indices(k, 1)]
+            scale = float(rng.choice(dist)) if trial % 2 else float(rng.uniform(0.0, dist.max()))
+            self.check(pts, scale)
+
+    @pytest.mark.parametrize(
+        "case,count",
+        [("tie", 1), ("duplicates", 2), ("singletons", 4), ("one-cluster", 1), ("pair", 2)],
+    )
+    def test_edge_cases_match_scipy(self, case, count):
+        line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        pts, scale = {
+            "tie": (line, 1.0),  # every neighbour exactly at the scale
+            "duplicates": (line[[0, 0, 3, 3]], 0.0),
+            "singletons": (line, 0.5),
+            "one-cluster": (line, 3.0),
+            "pair": (line[[0, 2]], 1.5),
+        }[case]
+        assert self.check(pts, scale) == count
+
+    def test_memory_at_max_keep(self):
+        # at max_keep points the (k, k) distances take 128 MB; scipy's
+        # pdist and squareform held 192 MB
+        import inspect
+        import tracemalloc
+
+        k = inspect.signature(vol.low_jacobian_cluster).parameters["max_keep"].default
+        pts = np.random.default_rng(SEED).random((k, 3))
+        tracemalloc.start()
+        try:
+            vol._single_linkage(pts, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * k * k * 8
+
+    def test_report_matches_scipy_linkage(self):
+        # the two-cluster tangency pair: the report's count and diameters are scipy's
+        cfg = geo.TangencyConfig(0, 0.3, np.array([1.4, 1.0, 0.8]))
+        rho, delta, m = 0.02, 2**-6, 1 << 19
+        pts = vol._low_tangency_points(cfg, rho, delta, m, SEED, 4000)[2]
+        report = vol.low_jacobian_cluster(
+            axis=0, t=0.3, radii=cfg.radii, rho=rho, delta=delta, m=m, seed=SEED
+        )
+        _, labels, diameters = scipy_single_linkage(pts, 16.0 * rho / 0.3)
+        assert report.cluster_count == labels.max() == 2
+        assert report.diameters == tuple(sorted(diameters, reverse=True))
+
+
 class TestTangencyCover:
     """The cover that ``low_jacobian_cluster`` draws in, against the brute
     route that draws every shell point."""
@@ -755,6 +864,27 @@ class TestTangencyCover:
         assert ok.sum() > 100
         pts = np.concatenate([pts, near[ok]])
         assert in_cover(cover, pts, axis).all()
+
+    def test_gram_rounding_margin_keeps_float_accepted_points(self, monkeypatch):
+        # kappa bounds the Gram kernel's rounding of N**2, which at rho =
+        # 1e-12 accepts unit points within ~1e-8 of the tangency pair.  At the
+        # default depth a cell's own slack dwarfs kappa; on a shell of width
+        # 1e-10 the low set is nearly the pair itself, so a cover refined
+        # deeper has cells far finer than that rounding, and only kappa keeps
+        # the cells around those points
+        monkeypatch.setattr(vol, "_COVER_DEPTH", 32)
+        cfg = geo.TangencyConfig(0, 0.3, np.array([1.4, 1.0, 0.8]))
+        cover = vol._tangency_cover(cfg, 1e-12, 1e-10)
+        assert cover.dz < 1e-7
+        w1 = 0.3 / (1 - 1.0 / 1.4**2)
+        w2 = 0.3 / (1 - 0.8**2 / 1.4**2)
+        w0 = math.sqrt(1 - w1 * w1 - w2 * w2)
+        pair = np.array([[w0, w1, w2], [-w0, w1, w2]])[:, None, :]
+        near = (pair + 1e-8 * np.random.default_rng(0).standard_normal((2, 1024, 3))).reshape(-1, 3)
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        ok = geo.refinement_indicator(near, 0) & (geo.jacobian_gram_norm(cfg, near) < 1e-12)
+        assert ok.sum() > 100
+        assert in_cover(cover, near[ok], 0).all()
 
     def test_same_law_as_brute_route(self):
         # one configuration, 200 seeds per route (disjoint, so the two routes
