@@ -445,7 +445,10 @@ class TestHitZone:
 
     @pytest.mark.parametrize(
         "ends",
-        [(0.4, -0.3), (-1.0, 1.0), (0.7, 1.0), (-0.3, 0.4), (-1.0, -0.2), (1.0, 1.0), (-1.0, -1.0)],
+        [
+            (0.4, -0.3), (-1.0, 1.0), (0.7, 1.0), (-0.3, 0.4), (-1.0, -0.2), (1.0, 1.0),
+            (-1.0, -1.0),
+        ],
         ids=["empty", "whole", "polar", "band", "south-end", "north-pole", "south-pole"],
     )
     def test_three_dimensional_law_keeps_scipy_bits(self, ends):
@@ -745,7 +748,9 @@ def scipy_single_linkage(pts, scale):
     dist = pdist(pts)
     labels = fcluster(linkage(dist, method="single"), t=scale, criterion="distance")
     square = squareform(dist)
-    diameters = [float(square[np.ix_(labels == lab, labels == lab)].max()) for lab in np.unique(labels)]
+    diameters = [
+        float(square[np.ix_(labels == lab, labels == lab)].max()) for lab in np.unique(labels)
+    ]
     return square, labels, diameters
 
 
@@ -880,7 +885,8 @@ class TestTangencyCover:
         w2 = 0.3 / (1 - 0.8**2 / 1.4**2)
         w0 = math.sqrt(1 - w1 * w1 - w2 * w2)
         pair = np.array([[w0, w1, w2], [-w0, w1, w2]])[:, None, :]
-        near = (pair + 1e-8 * np.random.default_rng(0).standard_normal((2, 1024, 3))).reshape(-1, 3)
+        near = pair + 1e-8 * np.random.default_rng(0).standard_normal((2, 1024, 3))
+        near = near.reshape(-1, 3)
         near /= np.linalg.norm(near, axis=1, keepdims=True)
         ok = geo.refinement_indicator(near, 0) & (geo.jacobian_gram_norm(cfg, near) < 1e-12)
         assert ok.sum() > 100
