@@ -7,7 +7,10 @@ gate's measured value and its margin to the bound) under
 ``<out>/<experiment>-seed<seed>/``.  An experiment's keyword-only
 parameters declare every input it reads: ``deltas``, ``samples`` and ``p``
 come only from ``--delta-grid``, ``--samples`` and ``--p``, the others only
-from overrides, typed like their defaults.
+from overrides.  Every override is a repetition count, a whole number of at
+least 1; the model's constants (the opening constant ``knapp.OPENING``, the
+offsets of ``bands``, the shell width of ``clusters``) are fixed where they
+are read.
 CSV bodies are a pure function of the configuration — floats are serialised
 with ``repr`` and all Monte-Carlo reductions are order-fixed — so re-running
 a configuration (under any ``HOMOEOID_THREADS`` setting) reproduces the bytes
@@ -16,8 +19,8 @@ artifacts are strict: a non-finite float is written as the string ``"inf"``,
 ``"-inf"`` or ``"nan"``, its ``repr`` in the CSV.  Exit codes: 0 every gate
 holds, 1 a gate failed, 2 the configuration was invalid (an unknown or
 mistyped override, a ``--delta-grid``, ``--samples`` or ``--p`` that the
-experiment does not declare, a non-finite ``p`` or delta, or an opening
-constant ``C`` below 1) or artifacts could not be written.  Every artifact
+experiment does not declare, a ``--samples`` below the experiment's floor, or
+a non-finite ``p`` or delta) or artifacts could not be written.  Every artifact
 is written to a temporary file and renamed into place.
 
 ``report`` merges the summaries under an output directory into a single
@@ -50,6 +53,7 @@ from . import __version__
 from .fibres import trace_fibre
 from .identities import contact_jacobian_check, identity_suite, nondeg_bounds_scan
 from .knapp import (
+    OPENING,
     critical_exponent,
     dyadic_block_slope,
     g_lp_norm,
@@ -155,19 +159,13 @@ class RunResult:
         return all(g.holds(self.metrics) for g in self.gates)
 
 
-def _typed_override(key: str, raw, default):
-    """``raw`` typed like ``default``: an integer must be a whole number of at
-    least 1; a float must be finite."""
-    if isinstance(default, int):
-        if not float(raw).is_integer():
-            raise ValueError(f"override {key} must be an integer, got {raw!r}")
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"override {key} must be at least 1, got {value}")
-        return value
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"override {key} must be finite, got {value!r}")
+def _count_override(key: str, raw) -> int:
+    """``raw`` as a repetition count: a whole number of at least 1."""
+    if not float(raw).is_integer():
+        raise ValueError(f"override {key} must be an integer, got {raw!r}")
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"override {key} must be at least 1, got {value}")
     return value
 
 
@@ -255,7 +253,7 @@ def _exp_volume_bound(
 
 
 def _exp_bands(
-    config: RunConfig, *, deltas=(2.0**-5, 2.0**-6, 2.0**-7), samples=1 << 16, t_lo=0.5, t_hi=1.0
+    config: RunConfig, *, deltas=(2.0**-5, 2.0**-6, 2.0**-7), samples=1 << 16
 ) -> RunResult:
     if samples < 2:
         raise ValueError(f"bands needs samples >= 2 to measure a standard error, got {samples}")
@@ -263,7 +261,7 @@ def _exp_bands(
     worst_z = 0.0
     per_delta_max = {}
     for delta in deltas:
-        for t in (t_lo, t_hi):
+        for t in (0.5, 1.0):
             rng = rng_stream(config.seed, derive_stream("bands-radii", delta, t))
             radii = 0.8 + 0.5 * rng.random(config.n)
             band = banded_intersection_scan(
@@ -301,7 +299,7 @@ def _exp_bands(
     return RunResult(tuple(rows), metrics, gates)
 
 
-def _exp_clusters(config: RunConfig, *, samples=1 << 20, configs=20, delta=2.0**-9) -> RunResult:
+def _exp_clusters(config: RunConfig, *, samples=1 << 20, configs=20) -> RunResult:
     if config.n != 3:
         raise ValueError("the clusters experiment is specific to n=3")
     rows = []
@@ -319,7 +317,7 @@ def _exp_clusters(config: RunConfig, *, samples=1 << 20, configs=20, delta=2.0**
                 t=t,
                 radii=radii,
                 rho=rho,
-                delta=delta,
+                delta=2.0**-9,
                 m=samples,
                 seed=derive_stream("cluster-run", config.seed, i),
             )
@@ -395,11 +393,13 @@ def _exp_fibre(config: RunConfig, *, trials=12) -> RunResult:
 def _exp_multiplicity(
     config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 9)), samples=4096, trials=3
 ) -> RunResult:
+    if samples < 64:
+        raise ValueError(f"multiplicity needs samples >= 64 for a pair batch, got {samples}")
     scan = multiplicity_scan(0, deltas, trials=trials, m=samples, seed=config.seed, n=config.n)
     metrics = {
         "worst_refined": scan.worst,
         "worst_plain": scan.worst_plain,
-        "drift": scan.drift,
+        "drift": _drift(list(scan.worst.values())),
         "pair_samples_drawn": scan.drawn,
     }
     return RunResult(scan.rows, metrics, (Gate("drift", "<=", 4.0),))
@@ -407,9 +407,9 @@ def _exp_multiplicity(
 
 def _exp_l2_growth(
     config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 9)), samples=512,
-    family_size=2, x_samples=16, components=6,
+    family_size=2, x_samples=16,
 ) -> RunResult:
-    family = bump_mixture_family(config.n, components=components, seed=config.seed)
+    family = bump_mixture_family(config.n, components=6, seed=config.seed)
     region = (np.full(config.n, -0.5), np.full(config.n, 0.5))
     scan = l2_growth_scan(
         family,
@@ -426,9 +426,11 @@ def _exp_l2_growth(
 
 def _exp_knapp_exponent(
     config: RunConfig, *, deltas=tuple(2.0**-k for k in range(4, 11)), samples=8192, p=2.0,
-    m_x=64, rho=0.1,
+    m_x=64,
 ) -> RunResult:
-    scan = knapp_exponent(deltas, p, m_x=m_x, m_s=samples, seed=config.seed, n=config.n, rho=rho)
+    if samples < 2:
+        raise ValueError(f"knapp-exponent needs samples >= 2 per shell average, got {samples}")
+    scan = knapp_exponent(deltas, p, m_x=m_x, m_s=samples, seed=config.seed, n=config.n)
     n = config.n
     # in one fraction: exactly -1/3, 0 and 1/3 at n = 3, p = 3/2, 2 and 3
     expected = ((n - 1) * p - (n + 1)) / (2.0 * p)
@@ -441,7 +443,7 @@ def _exp_knapp_exponent(
     return RunResult(tuple(scan.rows), metrics, gates)
 
 
-def _radial_norm_oracle(n: int, C: float) -> float:
+def _radial_norm_oracle(n: int) -> float:
     """Midpoint-rule radial quadrature for the profile's L^{p_c(n)} norm.
 
     Substituting ``u = log2(1/|x'|)`` flattens the integrand of ``g**p_c``
@@ -460,7 +462,7 @@ def _radial_norm_oracle(n: int, C: float) -> float:
     integral = float(np.sum(np.power(mids, -beta, out=mids)) * step)
     integral += u_max ** (1.0 - beta) / (beta - 1.0)
     area = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-    return (2.0 * C * area * math.log(2.0) * integral) ** (1.0 / critical_exponent(n))
+    return (2.0 * OPENING * area * math.log(2.0) * integral) ** (1.0 / critical_exponent(n))
 
 
 def _dyadic_partial_sums(series) -> tuple:
@@ -474,20 +476,20 @@ def _dyadic_partial_sums(series) -> tuple:
 _MIN_SHELLS = 16
 
 
-def _exp_divergence(config: RunConfig, *, samples=256, L=4096, C=4.0) -> RunResult:
+def _exp_divergence(config: RunConfig, *, samples=256, L=4096) -> RunResult:
     if L < _MIN_SHELLS:
         raise ValueError(f"L must be at least {_MIN_SHELLS} shells, got {L}")
     xs, rs = sample_tangency_set(1, seed=config.seed, n=config.n)
-    series = shell_partial_sums(xs[0], rs[0], L, samples, seed=config.seed, C=C)
+    series = shell_partial_sums(xs[0], rs[0], L, samples, seed=config.seed)
     dyadic = _dyadic_partial_sums(series)
     top = dyadic[-3:]
     fit = fit_power_law([row[0] for row in top], [row[1] for row in top])
     block_fit = dyadic_block_slope(series.partial_sums)
     offset_slope = _offset_power_fit(dyadic)
     # the l2_* keys hold the L^{p_c(n)} norm, the L^2 norm at n = 3
-    l2 = g_lp_norm(critical_exponent(config.n), n=config.n, C=C)
-    oracle = _radial_norm_oracle(config.n, C)
-    divergent = math.isinf(g_lp_norm(2.5, n=config.n, C=C))
+    l2 = g_lp_norm(critical_exponent(config.n), n=config.n)
+    oracle = _radial_norm_oracle(config.n)
+    divergent = math.isinf(g_lp_norm(2.5, n=config.n))
     sums = series.partial_sums
     errors = series.partial_sum_errors
     rows = tuple(
@@ -549,8 +551,8 @@ def _offset_power_fit(dyadic: tuple) -> Optional[float]:
     return float(params[1])
 
 
-def _exp_glpnorm(config: RunConfig, *, samples=20_000, p=2.0, C=4.0) -> RunResult:
-    norm = g_lp_norm(p, samples, n=config.n, C=C)
+def _exp_glpnorm(config: RunConfig, *, p=2.0) -> RunResult:
+    norm = g_lp_norm(p, n=config.n)
     finite = math.isfinite(norm)
     rows = ({"p": p, "norm": norm, "finite": finite},)
     metrics = {"p": p, "norm": norm, "finite": finite}
@@ -558,7 +560,7 @@ def _exp_glpnorm(config: RunConfig, *, samples=20_000, p=2.0, C=4.0) -> RunResul
     n, p_c = config.n, critical_exponent(config.n)
     if abs(p - p_c) < 1e-12:
         # at p_c the radial integral of u**(-n/(n-1)) over [1, inf) is n - 1
-        exact = (2 * (n - 1) * C * sphere_area(n - 1) * math.log(2.0)) ** (1.0 / p_c)
+        exact = (2 * (n - 1) * OPENING * sphere_area(n - 1) * math.log(2.0)) ** (1.0 / p_c)
         metrics["exact"] = exact
         metrics["gap"] = abs(norm - exact)
         gates = (Gate("gap", "<=", 0.01 * exact),)
@@ -612,7 +614,7 @@ _INPUTS = {"deltas": "--delta-grid", "samples": "--samples", "p": "--p"}
 def run_experiment(config: RunConfig) -> RunResult:
     """Run ``config``'s experiment.  Each set ``deltas``, ``samples`` or ``p``
     is passed as the keyword of that name, which the experiment must declare;
-    each override as the keyword it names, typed like its default.  An
+    each override as the keyword it names, a repetition count.  An
     undeclared input or an unknown override raises ``ValueError`` before any
     work."""
     experiment = EXPERIMENTS[config.experiment]
@@ -625,7 +627,7 @@ def run_experiment(config: RunConfig) -> RunResult:
             kwargs[key] = getattr(config, key)
     given = dict(config.overrides)
     overridable = [key for key in declared if key not in _INPUTS and key in given]
-    kwargs.update((key, _typed_override(key, given.pop(key), declared[key])) for key in overridable)
+    kwargs.update((key, _count_override(key, given.pop(key))) for key in overridable)
     if given:
         raise ValueError(f"unknown overrides: {sorted(given)}")
     return experiment(config, **kwargs)

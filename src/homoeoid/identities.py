@@ -22,12 +22,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
+    TangencyConfig,
     _axis_minors_core,
     _minor_core,
     _system_jacobian_core,
     axis_direction,
     contact_point,
     default_refinement_cut,
+    refinement_indicator,
+    tangency_system,
+    tangency_system_jacobian,
 )
 from .mc import derive_stream, rng_stream
 
@@ -434,10 +438,10 @@ def identity_suite(
     trials: int = 1000,
     *,
     seed: int = 0,
-    axis: int = 0,
     rational: bool = False,
 ) -> list[IdentityReport]:
-    """Check the five identity families at seeded random ``(w, t, r, d)``.
+    """Check the five identity families at seeded random ``(w, t, r, d)``,
+    refined along axis 0.
 
     Families: the all-ones-off-diagonal determinant factorisation; the minor
     syzygy ``w_axis G_{i,j} = w_j G_i - w_i G_j``; the two logarithmic
@@ -454,12 +458,11 @@ def identity_suite(
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not 0 <= axis < n:
-        raise ValueError("axis out of range")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if rational and n > 4:
         raise ValueError("rational mode supports n <= 4 only")
+    axis = 0
     ell = max(1, (n - 1) // 2)
     sample = _rational_inputs if rational else _float_inputs
     a, t, r, d, w, blocks = sample(n, trials, seed, axis, ell)
@@ -564,38 +567,23 @@ class NondegScan:
     max_scaled_minor: float
 
 
-def nondeg_bounds_scan(
-    n: int = 3,
-    trials: int = 1000,
-    cbar: float | None = None,
-    *,
-    seed: int = 0,
-    max_attempts_factor: int = 50,
-) -> NondegScan:
+def nondeg_bounds_scan(n: int = 3, trials: int = 1000, *, seed: int = 0) -> NondegScan:
     """Sample near-tangency configurations and record Jacobian floor/ceiling.
 
     Plain rejection from the hypothesis region is hopeless (the region has
     codimension ``n - 1`` in the sphere variables), so each sample solves for
     an exact tangency point by Newton iteration from the analytic first-order
     seed and then perturbs it by a random displacement small enough to stay
-    below ``cbar * t``.  The refinement axis is axis 0; parameters are drawn
+    below ``cbar * t``, with ``cbar = 0.1 * cut``; at most ``50 * trials``
+    draws are made.  The refinement axis is axis 0; parameters are drawn
     with its radius dominant so the refined region genuinely contains
     tangency points.
     """
-    from .geometry import (  # local import to avoid cycles at module import
-        TangencyConfig,
-        tangency_system,
-        tangency_system_jacobian,
-    )
-
     if n < 2:
         raise ValueError("dimension must be at least 2")
     axis = 0
     cut = default_refinement_cut(n)
-    if cbar is None:
-        cbar = 0.1 * cut
-    if cbar <= 0:
-        raise ValueError("cbar must be positive")
+    cbar = 0.1 * cut
     rng = rng_stream(seed, derive_stream("nondeg", n, axis, cbar))
 
     min_det = np.inf
@@ -604,7 +592,7 @@ def nondeg_bounds_scan(
     accepted = 0
     floor = (2.0 * cut) ** (2.0 / 3.0)
     keep = [j for j in range(n) if j != axis]
-    for _ in range(max_attempts_factor * trials):
+    for _ in range(50 * trials):
         if accepted >= trials:
             break
         r = np.empty(n)
@@ -632,13 +620,14 @@ def nondeg_bounds_scan(
             except np.linalg.LinAlgError:
                 break
             omega = omega + step
-        if not ok or abs(omega[axis]) ** 3 < 2.0 * cut:
+        if not ok or not refinement_indicator(omega, axis):
             continue
         jac = tangency_system_jacobian(cfg, omega)
         direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         shift = omega + direction * (cbar * t * rng.uniform(0.0, 0.5) / np.linalg.norm(jac))
-        if np.linalg.norm(tangency_system(cfg, shift)) >= cbar * t or abs(shift[axis]) ** 3 < 2.0 * cut:
+        too_far = np.linalg.norm(tangency_system(cfg, shift)) >= cbar * t
+        if too_far or not refinement_indicator(shift, axis):
             continue
         jac = tangency_system_jacobian(cfg, shift)
         prod_w = float(np.prod(np.abs(shift)))

@@ -9,10 +9,10 @@ slab's own L^p norm that gives the exponent ``((n-1)p - (n+1)) / (2p)``,
 which changes sign at ``p_c(n)``.  The second is the counterexample profile
 ``g``: a tangentially singular function, in L^p up to ``p_c(n)``, whose
 surface integrals over dyadic tangential shells of a tangency configuration
-form a series growing like ``L**(1/(n+1))``.  The field's opening constant
-``C`` must be at least 1 wherever it is taken (the field, its L^p norm and
-the shell series), and the series' growth exponent is read from its dyadic
-block sums (:func:`dyadic_block_slope`).
+form a series growing like ``L**(1/(n+1))``.  The field's opening
+``|x_n| <= OPENING * |x'|**2`` is one constant, :data:`OPENING`, shared by
+the field, its L^p norm and the shell series, and the series' growth
+exponent is read from its dyadic block sums (:func:`dyadic_block_slope`).
 
 The shell series needs care at depth: shell ``l`` lives at tangential distance
 ``2**(-l/2)`` from the tangency point, far below float range once ``l`` is in
@@ -49,6 +49,7 @@ __all__ = [
     "ExponentScan",
     "CounterexampleField",
     "ShellSeries",
+    "OPENING",
     "critical_exponent",
     "diagonal_frame",
     "sample_tangency_set",
@@ -59,6 +60,11 @@ __all__ = [
     "shell_partial_sums",
     "dyadic_block_slope",
 ]
+
+# The counterexample's opening constant C in ``|x_n| <= C |x'|**2``: at least
+# 1, and large enough that the opening swallows the quadratic bending of the
+# tangency-configured shells (``ShellSeries.normal_extent`` checks that).
+OPENING = 4.0
 
 
 def critical_exponent(n: int) -> float:
@@ -123,22 +129,18 @@ class KnappSlab:
         return lambda pts: self.contains(pts).astype(float)
 
 
-def sample_tangency_set(
-    m: int, *, seed: int = 0, rho: float = 0.1, n: int = 3
-) -> tuple[Array, Array]:
+def sample_tangency_set(m: int, *, seed: int = 0, n: int = 3) -> tuple[Array, Array]:
     """Draw tangency configurations (x, r) with the shell tangent to 0.
 
-    Radii are uniform in the box ``(3/2)*1 +- rho`` (kept inside ``(1, 2)^n``),
-    and ``x = contact_point(r)``, which places the origin on the ellipsoid
+    Radii are uniform in the box ``(3/2)*1 +- 1/10`` inside ``(1, 2)^n``, and
+    ``x = contact_point(r)``, which places the origin on the ellipsoid
     ``E(x, r)`` with tangent plane orthogonal to the diagonal.  Returns the
     pair of ``(m, n)`` arrays.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not 0.0 < rho < 0.5:
-        raise ValueError("rho must lie in (0, 1/2) so the box stays inside (1,2)^n")
-    rng = rng_stream(seed, derive_stream("tangency-set", n, rho))
-    radii = 1.5 + rho * (2.0 * rng.random((m, n)) - 1.0)
+    rng = rng_stream(seed, derive_stream("tangency-set", n, 0.1))
+    radii = 1.5 + 0.1 * (2.0 * rng.random((m, n)) - 1.0)
     return geo.contact_point(radii), radii
 
 
@@ -215,7 +217,6 @@ def knapp_exponent(
     *,
     seed: int = 0,
     n: int = 3,
-    rho: float = 0.1,
 ) -> ExponentScan:
     """Scaling exponent of slab averages against the slab's own L^p norm.
 
@@ -234,10 +235,10 @@ def knapp_exponent(
     deltas = geo._width_grid(delta_list)
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    if m_x < 2 or m_s < 1:
-        raise ValueError("need m_x >= 2 tangency samples and m_s >= 1 shell samples")
+    if m_x < 2 or m_s < 2:
+        raise ValueError("need m_x >= 2 tangency samples and m_s >= 2 shell samples")
 
-    xs, rs = sample_tangency_set(m_x, seed=seed, rho=rho, n=n)
+    xs, rs = sample_tangency_set(m_x, seed=seed, n=n)
     rows = []
     ratios = []
     for delta in deltas:
@@ -278,27 +279,17 @@ def profile_value(t, n: int = 3) -> Array:
     return out
 
 
-def _check_opening(C: float) -> None:
-    if not C >= 1.0:
-        raise ValueError(f"opening constant C must be >= 1, got {C}")
-
-
 @dataclasses.dataclass(frozen=True)
 class CounterexampleField:
     """The tangentially singular field ``f = g o U``.
 
-    ``g(x', x_n) = profile(|x'|)`` on the opening ``{|x_n| <= C |x'|**2}``, and
-    ``U`` is the diagonal frame, so the singular direction is the diagonal.
-    ``C`` must be large enough that the opening swallows the quadratic bending
-    of the tangency-configured shells; the shell-series diagnostics check that
-    empirically rather than assuming it.
+    ``g(x', x_n) = profile(|x'|)`` on the opening ``{|x_n| <= OPENING |x'|**2}``,
+    and ``U`` is the diagonal frame, so the singular direction is the diagonal.
     """
 
-    C: float
     n: int = 3
 
     def __post_init__(self) -> None:
-        _check_opening(self.C)
         object.__setattr__(self, "frame", diagonal_frame(self.n))
 
     frame: Array = dataclasses.field(init=False, repr=False)
@@ -307,22 +298,21 @@ class CounterexampleField:
         coords = np.asarray(points, dtype=float) @ self.frame.T
         tangential = np.linalg.norm(coords[..., : self.n - 1], axis=-1)
         normal = coords[..., self.n - 1]
-        opening = np.abs(normal) <= self.C * tangential**2
+        opening = np.abs(normal) <= OPENING * tangential**2
         return profile_value(tangential, self.n) * opening
 
 
-def g_lp_norm(
-    p: float, quad_points: int = 20_000, *, n: int = 3, C: float = 4.0
-) -> float:
+def g_lp_norm(p: float, *, n: int = 3) -> float:
     """L^p norm of the counterexample profile, or ``inf`` when divergent.
 
     The slab-opening geometry reduces ``int g**p`` to a radial integral which,
     after substituting ``t = 2**-u``, becomes
 
-        2*C * area(S^{n-2}) * ln2 * int_1^inf 2**(-alpha*u) * u**(-beta) du
+        2*OPENING * area(S^{n-2}) * ln2 * int_1^inf 2**(-alpha*u) * u**(-beta) du
 
     with ``alpha = n + 1 - (n-1)*p`` and ``beta = n*p/(n+1)``.  The integral is
-    evaluated over doubling windows ``[2^j, 2^(j+1)]`` (the image of halving
+    evaluated by ``quad`` (at most 200 subintervals, relative tolerance 1e-12)
+    over doubling windows ``[2^j, 2^(j+1)]`` (the image of halving
     the inner radial cutoff repeatedly): growing window contributions mean the
     cutoff integrals blow up and the result is ``inf``; decaying windows are
     summed with a geometric tail extrapolation, which is exact in the critical
@@ -332,19 +322,15 @@ def g_lp_norm(
     """
     if p < 1.0:
         raise ValueError("p must be at least 1")
-    if quad_points < 100:
-        raise ValueError("quad_points must be at least 100")
-    _check_opening(C)
     from scipy.integrate import quad
 
     alpha = n + 1 - (n - 1) * p
     beta = n * p / (n + 1.0)
-    limit = max(50, quad_points // 100)
 
     def integrand(u: float) -> float:
         return math.exp(-alpha * u * math.log(2.0)) * u**-beta
 
-    scale = 2.0 * C * sphere_area(n - 1) * math.log(2.0)
+    scale = 2.0 * OPENING * sphere_area(n - 1) * math.log(2.0)
     total_prev = None
     partial = 0.0
     window_prev = None
@@ -352,7 +338,7 @@ def g_lp_norm(
         lo, hi = 2.0**j, 2.0 ** (j + 1)
         if alpha < 0.0 and -alpha * hi * math.log(2.0) > 500.0:
             return math.inf  # integrand overflows float range: certainly divergent
-        window, _ = quad(integrand, lo, hi, limit=limit, epsabs=0.0, epsrel=1e-12)
+        window, _ = quad(integrand, lo, hi, limit=200, epsabs=0.0, epsrel=1e-12)
         if window_prev is not None and window_prev > 0.0:
             ratio = window / window_prev
             if ratio >= 0.98 and window > 1e-300:
@@ -412,7 +398,6 @@ def shell_partial_sums(
     m: int,
     *,
     seed: int = 0,
-    C: float = 4.0,
 ) -> ShellSeries:
     """Partial sums of the shell series for the counterexample field.
 
@@ -447,7 +432,6 @@ def shell_partial_sums(
         raise ValueError("need at least 4 shells")
     if m < 16:
         raise ValueError("need at least 16 samples per shell")
-    _check_opening(C)
     residual = float(abs(geo.defining_value(x, r, np.zeros(n))))
     if residual > 1e-9:
         raise ValueError(
@@ -498,7 +482,7 @@ def shell_partial_sums(
         s_scaled = 2.0 * curvature / (disc - b)  # small root of the shell quadratic
 
         level = np.array(ells)[:, None] / 2.0 + np.log2(1.0 / radius)
-        in_support = (level >= 1.0) & (np.abs(s_scaled) <= C * radius**2)
+        in_support = (level >= 1.0) & (np.abs(s_scaled) <= OPENING * radius**2)
         depth = scale_sq * s_scaled
         grad = np.empty_like(v_dir)
         grad_norm = None

@@ -529,11 +529,6 @@ class MultiplicityScan:
     worst_plain: dict
     drawn: int
 
-    @property
-    def drift(self) -> float:
-        values = list(self.worst.values())
-        return max(values) / min(values)
-
 
 def multiplicity_scan(
     axis: int,

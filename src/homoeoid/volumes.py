@@ -660,9 +660,12 @@ def _tangency_cover(cfg: geo.TangencyConfig, rho: float, delta: float) -> _Tange
     ``h``, ``A`` moves by at most ``h (|D u_c| + max D) + h**2 max D`` and
     ``B`` by at most ``h |Dc|``, and the minimum of ``|s A_c - B_c|`` over
     ``s`` in ``[s0, s1]`` is the distance from ``B_c`` to the segment
-    ``{s A_c}``.  A cell is dropped only when ``4 s0`` times the resulting
-    lower bound exceeds ``sqrt(rho**2 + kappa)``, where ``kappa`` bounds the
-    Gram kernel's rounding of ``N**2``.  The z range starts at the
+    ``{s A_c}``.  The ``h**2`` term is a cushion that no point can need, so
+    no test binds it: ``A(u) - A(u_c) = u x D(u - u_c) + (u - u_c) x D u_c``
+    with ``|u| = 1`` already bounds the move by ``h (|D u_c| + max D)``.  A
+    cell is dropped only when ``4 s0`` times the resulting lower bound
+    exceeds ``sqrt(rho**2 + kappa)``, where ``kappa`` bounds the Gram
+    kernel's rounding of ``N**2``.  The z range starts at the
     refinement's edge ``(2 cut)**(1/3) / s1``, less a relative ``1e-12`` for
     the rounding of the cube test.  At ``_COVER_DEPTH`` a cell's own slack
     (about 1e-3 in ``N``) dwarfs ``kappa``; ``kappa`` keeps cells only in a
@@ -784,6 +787,11 @@ def _single_linkage(pts: Array, scale: float) -> tuple[Array, Array]:
     return labels, diameters
 
 
+# The most accepted points that enter the O(count^2) linkage stage of
+# :func:`low_jacobian_cluster`: their (k, k) distances take 128 MB.
+_MAX_KEEP = 4000
+
+
 def low_jacobian_cluster(
     *,
     axis: int,
@@ -793,7 +801,6 @@ def low_jacobian_cluster(
     delta: float,
     m: int,
     seed: int,
-    max_keep: int = 4000,
 ) -> ClusterReport:
     """Cluster the refined shell points where the tangency functional < rho.
 
@@ -808,7 +815,7 @@ def low_jacobian_cluster(
     are drawn (see the module docstring): each batch draws its count in the
     cover from its stream ``("cluster", rho, t, batch)``, then that many
     uniform points of the cover (cell, then ``z``, ``phi`` and ``v``) from
-    the same stream.  At most ``max_keep`` accepted points (the first ones
+    the same stream.  At most ``_MAX_KEEP`` accepted points (the first ones
     drawn — an unbiased subsample of i.i.d. draws) enter the O(count^2)
     linkage stage, which finds the clusters as the connected components of
     the graph with an edge wherever the distance is ``<= scale``.  The
@@ -822,7 +829,7 @@ def low_jacobian_cluster(
     if rho <= 0 or t <= 0:
         raise ValueError("rho and t must be positive")
     cfg = geo.TangencyConfig(axis, t, radii)
-    drawn, have, pts = _low_tangency_points(cfg, rho, delta, m, seed, max(max_keep, 0))
+    drawn, have, pts = _low_tangency_points(cfg, rho, delta, m, seed, _MAX_KEEP)
 
     scale = 16.0 * rho / t
     if pts.shape[0] == 0:

@@ -325,7 +325,7 @@ CHEAP_ARGS = {
         "--override", "m_x=8",
     ],
     "divergence": ["--samples", "64", "--override", "L=64"],
-    "glpnorm": ["--samples", "5000"],
+    "glpnorm": [],
     "explore-unrefined": ["--samples", "2000", "--override", "pairs=2"],
 }
 

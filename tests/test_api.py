@@ -47,6 +47,9 @@ def test_package_exports_resolve():
         (knapp.CounterexampleField, "field"),
         (maximal, "lp_norm"),
         (identities.IdentityReport, "passed"),
+        (multiplicity.MultiplicityScan, "drift"),
+        (knapp, "_check_opening"),
+        (cli, "_typed_override"),
     ],
 )
 def test_retired_functions_are_gone(owner, name):
@@ -60,7 +63,7 @@ def test_retired_functions_are_gone(owner, name):
         (mc.mc_mean, ["chunk"]),
         (fibres.trace_fibre, ["newton_tol", "max_newton", "max_steps", "near"]),
         (fibres.FibreTrace, ["closed", "step"]),
-        (knapp.shell_partial_sums, ["min_survivors"]),
+        (knapp.shell_partial_sums, ["min_survivors", "C"]),
         (maximal.discretised_maximal, ["axis"]),
         (maximal.l2_growth_scan, ["net_policy"]),
         (maximal.bump_mixture_family, ["centre_box", "scale_range"]),
@@ -68,9 +71,9 @@ def test_retired_functions_are_gone(owner, name):
         (multiplicity.generate_family, ["cut"]),
         (volumes.volume_bound_scan, ["cut"]),
         (volumes.banded_intersection_scan, ["cut", "dtilde"]),
-        (volumes.low_jacobian_cluster, ["cut", "dtilde", "scale_factor"]),
+        (volumes.low_jacobian_cluster, ["cut", "dtilde", "scale_factor", "max_keep"]),
         (identities.contact_jacobian_check, ["r_samples", "fd_step"]),
-        (identities.nondeg_bounds_scan, ["axis"]),
+        (identities.nondeg_bounds_scan, ["axis", "cbar", "max_attempts_factor"]),
         (geometry.refinement_indicator, ["cut"]),
         (geometry.shell_membership, ["cut"]),
         (geometry.covering_margin, ["cut"]),
@@ -84,11 +87,21 @@ def test_retired_functions_are_gone(owner, name):
         (multiplicity.multiplicity_scan, ["count_rule"]),
         (cli._exp_fibre, ["rho"]),
         (cli._exp_volume_bound, ["axis"]),
-        (cli._exp_bands, ["axis"]),
+        (cli._exp_bands, ["axis", "t_lo", "t_hi"]),
         (cli._exp_multiplicity, ["axis"]),
         (cli._exp_explore_unrefined, ["axis"]),
         (cli.RunResult, ["experiment"]),
         (maximal.Field, ["evaluator"]),
+        (knapp.CounterexampleField, ["C"]),
+        (knapp.g_lp_norm, ["quad_points", "C"]),
+        (knapp.sample_tangency_set, ["rho"]),
+        (knapp.knapp_exponent, ["rho"]),
+        (identities.identity_suite, ["axis"]),
+        (cli._exp_clusters, ["delta"]),
+        (cli._exp_l2_growth, ["components"]),
+        (cli._exp_knapp_exponent, ["rho"]),
+        (cli._exp_divergence, ["C"]),
+        (cli._exp_glpnorm, ["samples", "C"]),
     ],
 )
 def test_retired_keywords_are_gone(fn, knobs):
@@ -215,6 +228,15 @@ def config_input_reads(source):
                 ):
                     found.append(f"{node.name}(config.{inner.attr})")
     return found
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_every_override_is_a_count(name):
+    # an experiment's other keywords are overrides, and each is a repetition
+    # count: a model constant is fixed where it is read, not an option
+    defaults = cli.EXPERIMENTS[name].__kwdefaults__ or {}
+    floats = {k: v for k, v in defaults.items() if k not in CONFIG_INPUTS and type(v) is not int}
+    assert floats == {}
 
 
 def test_no_experiment_reads_its_inputs_off_the_config():

@@ -125,8 +125,6 @@ class TestSampleTangencySet:
     def test_validation(self):
         with pytest.raises(ValueError):
             knapp.sample_tangency_set(0)
-        with pytest.raises(ValueError):
-            knapp.sample_tangency_set(5, rho=0.5)
 
 
 class TestSlabShellAverage:
@@ -154,7 +152,8 @@ class TestSlabShellAverage:
         # equal radii 0.57 at widths 1/2, n = 2, need the cap's 0.6*delta
         # term; a thin shell under a wide slab needs the slab's half-diagonal
         widths = [(0.5, 0.5), (0.5, 2**-8), (2**-8, 0.5), (0.25, 2**-4), (2**-4, 0.25)]
-        radii = [np.full(n, 0.57), np.ones(n), *knapp.sample_tangency_set(2, seed=n, rho=0.4, n=n)[1]]
+        spread = np.random.default_rng(n).uniform(1.1, 1.9, (2, n))  # a wider box than 3/2 +- 1/10
+        radii = [np.full(n, 0.57), np.ones(n), *spread]
         planted = 0
         for r in radii:
             x = geo.contact_point(r)
@@ -233,21 +232,24 @@ class TestKnappExponent:
             knapp.knapp_exponent([0.2, 0.1, 0.05], 0.5)
         with pytest.raises(ValueError):
             knapp.knapp_exponent([0.2, 0.1, 0.05], 2.0, m_x=1)
+        # the shell average it takes needs two points for its standard error
+        with pytest.raises(ValueError, match="m_s >= 2"):
+            knapp.knapp_exponent([0.2, 0.1, 0.05], 2.0, m_s=1)
 
 
 class TestCounterexampleField:
     def test_worked_value(self):
-        ce = knapp.CounterexampleField(4.0)
+        ce = knapp.CounterexampleField()
         U = ce.frame
         y = U.T @ np.array([0.25, 0.0, 0.0])
         assert float(ce(y)) == pytest.approx(16.0 * 2.0**-0.75, rel=1e-12)
 
     def test_support(self):
-        ce = knapp.CounterexampleField(4.0)
+        ce = knapp.CounterexampleField()
         U = ce.frame
         assert float(ce(U.T @ np.array([0.6, 0.0, 0.0]))) == 0.0  # |x'| > 1/2
-        inside = U.T @ np.array([0.25, 0.0, 0.99 * 4.0 * 0.25**2])
-        outside = U.T @ np.array([0.25, 0.0, 4.0 * 0.25**2 + 0.01])
+        inside = U.T @ np.array([0.25, 0.0, 0.99 * knapp.OPENING * 0.25**2])
+        outside = U.T @ np.array([0.25, 0.0, knapp.OPENING * 0.25**2 + 0.01])
         assert float(ce(inside)) > 0.0
         assert float(ce(outside)) == 0.0
 
@@ -259,19 +261,23 @@ class TestCounterexampleField:
         assert vals.shape == (3,) and vals[2] == 0.0
 
     def test_frame_orthogonal(self):
-        a = knapp.CounterexampleField(4.0)
+        a = knapp.CounterexampleField()
         assert np.max(np.abs(a.frame @ a.frame.T - np.eye(3))) < 1e-12
 
-    @pytest.mark.parametrize("C", [0.5, -1.0, math.nan])
-    def test_opening_constant_rule_is_shared(self, C):
+    def test_opening_constant_is_shared(self, monkeypatch):
+        # the field, its norm and the shell series all read knapp.OPENING
         x, r = tangency_pair(seed=7)
-        for build in (
-            lambda: knapp.CounterexampleField(C),
-            lambda: knapp.g_lp_norm(2.0, C=C),
-            lambda: knapp.shell_partial_sums(x, r, 16, 16, C=C),
-        ):
-            with pytest.raises(ValueError, match="C must be >= 1"):
-                build()
+        # |x_n| = 0.2 lies inside the opening 4 * 0.25**2, outside 0.25 * 0.25**2;
+        # the narrow opening cuts into the shells' normal extent, about 1/3
+        point = knapp.CounterexampleField().frame.T @ np.array([0.25, 0.0, 0.2])
+        assert float(knapp.CounterexampleField()(point)) > 0.0
+        norm = knapp.g_lp_norm(2.0)
+        survivors = knapp.shell_partial_sums(x, r, 16, 64, seed=0).survivors
+        monkeypatch.setattr(knapp, "OPENING", 0.25)
+        assert float(knapp.CounterexampleField()(point)) == 0.0
+        assert knapp.g_lp_norm(2.0) == pytest.approx(0.25 * norm, rel=1e-12)
+        narrower = knapp.shell_partial_sums(x, r, 16, 64, seed=0).survivors
+        assert np.all(narrower <= survivors) and np.any(narrower < survivors)
 
 
 class TestGLpNorm:
@@ -284,7 +290,7 @@ class TestGLpNorm:
         # looking 1/t factor tamed only by the log, so uniform-in-t midpoints
         # never see the mass near 0), truncated at u = 1e4 with the exact
         # pure-power tail appended.
-        n, p, C = 3, 2.0, 4.0
+        n, p, C = 3, 2.0, knapp.OPENING
         m = 1_000_000
         beta = n * p / (n + 1.0)
         u_max = 1.0e4
@@ -313,11 +319,9 @@ class TestGLpNorm:
     def test_validation(self):
         with pytest.raises(ValueError):
             knapp.g_lp_norm(0.9)
-        with pytest.raises(ValueError):
-            knapp.g_lp_norm(2.0, quad_points=50)
 
 
-def trailing_axis_shell_terms(x, r, ells, m, seed, surface_measure, C=4.0):
+def trailing_axis_shell_terms(x, r, ells, m, seed, surface_measure):
     """Per-shell arrays of the series for shells ``ells``, scored as one block
     of the trailing-axis form (broadcasts and reductions over the last axis)
     that the coordinate-major block replaces; one fresh stream per shell."""
@@ -346,7 +350,7 @@ def trailing_axis_shell_terms(x, r, ells, m, seed, surface_measure, C=4.0):
     disc = np.sqrt(b**2 - 4.0 * scale_sq * quad_coeff * curvature)
     s_scaled = 2.0 * curvature / (disc - b)
     level = np.array(ells)[:, None] / 2.0 + np.log2(1.0 / radius)
-    in_support = (level >= 1.0) & (np.abs(s_scaled) <= C * radius**2)
+    in_support = (level >= 1.0) & (np.abs(s_scaled) <= knapp.OPENING * radius**2)
     offset = scale[..., None] * v_dir + (scale_sq * s_scaled)[..., None] * normal - x
     grad = 2.0 * offset / r_sq
     secant = np.linalg.norm(grad, axis=-1) / np.abs(grad @ normal)
@@ -449,7 +453,7 @@ class TestShellPartialSums:
     def test_matches_filtered_surface_oracle(self):
         m_surface = 1 << 21
         s = knapp.shell_partial_sums(self.x, self.r, 8, 4096, seed=3)
-        ce = knapp.CounterexampleField(4.0)
+        ce = knapp.CounterexampleField()
         normal = ce.frame[2]
         points, weights = sample_surface(self.r, m_surface, 11, centre=self.x)
         height = points @ normal

@@ -589,7 +589,10 @@ class TestMultiplicityScan:
         assert set(scan.worst) == set(self.DELTAS) == set(scan.worst_plain)
         assert all(row["C"] > 0.0 for row in scan.rows)
         assert all(row["N"] == int(1.0 / row["delta"]) for row in scan.rows)
-        assert scan.drift >= 1.0
+        for table, refined in ((scan.worst, True), (scan.worst_plain, False)):
+            for delta in self.DELTAS:
+                rows = [r for r in scan.rows if (r["delta"], r["refined"]) == (delta, refined)]
+                assert table[delta] == max(r["C"] for r in rows)
 
     def test_plain_constant_dominates_refined(self):
         scan = multiplicity_scan(0, self.DELTAS, trials=2, m=1024, seed=3)

@@ -693,6 +693,8 @@ class TestClusterReport:
 
     @pytest.mark.parametrize("max_keep", [10, 40], ids=["first-chunk", "several-chunks"])
     def test_report_equal_across_worker_counts(self, monkeypatch, max_keep):
+        monkeypatch.setattr(vol, "_MAX_KEEP", max_keep)
+
         def run(workers, m):
             monkeypatch.setenv("HOMOEOID_THREADS", workers)
             return vol.low_jacobian_cluster(
@@ -703,7 +705,6 @@ class TestClusterReport:
                 delta=2**-6,
                 m=m,
                 seed=SEED,
-                max_keep=max_keep,
             )
 
         m = 3 * (1 << 16) + 123  # four sample batches, the last one short
@@ -799,12 +800,11 @@ class TestSingleLinkage:
         assert self.check(pts, scale) == count
 
     def test_memory_at_max_keep(self):
-        # at max_keep points the (k, k) distances take 128 MB; scipy's
+        # at _MAX_KEEP points the (k, k) distances take 128 MB; scipy's
         # pdist and squareform held 192 MB
-        import inspect
         import tracemalloc
 
-        k = inspect.signature(vol.low_jacobian_cluster).parameters["max_keep"].default
+        k = vol._MAX_KEEP
         pts = np.random.default_rng(SEED).random((k, 3))
         tracemalloc.start()
         try:
@@ -818,7 +818,7 @@ class TestSingleLinkage:
         # the two-cluster tangency pair: the report's count and diameters are scipy's
         cfg = geo.TangencyConfig(0, 0.3, np.array([1.4, 1.0, 0.8]))
         rho, delta, m = 0.02, 2**-6, 1 << 19
-        pts = vol._low_tangency_points(cfg, rho, delta, m, SEED, 4000)[2]
+        pts = vol._low_tangency_points(cfg, rho, delta, m, SEED, vol._MAX_KEEP)[2]
         report = vol.low_jacobian_cluster(
             axis=0, t=0.3, radii=cfg.radii, rho=rho, delta=delta, m=m, seed=SEED
         )
@@ -891,6 +891,29 @@ class TestTangencyCover:
         ok = geo.refinement_indicator(near, 0) & (geo.jacobian_gram_norm(cfg, near) < 1e-12)
         assert ok.sum() > 100
         assert in_cover(cover, near[ok], 0).all()
+
+    def test_axis_term_moves_linearly_on_the_sphere(self):
+        # why the h**2 term of the cell slack binds no point: between unit
+        # vectors, A(u) = u x Du moves by at most |u - u_c| (|D u_c| + max D),
+        # since A(u) - A(u_c) = u x D(u - u_c) + (u - u_c) x D u_c and |u| = 1.
+        # At depths 0 to 3 a search over configurations found every cell's
+        # minimum of N at least 14% above the bound without that term.
+        rng = np.random.default_rng(SEED)
+        k = 100_000
+        d = 1.0 / rng.uniform(0.5, 2.0, (k, 3)) ** 2  # D for radii in [1/2, 2]
+        u_c = rng.standard_normal((k, 3))
+        u_c /= np.linalg.norm(u_c, axis=1, keepdims=True)
+        u = u_c + rng.uniform(0.0, 1.0, (k, 1)) * rng.standard_normal((k, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        move = np.linalg.norm(np.cross(u, d * u) - np.cross(u_c, d * u_c), axis=1)
+        chord = np.linalg.norm(u - u_c, axis=1)
+        linear = chord * (np.linalg.norm(d * u_c, axis=1) + d.max(axis=1))
+        assert np.all(move <= linear * (1.0 + 1e-12))
+        # the expansion about u_c in the docstring needs its h**2 term
+        expansion = np.linalg.norm(
+            np.cross(u - u_c, d * u_c) + np.cross(u_c, d * (u - u_c)), axis=1
+        )
+        assert np.any(move > expansion)
 
     def test_same_law_as_brute_route(self):
         # one configuration, 200 seeds per route (disjoint, so the two routes
